@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import PI, ZETA3
+from .exactlin import sign_canonical
 from .heights import discriminant, is_perfect_square, le_height2
 from .hilb import HilbPoint, canonical_forms, fiber_point_count, m_cutoff
 from .lattice import LinearForm, enumerate_form_le, quotient
@@ -255,12 +256,8 @@ def _split_pair_count(bound: Fraction) -> int:
 
 
 def _canonical_triple(x: int, y: int, z: int) -> bool:
-    if (x, y, z) == (0, 0, 0):
-        return False
-    if gcd(gcd(x, y), z) != 1:
-        return False
-    first = next(v for v in (x, y, z) if v)
-    return first > 0
+    """Primitive (hence nonzero) with first nonzero coordinate positive."""
+    return gcd(gcd(x, y), z) == 1 and sign_canonical((x, y, z)) == (x, y, z)
 
 
 def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
@@ -281,8 +278,6 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
     n_nonsplit = 0
     min_ratio_sq: Fraction | None = None
     for x in enumerate_form_le(quo.gram_int, t_f):
-        if gcd(gcd(x[0], x[1]), x[2]) != 1:
-            continue
         if not _canonical_triple(*x):
             continue
         cv2 = quo.covol2_with(x)

@@ -34,6 +34,8 @@ from .heights import (
 from .hilb import HilbPoint, PointValidationError, enumerate_points
 from .verify import SUITE_NAMES, run_suite
 
+# version 2: qbar is the restricted binary form on the reduced kernel basis
+POINT_SCHEMA_VERSION = 2
 POINT_FIELDS = [
     "ell_a", "ell_b", "ell_c",
     "qbar_1", "qbar_2", "qbar_3",
@@ -198,7 +200,7 @@ def _cmd_count(args) -> int:
         if args.format == "csv":
             _emit(args, _csv_text(rows, POINT_FIELDS))
         else:
-            _emit(args, _json_text({"schema_version": 1, "points": rows}))
+            _emit(args, _json_text({"schema_version": POINT_SCHEMA_VERSION, "points": rows}))
         return 0
     n = count_Nst(args.s, args.t, args.B, threads=threads)
     est = constant_c(float(args.s / args.t), args.const_M_max)
@@ -245,7 +247,7 @@ def _cmd_inspect(args) -> int:
     z = canonicalize(args.ell, args.q)
     h_le2 = le_height2(z)
     report = {
-        "schema_version": 1,
+        "schema_version": POINT_SCHEMA_VERSION,
         "ell": list(z.ell.triple),
         "qbar": list(z.qbar),
         "q_lift": list(z.q_lift()),

@@ -43,6 +43,14 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
+def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
+    """``vec`` or ``-vec``, whichever has its first nonzero entry positive."""
+    for v in vec:
+        if v:
+            return tuple(vec) if v > 0 else tuple(-x for x in vec)
+    return tuple(vec)
+
+
 def mat_vec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [dot(row, v) for row in mat]
 
@@ -290,7 +298,9 @@ def complement_basis(rows: Iterable[Sequence[int]]) -> Matrix:
     Returns k = n - rank rows whose cosets form a basis of Z^n / span(rows).
     Each returned row is reduced modulo the HNF of the input lattice, making
     the output canonical for a fixed diagonalization strategy.  Requires the
-    input lattice to be primitive (all invariant factors 1).
+    input lattice to be primitive (all invariant factors 1).  The quotient
+    lattices of ``lattice`` are completed in closed form; this generic
+    completion is the reference the tests check them against.
     """
     mat = as_matrix(rows)
     diag, _, w = diagonalize(mat)
@@ -339,44 +349,37 @@ def smith_minor_gcd(mat: Iterable[Sequence[int]], n: int) -> int:
     return g
 
 
+def cross(v: Sequence[int], w: Sequence[int]) -> tuple[int, int, int]:
+    """Cross product v x w of two integer triples."""
+    return (
+        v[1] * w[2] - v[2] * w[1],
+        v[2] * w[0] - v[0] * w[2],
+        v[0] * w[1] - v[1] * w[0],
+    )
+
+
 def kernel_basis(a: int, b: int, c: int) -> tuple[Row, Row]:
     """Basis (e, f) of the rank-2 lattice {v in Z^3 : a v0 + b v1 + c v2 = 0}.
 
     (a, b, c) must be primitive.  The output is the HNF basis of the kernel,
     orientation-fixed so that the cross product e x f equals +(a, b, c)
-    exactly (possible because the form is primitive).
+    exactly (possible because the form is primitive).  In closed form: with
+    g = gcd(b, c) and (b/g) x + (c/g) y = 1, the kernel vectors with v0 = 0
+    are the multiples of (0, c/g, -b/g), and (g, -a x, -a y) has the least
+    positive v0 (a is prime to g).
     """
     if gcd(gcd(a, b), c) != 1:
         raise ValueError("form must be primitive")
-    rows = kernel([(a, b, c)])
-    assert len(rows) == 2
-    e, f = rows
-    cross = (
-        e[1] * f[2] - e[2] * f[1],
-        e[2] * f[0] - e[0] * f[2],
-        e[0] * f[1] - e[1] * f[0],
-    )
-    if cross == (a, b, c):
+    g, x, y = _xgcd(b, c)
+    if g == 0:  # the form is +-X0
+        e, f = (0, 1, 0), (0, 0, 1)
+    else:
+        f = sign_canonical((0, c // g, -b // g))
+        e = (g, -a * x, -a * y)
+        pivot = 1 if f[1] else 2
+        k = e[pivot] // f[pivot]
+        e = tuple(p - k * q for p, q in zip(e, f))
+    if cross(e, f) == (a, b, c):
         return e, f
-    assert cross == (-a, -b, -c)
-    return e, tuple(-x for x in f)
-
-
-def unimodular_inverse(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (det = +-1)."""
-    n = len(mat)
-    d = det_bareiss(mat)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # adjugate via cofactors; n is small (<= 6) everywhere this is used
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [mat[r][s] for s in range(n) if s != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = det_bareiss(sub) if sub else 1
-            inv[i][j] = d * (-1) ** (i + j) * cof
-    return inv
+    assert cross(e, f) == (-a, -b, -c)
+    return e, tuple(-t for t in f)

@@ -1,7 +1,8 @@
 """Heights, restriction to the spanned line, and discriminants.
 
 Restricting a point's quadric to the projective line cut out by its linear
-form produces a primitive integer binary quadratic form; its discriminant is
+form produces a primitive integer binary quadratic form, which is the point's
+``qbar`` read in the reduced kernel basis of the form; its discriminant is
 the discriminant of the point's coordinate ring, computed here by three
 independent routes (direct, split GCD-of-cross-product, nonsplit parameter
 formula) that the test suite checks against each other.  The Le Rudulier
@@ -17,9 +18,9 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exactlin import _xgcd, smith_minor_gcd
-from .hilb import HilbPoint, eval_quadratic, ideal_lattice
-from .lattice import kernel_basis_of
+from .exactlin import _xgcd, cross, sign_canonical, smith_minor_gcd
+from .hilb import HilbPoint, ideal_lattice
+from .lattice import eval_quadratic, kernel_basis_of
 
 
 class InternalCheckError(AssertionError):
@@ -81,34 +82,16 @@ class NonsplitParams:
         return tuple(self.alpha * x + self.beta * y for x, y in zip(self.e, self.f))  # type: ignore[return-value]
 
 
-def _sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
-    for v in vec:
-        if v:
-            return tuple(vec) if v > 0 else tuple(-x for x in vec)
-    return tuple(vec)
-
-
 @lru_cache(maxsize=1 << 15)
 def restrict_to_line(z: HilbPoint) -> BinaryQuadraticForm:
-    """Restriction of the point's quadric to the line cut out by its form.
+    """Restriction q(S e + T f) of the point's quadric to the line cut out by
+    its form, for the kernel basis (e, f) = ``kernel_basis_of(z.ell)``.
 
-    Substitutes the canonical lift into q(S e + T f) for the kernel basis
-    (e, f); the result is primitive for every valid point (asserted), and is
-    sign-normalized so its leading nonzero coefficient is positive.
+    The coset coordinates ``z.qbar`` are exactly these coefficients, so the
+    form is read off without evaluating anything; it is primitive and
+    sign-normalized (leading nonzero coefficient positive) because qbar is.
     """
-    e, f = kernel_basis_of(z.ell)
-    q = z.q_lift()
-    a = eval_quadratic(q, e)
-    c = eval_quadratic(q, f)
-    ef = tuple(x + y for x, y in zip(e, f))
-    b = eval_quadratic(q, ef) - a - c
-    if (a, b, c) == (0, 0, 0):
-        raise InternalCheckError("restricted form vanished for a valid point")
-    g = gcd(gcd(a, b), c)
-    if g != 1:
-        raise InternalCheckError("restricted form not primitive")
-    a, b, c = _sign_canonical((a, b, c))
-    return BinaryQuadraticForm(a, b, c)
+    return BinaryQuadraticForm(*z.qbar)
 
 
 def discriminant(z: HilbPoint) -> int:
@@ -159,22 +142,14 @@ def split_solutions(z: HilbPoint) -> SplitSolutions:
     for s, t in _root_directions(form):
         vec = tuple(s * x + t * y for x, y in zip(e, f))
         assert gcd(gcd(vec[0], vec[1]), vec[2]) == 1
-        vecs.append(_sign_canonical(vec))
+        vecs.append(sign_canonical(vec))
     v, w = vecs
     return SplitSolutions(v=v, w=w)  # type: ignore[arg-type]
 
 
-def _cross(v: Sequence[int], w: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        v[1] * w[2] - v[2] * w[1],
-        v[2] * w[0] - v[0] * w[2],
-        v[0] * w[1] - v[1] * w[0],
-    )
-
-
 def disc_split_gcd(sol: SplitSolutions) -> int:
     """Discriminant from the squared GCD of the cross product of the solutions."""
-    cx = _cross(sol.v, sol.w)
+    cx = cross(sol.v, sol.w)
     g = gcd(gcd(cx[0], cx[1]), cx[2])
     return g * g
 
@@ -198,7 +173,7 @@ def nonreduced_solution(z: HilbPoint) -> tuple[int, int, int]:
     assert gcd(u, w) == 1
     e, f = kernel_basis_of(z.ell)
     vec = tuple(w * x - u * y for x, y in zip(e, f))
-    return _sign_canonical(vec)  # type: ignore[return-value]
+    return sign_canonical(vec)  # type: ignore[return-value]
 
 
 def nonsplit_params(z: HilbPoint) -> NonsplitParams:

@@ -5,7 +5,8 @@ a primitive linear form, and a rank-4 lattice of quadrics containing all
 degree-1 multiples of that form.  A point is stored canonically as the
 sign-normalized form together with the coset coordinates ``qbar`` of its
 quadric in the quotient lattice, so two defining systems give equal HilbPoint
-values exactly when they cut out the same pair of lattices.
+values exactly when they cut out the same pair of lattices.  ``qbar`` is the
+restriction of the quadric to the reduced kernel basis of the form.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .exactlin import as_matrix, gram_det2, saturate
+from .exactlin import as_matrix, gram_det2, saturate, sign_canonical
 from .lattice import (
     IntLattice,
     LinearForm,
     QuotientLattice,
     count_primitive_form,
     enumerate_form_le,
+    eval_quadratic,  # re-exported: part of the point API
     min_form_value,
     quotient,
 )
@@ -67,27 +69,15 @@ def poly_mul(p: Sequence[int], dp: int, q: Sequence[int], dq: int) -> tuple[int,
     return tuple(out)
 
 
-def eval_quadratic(coeffs: Sequence[int], v: Sequence[int]) -> int:
-    """Evaluate a quadric (six canonical coefficients) at an integer triple."""
-    x, y, z = v
-    c0, c1, c2, c3, c4, c5 = coeffs
-    return c0 * x * x + c1 * x * y + c2 * x * z + c3 * y * y + c4 * y * z + c5 * z * z
-
-
-def _sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
-    for v in vec:
-        if v:
-            return tuple(vec) if v > 0 else tuple(-x for x in vec)
-    return tuple(vec)
-
-
 @dataclass(frozen=True)
 class HilbPoint:
     """Canonical representative of an integral point.
 
-    ``qbar`` holds the coset coordinates of the quadric in the lift basis of
-    ``quotient(ell)``; it is primitive and sign-canonical, and ``covol2_I2``
-    caches the exact squared covolume of the degree-2 ideal lattice.
+    ``qbar`` holds the coset coordinates of the quadric in ``quotient(ell)``:
+    the coefficients (A, B, C) of its restriction A*S^2 + B*S*T + C*T^2 to
+    the kernel basis (e, f) = ``kernel_basis_of(ell)``.  It is primitive and
+    sign-canonical, and ``covol2_I2`` caches the exact squared covolume of
+    the degree-2 ideal lattice.
     """
 
     ell: LinearForm
@@ -99,7 +89,7 @@ class HilbPoint:
             raise QInSpanError("q in span")
         if gcd(gcd(self.qbar[0], self.qbar[1]), self.qbar[2]) != 1:
             raise NonPrimitiveIdealError("non-primitive Lambda_2")
-        if self.qbar != _sign_canonical(self.qbar):
+        if self.qbar != sign_canonical(self.qbar):
             raise ValueError("qbar must be sign-canonical")
 
     @property
@@ -143,7 +133,7 @@ def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
     g = gcd(gcd(qbar[0], qbar[1]), qbar[2])
     if g != 1:
         raise NonPrimitiveIdealError("non-primitive Lambda_2")
-    qbar = _sign_canonical(qbar)
+    qbar = sign_canonical(qbar)
     return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quo.covol2_with(qbar))
 
 
@@ -202,15 +192,9 @@ def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
     return big_l, a, b
 
 
-def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Largest integer k with covol2_I1^(s-t) * k^t <= bound^2 (exact)."""
-    big_l, a, b = _height_exponents(s, t)
-    rhs = bound ** (2 * big_l)
-    base = Fraction(cv1_sq) ** a
-
-    def ok(k: int) -> bool:
-        return base * Fraction(k) ** b <= rhs
-
+def _largest_ok(ok: Callable[[int], bool]) -> int:
+    """Largest k >= 1 with ok(k), for ok true on an initial segment of the
+    positive integers only; 0 when ok(1) fails."""
     if not ok(1):
         return 0
     hi = 1
@@ -225,6 +209,14 @@ def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int
         else:
             hi = mid
     return lo
+
+
+def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int:
+    """Largest integer k with covol2_I1^(s-t) * k^t <= bound^2 (exact)."""
+    big_l, a, b = _height_exponents(s, t)
+    rhs = bound ** (2 * big_l)
+    base = Fraction(cv1_sq) ** a
+    return _largest_ok(lambda k: base * Fraction(k) ** b <= rhs)
 
 
 def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
@@ -241,24 +233,7 @@ def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     if a < 0:
         k_pow *= Fraction(3) ** a
     exp = int(2 * big_l * s)
-
-    def ok(m: int) -> bool:
-        return k_pow * Fraction(m) ** exp <= rhs
-
-    if not ok(1):
-        return 0
-    hi = 1
-    while ok(hi * 2):
-        hi *= 2
-    lo = hi
-    hi = hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _largest_ok(lambda m: k_pow * Fraction(m) ** exp <= rhs)
 
 
 def canonical_forms(m_max: int) -> list[LinearForm]:
@@ -297,7 +272,7 @@ def fiber_points(
     for x in enumerate_form_le(quo.gram_int, t_max):
         if gcd(gcd(x[0], x[1]), x[2]) != 1:
             continue
-        if _sign_canonical(x) != x:
+        if sign_canonical(x) != x:
             continue
         pts.append(HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x)))
     pts.sort(key=lambda p: p.qbar)

@@ -2,13 +2,18 @@
 
 For a primitive integer form l = a*X0 + b*X1 + c*X2 the degree-2 polynomial
 lattice Z^6 (monomial order X0^2, X0X1, X0X2, X1^2, X1X2, X2^2) contains the
-rank-3 product lattice spanned by X0*l, X1*l, X2*l.  This module computes
+rank-3 product lattice spanned by X0*l, X1*l, X2*l.  A reduced basis (e, f)
+of the kernel of l and a vector w with l(w) = 1 form a basis of Z^3 with
+determinant 1 in which l is the first coordinate, so the quotient
+Z^6 / (product lattice) is the lattice of binary quadratic forms on the
+kernel: the coset of a quadric q is its restriction
+q(S e + T f) = A S^2 + B S T + C T^2.  This module computes
 
   * the exact squared covolume of that product lattice (both from the Gram
     determinant and from the closed-form degree-6 polynomial in a, b, c),
-  * the rank-3 quotient Z^6 / (product lattice) with the inner product
-    inherited from the orthogonal complement, held exactly as an *integer*
-    Gram matrix scaled by the product covolume,
+  * the rank-3 quotient in those coordinates (A, B, C), with the inner
+    product inherited from the orthogonal complement, held exactly as an
+    *integer* Gram matrix scaled by the product covolume,
   * exact successive minima with certified witnesses,
   * exact counts of primitive vectors in balls (Moebius + interval counting),
   * exact squared distances to the real span of the product lattice.
@@ -29,14 +34,14 @@ from .exactlin import (
     Matrix,
     Row,
     as_matrix,
-    complement_basis,
+    _xgcd,
+    cross,
     det_bareiss,
     dot,
     gram_det2,
-    gram_matrix,
     kernel_basis,
     mat_vec,
-    unimodular_inverse,
+    sign_canonical,
 )
 
 
@@ -54,8 +59,7 @@ class LinearForm:
             raise ValueError("zero form")
         if gcd(gcd(self.a, self.b), self.c) != 1:
             raise ValueError("form must be primitive")
-        first = next(x for x in t if x != 0)
-        if first < 0:
+        if sign_canonical(t) != t:
             raise ValueError("form must be sign-canonical (first nonzero coordinate positive)")
 
     @classmethod
@@ -64,11 +68,7 @@ class LinearForm:
         if (a, b, c) == (0, 0, 0):
             raise ValueError("zero form")
         g = gcd(gcd(a, b), c)
-        a, b, c = a // g, b // g, c // g
-        first = next(x for x in (a, b, c) if x != 0)
-        if first < 0:
-            a, b, c = -a, -b, -c
-        return cls(a, b, c)
+        return cls(*sign_canonical((a // g, b // g, c // g)))
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -141,26 +141,81 @@ def _adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
     ]
 
 
+def eval_quadratic(coeffs: Sequence[int], v: Sequence[int]) -> int:
+    """Evaluate a quadric (six canonical coefficients) at an integer triple."""
+    x, y, z = v
+    c0, c1, c2, c3, c4, c5 = coeffs
+    return c0 * x * x + c1 * x * y + c2 * x * z + c3 * y * y + c4 * y * z + c5 * z * z
+
+
+def _sym_product(u: Sequence[int], v: Sequence[int]) -> Row:
+    """Canonical coefficients of the quadric (u.X)(v.X)."""
+    return (
+        u[0] * v[0],
+        u[0] * v[1] + u[1] * v[0],
+        u[0] * v[2] + u[2] * v[0],
+        u[1] * v[1],
+        u[1] * v[2] + u[2] * v[1],
+        u[2] * v[2],
+    )
+
+
+def _projected_gram(
+    ell: LinearForm, covol2p: int, rows: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """covol2p times the Gram matrix of the projections of ``rows`` onto the
+    orthogonal complement of the product lattice.
+
+    The Gram matrix of the product basis X0*l, X1*l, X2*l has
+    n = a^2 + b^2 + c^2 on the diagonal and a_i*a_j off it.
+    """
+    a, b, c = ell.triple
+    n = ell.norm2
+    adj = _adjugate3(((n, a * b, a * c), (a * b, n, b * c), (a * c, b * c, n)))
+    p = product_basis(ell)
+    pr = [mat_vec(p, r) for r in rows]
+    apr = [mat_vec(adj, x) for x in pr]
+    return [
+        [covol2p * dot(r, s) - dot(ax, y) for s, y in zip(rows, pr)]
+        for r, ax in zip(rows, apr)
+    ]
+
+
+def _lift_basis(ell: LinearForm) -> Matrix:
+    """Monomial coefficients of Y1^2, Y1*Y2 and Y2^2, where (l, Y1, Y2) are
+    the coordinates dual to a basis (w, e, f) of Z^3 with (e, f) =
+    ``kernel_basis_of(ell)``."""
+    a, b, c = ell.triple
+    e, f = kernel_basis_of(ell)
+    g, x, y = _xgcd(a, b)
+    _, s, t = _xgcd(g, c)
+    w = (s * x, s * y, t)  # l(w) = 1, so det(w, e, f) = w . (e x f) = 1
+    # the dual basis of (w, e, f) is (l, f x w, w x e)
+    u, v = cross(f, w), cross(w, e)
+    return (_sym_product(u, u), _sym_product(u, v), _sym_product(v, v))
+
+
 @dataclass(frozen=True)
 class QuotientLattice:
     """Z^6 / (degree-1 multiples of the form), with its projected inner product.
 
-    ``gram_int`` is covol2_product * gram, an exact positive definite integer
-    matrix: the squared covolume of the rank-4 lattice generated by the
-    product lattice and a coset vector u is exactly u^T gram_int u.
-    ``lift_basis`` holds the three canonical coset representatives in Z^6.
+    Coset coordinates are binary quadratic forms on the kernel basis
+    (e, f) = ``kernel_basis_of(source)``: (A, B, C) is the class of
+    A*Y1^2 + B*Y1*Y2 + C*Y2^2 (see ``_lift_basis``).  ``gram_int`` is
+    covol2_product * gram, an exact positive definite integer matrix: the
+    squared covolume of the rank-4 lattice generated by the product lattice
+    and a coset vector u is exactly u^T gram_int u.
     """
 
     source: LinearForm
-    lift_basis: Matrix
     gram_int: Matrix
     covol2_product: int
 
     @cached_property
-    def basis_inverse(self) -> Matrix:
-        """Inverse of the 6x6 row matrix [product basis; lift basis]."""
-        full = as_matrix(list(product_basis(self.source)) + list(self.lift_basis))
-        return as_matrix(unimodular_inverse(full))
+    def lift_basis(self) -> Matrix:
+        """Canonical lifts of the three coset basis vectors, built on first
+        use only: most quotients are never lifted."""
+        return _lift_basis(self.source)
 
     @property
     def rank(self) -> int:
@@ -176,9 +231,12 @@ class QuotientLattice:
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.gram_int)
 
     def coset_coords(self, vec6: Sequence[int]) -> tuple[int, int, int]:
-        """Coordinates of the coset of ``vec6`` in the lift basis."""
-        coeffs = [dot(vec6, col) for col in zip(*self.basis_inverse)]
-        return (coeffs[3], coeffs[4], coeffs[5])
+        """Coordinates (q(e), q(e+f) - q(e) - q(f), q(f)) of the coset of the
+        quadric q = ``vec6``: the coefficients of q(S e + T f)."""
+        e, f = kernel_basis_of(self.source)
+        a = eval_quadratic(vec6, e)
+        c = eval_quadratic(vec6, f)
+        return (a, eval_quadratic(vec6, [x + y for x, y in zip(e, f)]) - a - c, c)
 
     def lift(self, coords: Sequence[int]) -> Row:
         """Canonical monomial-coordinate lift of a coset vector."""
@@ -207,28 +265,11 @@ def _form_value(g: Sequence[Sequence[int]], x: Sequence[int]) -> int:
 @lru_cache(maxsize=4096)
 def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
     ell = LinearForm(a, b, c)
-    p = product_basis(ell)
-    g3 = gram_matrix(p)
-    covol2p = det_bareiss(g3)
-    adj = _adjugate3(g3)
-    lift = complement_basis(p)
-    pw = [mat_vec(p, w) for w in lift]
-    gram_int = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            proj = dot(mat_vec(adj, pw[i]), pw[j])
-            row.append(covol2p * dot(lift[i], lift[j]) - proj)
-        gram_int.append(tuple(row))
-    q = QuotientLattice(
-        source=ell,
-        lift_basis=lift,
-        gram_int=as_matrix(gram_int),
-        covol2_product=covol2p,
-    )
+    covol2p = product_covol2_formula(a, b, c)
+    gram_int = as_matrix(_projected_gram(ell, covol2p, _lift_basis(ell)))
     # exact sanity: det(gram_int) = covol2p^2, i.e. covol(quotient) = 1/covol(product)
-    assert det_bareiss(q.gram_int) == covol2p * covol2p
-    return q
+    assert det_bareiss(gram_int) == covol2p * covol2p
+    return QuotientLattice(source=ell, gram_int=gram_int, covol2_product=covol2p)
 
 
 def quotient(ell: LinearForm) -> QuotientLattice:
@@ -367,10 +408,9 @@ def count_primitive_form(g: Sequence[Sequence[int]], t: int, strict: bool) -> in
         n = count_form_le(g, sub) - 1 if sub >= 0 else 0
         if n == 0:
             break
-        if d < len(mu):
-            m = mu[d]
-        else:  # pragma: no cover - sieve always long enough by construction
-            m = _moebius_single(d)
+        # the sieve is sized from the smallest diagonal entry, which can far
+        # exceed the smallest form value
+        m = mu[d] if d < len(mu) else _moebius_single(d)
         if m:
             total += m * n
         d += 1
@@ -446,13 +486,6 @@ def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
                     yield (x1, x2, x3)
 
 
-def _is_canonical_sign(x: Sequence[int]) -> bool:
-    for v in x:
-        if v:
-            return v > 0
-    return False
-
-
 # ---------------------------------------------------------------------------
 # successive minima with exact certificates
 # ---------------------------------------------------------------------------
@@ -501,12 +534,7 @@ def _minima_from_candidates(cands: list[tuple[int, Row]]) -> tuple[list[int], li
             wits.append(x)
             vals.append(val)
         elif normal is None:
-            w = wits[0]
-            cr = (
-                w[1] * x[2] - w[2] * x[1],
-                w[2] * x[0] - w[0] * x[2],
-                w[0] * x[1] - w[1] * x[0],
-            )
+            cr = cross(wits[0], x)
             if cr != (0, 0, 0):
                 wits.append(x)
                 vals.append(val)
@@ -524,8 +552,9 @@ def _box_vectors_canonical(k: int) -> tuple[Row, ...]:
     for x0 in range(-k, k + 1):
         for x1 in range(-k, k + 1):
             for x2 in range(-k, k + 1):
-                if _is_canonical_sign((x0, x1, x2)):
-                    out.append((x0, x1, x2))
+                x = (x0, x1, x2)
+                if any(x) and sign_canonical(x) == x:
+                    out.append(x)
     return tuple(out)
 
 
@@ -573,7 +602,7 @@ def successive_minima(q: QuotientLattice) -> SuccessiveMinima:
         while True:
             cands = []
             for x in enumerate_form_le(gred, bound):
-                if _is_canonical_sign(x):
+                if sign_canonical(x) == x:
                     cands.append((_form_value(gred, x), x))
             cands.sort()
             got = _minima_from_candidates(cands)
@@ -623,15 +652,6 @@ def count_primitive(q: QuotientLattice, radius: float | Fraction | int) -> int:
     return count_primitive_form(scaled, t.numerator, strict=True)
 
 
-def count_primitive_le(q: QuotientLattice, norm2_bound: Fraction) -> int:
-    """Primitive coset vectors with squared norm <= bound (both signs counted)."""
-    t = Fraction(norm2_bound) * q.covol2_product
-    if t < 0:
-        return 0
-    scaled = [[t.denominator * x for x in row] for row in q.gram_int]
-    return count_primitive_form(scaled, t.numerator, strict=False)
-
-
 def gon_main_term(q: QuotientLattice, radius: float) -> float:
     """Main term (4 pi / 3 zeta(3)) R^3 / covol for the primitive-vector count."""
     covol = 1.0 / (q.covol2_product ** 0.5)
@@ -640,11 +660,26 @@ def gon_main_term(q: QuotientLattice, radius: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _kernel_basis_cached(a: int, b: int, c: int) -> tuple[Row, Row]:
-    return kernel_basis(a, b, c)
+    e, f = kernel_basis(a, b, c)
+    # Lagrange reduction; both steps keep e x f = (a, b, c), and ties keep
+    # the HNF order
+    while True:
+        if dot(f, f) > dot(e, e):
+            e, f = tuple(-x for x in f), e
+        ef, ff = dot(e, f), dot(f, f)
+        if 2 * abs(ef) <= ff:
+            return e, f
+        k = _nearest_div(ef, ff)
+        e = tuple(x - k * y for x, y in zip(e, f))
 
 
 def kernel_basis_of(ell: LinearForm) -> tuple[Row, Row]:
-    """Oriented HNF basis (e, f) of the integer kernel of the form."""
+    """Reduced oriented basis (e, f) of the integer kernel of the form.
+
+    e x f = (a, b, c) and 2|e.f| <= f.f <= e.e: the Lagrange reduction of
+    the HNF basis ``kernel_basis``.  Coset coordinates in ``quotient(ell)``
+    and the restricted binary form of a point are taken in this basis.
+    """
     return _kernel_basis_cached(*ell.triple)
 
 
@@ -653,10 +688,5 @@ def dist_to_span(x: Sequence[int], ell: LinearForm) -> Fraction:
     {X0*l, X1*l, X2*l}."""
     if len(x) != 6:
         raise ValueError("expected a vector in Z^6")
-    p = product_basis(ell)
-    g3 = gram_matrix(p)
-    d = det_bareiss(g3)
-    adj = _adjugate3(g3)
-    px = mat_vec(p, x)
-    proj = dot(mat_vec(adj, px), px)
-    return Fraction(dot(x, x) * d - proj, d)
+    d = product_covol2_formula(*ell.triple)
+    return Fraction(_projected_gram(ell, d, [x])[0][0], d)

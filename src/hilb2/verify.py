@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, log
 from multiprocessing import Pool
 
-from .asymptotics import count_Nst
+from .asymptotics import _icbrt, count_Nst
 from .constants import PI, PI_BRACKET, ZETA3
 from .heights import (
     PointClass,
@@ -28,7 +28,7 @@ from .heights import (
     nonsplit_params,
     split_solutions,
 )
-from .hilb import canonicalize, enumerate_points
+from .hilb import canonical_forms, canonicalize, enumerate_points
 from .lattice import (
     LinearForm,
     count_primitive_form,
@@ -58,20 +58,7 @@ def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
 
 
 def _canonical_triples(m_max: int) -> list[tuple[int, int, int]]:
-    out = []
-    rng = range(-m_max, m_max + 1)
-    for a in range(0, m_max + 1):
-        for b in rng:
-            for c in rng:
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                if gcd(gcd(a, b), c) != 1:
-                    continue
-                first = next(v for v in (a, b, c) if v)
-                if first < 0:
-                    continue
-                out.append((a, b, c))
-    return out
+    return [f.triple for f in canonical_forms(m_max)]
 
 
 def suite_sl_formula(m_max: int = 30, threads: int = 1) -> dict:
@@ -183,14 +170,13 @@ def _gon_worker(args: tuple) -> dict:
     l3 = float(sm.lam3_sq) ** 0.5
     covol = cv2p ** -0.5
     # counts and primitivity are invariant under a unimodular change of
-    # basis, and the skewed gram_int makes the interval counter walk ~30x
-    # more rows than its reduced form does
+    # basis, and the interval counter walks the fewest rows on a reduced form
     gred, _ = reduce_gram(q.gram_int)
     rows = []
     for k in ks:
         # volume-matched radius R = k * covol^(1/3): strict cutoff
         # x gram x < R^2  <=>  (x gram_int x)^3 < k^6 covol2p^2
-        t_int = _icbrt_strict(k**6 * cv2p * cv2p)
+        t_int = _icbrt(k**6 * cv2p * cv2p - 1)
         n = count_primitive_form(gred, t_int, strict=False)
         n2 = count_primitive_boxscan(q, t_int, strict=False)
         r = k * cv2p ** (-1.0 / 6.0)
@@ -218,18 +204,6 @@ def _gon_row(kind, k, r, n, n2, l1, l2, l3, covol):
         "main_term": main,
         "c_required": c_req,
     }
-
-
-def _icbrt_strict(x: int) -> int:
-    """Largest m with m^3 < x (so m^3 <= x - 1)."""
-    if x <= 1:
-        return 0
-    m = max(0, int(round((x - 1) ** (1.0 / 3.0))))
-    while (m + 1) ** 3 <= x - 1:
-        m += 1
-    while m > 0 and m**3 > x - 1:
-        m -= 1
-    return m
 
 
 def suite_gon(

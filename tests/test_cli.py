@@ -121,3 +121,18 @@ def test_byte_identical_across_threads():
                  "--const-M-max", "10"])
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_schema_versions(capsys):
+    # point records are at version 2; the summary reports stay at 1
+    cases = {
+        ("inspect", "--ell", "1,2,3", "--q", "1,0,0,-2,0,0"): 2,
+        ("count", "--s", "2", "--t", "1", "--B", "2", "--emit-points"): 2,
+        ("count", "--s", "2", "--t", "1", "--B", "2", "--const-M-max", "5"): 1,
+        ("constant", "--ratio", "2", "--M-max", "5"): 1,
+        ("le-count", "--B", "2"): 1,
+        ("verify", "--suite", "minima", "--m-max", "2", "--box", "2"): 1,
+    }
+    for argv, version in cases.items():
+        assert main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["schema_version"] == version, argv

@@ -6,6 +6,7 @@ import pytest
 from hilb2.exactlin import (
     NotFiniteIndexError,
     RankDeficientError,
+    cross,
     det_bareiss,
     diagonalize,
     gram_det2,
@@ -15,7 +16,6 @@ from hilb2.exactlin import (
     mat_mul,
     saturate,
     smith_minor_gcd,
-    unimodular_inverse,
 )
 from hilb2.lattice import LinearForm, product_basis
 
@@ -128,6 +128,21 @@ def test_kernel_basis_properties(triple):
     assert kernel_basis(a, b, c) == (e, f)  # deterministic
 
 
+def test_kernel_basis_is_the_generic_hnf_kernel():
+    # the closed form equals the HNF of the generic kernel, orientation fixed
+    forms = [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 3, -2), (5, 0, -3), (-2, 3, 0)]
+    rng = random.Random(4)
+    while len(forms) < 400:
+        t = tuple(rng.randint(-30, 30) for _ in range(3))
+        if gcd(gcd(t[0], t[1]), t[2]) == 1:
+            forms.append(t)
+    for a, b, c in forms:
+        e, f = kernel([(a, b, c)])
+        if cross(e, f) != (a, b, c):
+            f = tuple(-x for x in f)
+        assert kernel_basis(a, b, c) == (e, f), (a, b, c)
+
+
 def test_kernel_basis_requires_primitive():
     with pytest.raises(ValueError):
         kernel_basis(2, 4, 6)
@@ -173,10 +188,3 @@ def test_hnf_canonical_form():
         for k in range(i):
             assert 0 <= h[k][p] < row[p]
 
-
-def test_unimodular_inverse(rng):
-    m = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
-    inv = unimodular_inverse(m)
-    assert mat_mul(m, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])

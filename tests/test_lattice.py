@@ -5,11 +5,23 @@ from math import gcd
 import pytest
 
 from conftest import seeded_forms
-from hilb2.exactlin import gram_det2, mat_mul
+from hilb2 import lattice
+from hilb2.exactlin import (
+    complement_basis,
+    cross,
+    det_bareiss,
+    dot,
+    gram_det2,
+    gram_matrix,
+    mat_mul,
+    mat_vec,
+)
+from hilb2.hilb import enumerate_points
 from hilb2.lattice import (
     LinearForm,
     count_primitive,
     dist_to_span,
+    eval_quadratic,
     gon_main_term,
     kernel_basis_of,
     product_basis,
@@ -109,6 +121,52 @@ def test_coset_coordinates_roundtrip():
             assert q.coset_coords(q.lift(x)) == x
         for row in product_basis(f):
             assert q.coset_coords(row) == (0, 0, 0)
+
+
+def _reference_projected_gram(f, rows):
+    # covol2(product) times the Gram of the projections orthogonal to the
+    # product lattice, from the generic Gram matrix and its adjugate
+    p = product_basis(f)
+    g3 = gram_matrix(p)
+    adj = oracles._adjugate3(g3)
+    d = det_bareiss(g3)
+    pr = [mat_vec(p, r) for r in rows]
+    return [
+        [d * dot(r, s) - dot(mat_vec(adj, x), y) for s, y in zip(rows, pr)]
+        for r, x in zip(rows, pr)
+    ]
+
+
+def test_closed_form_quotient_against_complement_basis():
+    forms = [LinearForm(0, 0, 1), LinearForm(1, 0, 0), LinearForm(1, 1, 1)]
+    forms += seeded_forms(17, 300, 40)
+    for f in forms:
+        q = quotient(f)
+        e, g = kernel_basis_of(f)
+        # oriented and Lagrange-reduced kernel basis
+        assert cross(e, g) == f.triple
+        assert 2 * abs(dot(e, g)) <= dot(g, g) <= dot(e, e)
+        # [product basis; lift basis] is a basis of Z^6
+        assert det_bareiss(list(product_basis(f)) + list(q.lift_basis)) in (1, -1)
+        # the generic completion has unimodular coset coordinates, and its
+        # projected Gram is gram_int in those coordinates
+        ref = complement_basis(product_basis(f))
+        m = [q.coset_coords(w) for w in ref]
+        assert det_bareiss(m) in (1, -1)
+        mt = [list(col) for col in zip(*m)]
+        assert mat_mul(m, mat_mul(q.gram_int, mt)) == _reference_projected_gram(f, ref)
+
+
+def test_qbar_is_the_restricted_form():
+    pts = list(enumerate_points(2, 1, 8))
+    assert len(pts) == 3001
+    for z in pts:
+        e, f = kernel_basis_of(z.ell)
+        q = z.q_lift()
+        a = eval_quadratic(q, e)
+        c = eval_quadratic(q, f)
+        b = eval_quadratic(q, tuple(x + y for x, y in zip(e, f))) - a - c
+        assert (a, b, c) == z.qbar
 
 
 def test_successive_minima_axis():
@@ -226,6 +284,18 @@ def test_count_primitive_vs_boxscan_200_instances():
             scaled, tt.numerator, strict=True
         )
         checked += 1
+
+
+def test_count_primitive_form_beyond_the_moebius_sieve(monkeypatch):
+    # the sieve is sized from the smallest diagonal entry (100), but the
+    # smallest form value is 2, so d runs to 22 and the fallback is taken
+    calls = []
+    single = lattice._moebius_single
+    monkeypatch.setattr(lattice, "_moebius_single", lambda n: calls.append(n) or single(n))
+    g = [[100, 99, 0], [99, 100, 0], [0, 0, 100]]
+    assert count_primitive_form(g, 1000, False) == 762
+    assert count_primitive_gram_boxscan(g, 1000, False) == 762
+    assert len(calls) == 18 and max(calls) == 22
 
 
 def test_coprime_in_bruteforce():
