@@ -23,11 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .constants import PI, ZETA3
-from .exactlin import sign_canonical
+from .exactlin import iroot, sign_canonical
 from .heights import discriminant, is_perfect_square, le_height2
 from .hilb import HilbPoint, canonical_forms, fiber_point_count, m_cutoff
 from .lattice import LinearForm, enumerate_form_le, quotient
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -212,24 +212,11 @@ _REGION_INV = Fraction(4, 1)  # region: H_{0,3} <= B / 0.25
 _MARGIN_SQ = Fraction(1225, 10000)  # 0.35^2
 
 
-def _icbrt(x: Fraction | int) -> int:
-    """Largest integer k >= 0 with k^3 <= x."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative cube bound")
-    k = max(0, int(round(float(x) ** (1.0 / 3.0))))
-    while Fraction(k + 1) ** 3 <= x:
-        k += 1
-    while k > 0 and Fraction(k) ** 3 > x:
-        k -= 1
-    return k
-
-
 def _split_pair_count(bound: Fraction) -> int:
     """#{unordered pairs of distinct rational plane points with product of
     Euclidean heights cubed <= bound^2}, exactly."""
     b2 = bound * bound
-    nmax = _icbrt(b2)
+    nmax = iroot(floor(b2), 3)
     if nmax < 1:
         return 0
     box = isqrt(nmax)
@@ -270,7 +257,7 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
     ell = LinearForm(*triple)
     quo = quotient(ell)
     cv1 = ell.norm2
-    t_f = _icbrt(Fraction(cv1, 1) ** 3 * (_REGION_INV * bound) ** 2)
+    t_f = iroot(floor(Fraction(cv1, 1) ** 3 * (_REGION_INV * bound) ** 2), 3)
     if t_f < 1:
         return 0, 0, None
     b2 = bound * bound
@@ -322,9 +309,7 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
         return out
     split_pairs = _split_pair_count(b)
     m6 = 64 * (_REGION_INV * b) ** 2
-    m_max = 1
-    while Fraction(m_max + 1) ** 6 <= m6:
-        m_max += 1
+    m_max = max(1, iroot(floor(m6), 6))
     args = [(f.triple, b) for f in canonical_forms(m_max)]
     if threads <= 1:
         results = [_le_region_worker(a) for a in args]

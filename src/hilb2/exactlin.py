@@ -43,6 +43,24 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
+def iroot(x: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= x, for integers x >= 0 and k >= 1.
+
+    Integer Newton iteration from 2^ceil(bitlen(x)/k), which is above the
+    root; the iterates decrease strictly until they reach it.
+    """
+    if x < 0 or k < 1:
+        raise ValueError("iroot needs x >= 0 and k >= 1")
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
 def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
     """``vec`` or ``-vec``, whichever has its first nonzero entry positive."""
     for v in vec:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Callable, Iterator, Sequence
+from math import floor, gcd
+from typing import Iterator, Sequence
 
-from .exactlin import as_matrix, gram_det2, saturate, sign_canonical
+from .exactlin import as_matrix, gram_det2, iroot, saturate, sign_canonical
 from .lattice import (
     IntLattice,
     LinearForm,
@@ -26,6 +26,7 @@ from .lattice import (
     enumerate_form_le,
     eval_quadratic,  # re-exported: part of the point API
     min_form_value,
+    product_covol2_formula,
     quotient,
 )
 
@@ -192,48 +193,39 @@ def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
     return big_l, a, b
 
 
-def _largest_ok(ok: Callable[[int], bool]) -> int:
-    """Largest k >= 1 with ok(k), for ok true on an initial segment of the
-    positive integers only; 0 when ok(1) fails."""
-    if not ok(1):
-        return 0
-    hi = 1
-    while ok(hi * 2):
-        hi *= 2
-    lo = hi
-    hi = hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int:
     """Largest integer k with covol2_I1^(s-t) * k^t <= bound^2 (exact)."""
     big_l, a, b = _height_exponents(s, t)
-    rhs = bound ** (2 * big_l)
-    base = Fraction(cv1_sq) ** a
-    return _largest_ok(lambda k: base * Fraction(k) ** b <= rhs)
+    return iroot(floor(bound ** (2 * big_l) / Fraction(cv1_sq) ** a), b)
 
 
 def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     """Rigorous cutoff: forms with max-coordinate beyond this bound have
     every point of height > bound.
 
-    Uses covol2_I2 >= covol2_product * lambda_1^2 >= (2/3)M^6 / (49 M^4)
-    = (2/147) M^2 and M^2 <= covol2_I1 <= 3 M^2, so
-    H^2 >= min(1, 3^(s-t)) * (2/147)^t * M^(2s).
+    Lemma: with n = a^2 + b^2 + c^2, every quadric q outside the span l*V of
+    the degree-1 multiples of the form has dist^2(q, l*V) >= 1/(2 n^2), i.e.
+    2 n^2 * min_form_value(quotient(l)) >= covol2_product.  Proof:
+
+    * the monomial-coefficient norm of q is at least the Frobenius norm of
+      its symmetric matrix Q, so a Frobenius distance bound suffices;
+    * under the Frobenius product the complement of l*V is {Q : Q l = 0},
+      so the distance is the Frobenius norm of q restricted to the plane
+      l^perp: X = K^-T Qbar K^-1 for the kernel basis K = [e f], where Qbar
+      is the symmetric matrix of qbar and the Gram matrix G = K^T K of
+      (e, f) has det G = |e x f|^2 = n;
+    * if disc(qbar) != 0: ||X||_F^2 >= 2 |det X| = |disc| / (2n) >= 1/(2n);
+    * if disc(qbar) = 0: qbar = k (u S + v T)^2 with integers k, u, v, and
+      ||X||_F^2 = k^2 (w^T adj(G) w / n)^2 >= 1/n^2 for w = (u, v), since
+      adj(G) is a positive definite integer matrix.
+
+    With covol2_product >= (2/3) n^3 (equivalent to sum a^6 + 3 a^2 b^2 c^2
+    >= 0) this gives covol2_I2 >= n/3 for every point, so
+    H^2 = n^(s-t) covol2_I2^t >= n^s / 3^t >= M^(2s) / 3^t, and the cutoff is
+    the largest M with M^(2s) <= 3^t bound^2.
     """
-    big_l, a, b = _height_exponents(s, t)
-    rhs = bound ** (2 * big_l)
-    k_pow = Fraction(2, 147) ** b
-    if a < 0:
-        k_pow *= Fraction(3) ** a
-    exp = int(2 * big_l * s)
-    return _largest_ok(lambda m: k_pow * Fraction(m) ** exp <= rhs)
+    big_l, _, b = _height_exponents(s, t)
+    return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(2 * big_l * s))
 
 
 def canonical_forms(m_max: int) -> list[LinearForm]:
@@ -255,19 +247,36 @@ def canonical_forms(m_max: int) -> list[LinearForm]:
     return out
 
 
+def _open_fiber(
+    ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
+) -> tuple[QuotientLattice, int] | None:
+    """(quotient, largest admissible covol2_I2) for a fiber that may hold
+    points, or None when it provably holds none.
+
+    The first-minimum bound 2 n^2 * min_form_value >= covol2_product (see
+    ``m_cutoff``) rules most fibers out in closed form, before the quotient
+    is built; it is asserted on every fiber that is built.
+    """
+    n = ell.norm2
+    t_max = max_covol2_I2(n, s, t, bound)
+    if 2 * n * n * t_max < product_covol2_formula(*ell.triple):
+        return None
+    quo = quotient(ell)
+    m0 = min_form_value(quo)
+    assert 2 * n * n * m0 >= quo.covol2_product
+    if t_max < m0:
+        return None
+    return quo, t_max
+
+
 def fiber_points(
     ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
 ) -> list[HilbPoint]:
     """All points over a fixed form with height <= bound, qbar-lexicographic."""
-    quo = quotient(ell)
-    t_max = max_covol2_I2(ell.norm2, s, t, bound)
-    if t_max < 1:
+    fiber = _open_fiber(ell, s, t, bound)
+    if fiber is None:
         return []
-    m0 = min_form_value(quo)
-    # cutoff premise (first-minimum lower bound), asserted on every fiber
-    assert m0 * 49 * ell.M**4 >= quo.covol2_product
-    if t_max < m0:
-        return []
+    quo, t_max = fiber
     pts = []
     for x in enumerate_form_le(quo.gram_int, t_max):
         if gcd(gcd(x[0], x[1]), x[2]) != 1:
@@ -281,14 +290,10 @@ def fiber_points(
 
 def fiber_point_count(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction) -> int:
     """Exact |fiber_points| without materializing the points."""
-    quo = quotient(ell)
-    t_max = max_covol2_I2(ell.norm2, s, t, bound)
-    if t_max < 1:
+    fiber = _open_fiber(ell, s, t, bound)
+    if fiber is None:
         return 0
-    m0 = min_form_value(quo)
-    assert m0 * 49 * ell.M**4 >= quo.covol2_product
-    if t_max < m0:
-        return 0
+    quo, t_max = fiber
     n = count_primitive_form(quo.gram_int, t_max, strict=False)
     assert n % 2 == 0
     return n // 2

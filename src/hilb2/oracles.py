@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactlin import det_bareiss, gram_det2, mat_mul, transpose
-from .hilb import canonical_forms, m_cutoff
+from .hilb import canonical_forms
 from .lattice import LinearForm, QuotientLattice, product_basis, quotient, reduce_gram
 
 
@@ -334,13 +334,39 @@ def _python_candidates(g, bounds, t_cap):
     return out
 
 
+def _distance_lemma_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
+    """Coefficient cutoff of the oracle, from the distance lemma that the
+    minima suite checks (dist^2 >= 1/(49 M^4), so covol2_I2 >= (2/147) M^2)
+    rather than the library's sharper first-minimum bound.
+
+    With M^2 <= covol2_I1 <= 3 M^2, every point over a form of max-coordinate
+    M has H^2 >= min(1, 3^(s-t)) * (2/147)^t * M^(2s); the cutoff is the
+    largest M for which that lower bound is at most bound^2, compared after
+    raising both sides to the power L = lcm of the exponent denominators.
+    """
+    from math import lcm
+
+    big_l = lcm(s.denominator, t.denominator)
+    k_pow = Fraction(2, 147) ** int(big_l * t) * min(1, Fraction(3) ** int(big_l * (s - t)))
+    exp = int(2 * big_l * s)
+    rhs = bound ** (2 * big_l)
+    m = 0
+    while k_pow * Fraction(m + 1) ** exp <= rhs:
+        m += 1
+    return m
+
+
 def oracle_count_points(s, t, bound) -> int:
-    """Fully independent recount of the bounded-height point set."""
+    """Fully independent recount of the bounded-height point set.
+
+    Scans every form up to its own distance-lemma cutoff and applies no
+    empty-fiber prune, so it checks the library's cutoff and prune too.
+    """
     s, t, bound = Fraction(s), Fraction(t), Fraction(bound)
     if bound < 1:
         return 0
     total = 0
-    for ell in canonical_forms(m_cutoff(s, t, bound)):
+    for ell in canonical_forms(_distance_lemma_cutoff(s, t, bound)):
         total += len(oracle_fiber_qbars(ell, s, t, bound))
     return total
 
@@ -387,12 +413,14 @@ def oracle_fiber_points_monomial_box(
 
 
 def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
-    """Exhaustively check dist^2(x, span) >= 1/(49 M^4) for all primitive
+    """Exhaustively check dist^2(x, span) >= 1/(49 M^4) and the sharper
+    dist^2(x, span) >= 1/(2 n^2), n = a^2 + b^2 + c^2, for all primitive
     forms with max coordinate <= m_max and all x in the integer box.
 
-    Returns the list of violating (form, x) pairs (empty when the bound
-    holds).  Vectorized: for each form, 49 M^4 (||x||^2 det - x^T A x) >= det
-    is tested over the whole box at once, after an exact overflow audit.
+    Returns the violating (form, x, bound) triples, bound being "49M^4" or
+    "2n^2" (empty when both hold).  Vectorized: for each form,
+    K (||x||^2 det - x^T A x) >= det is tested over the whole box at once for
+    K = 49 M^4 and K = 2 n^2 <= 18 M^4, after an exact overflow audit.
     """
     from .lattice import product_basis
     from .exactlin import gram_matrix
@@ -411,15 +439,16 @@ def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
         pt = np.array(p, dtype=np.int64)
         a_mat = pt.T @ np.array(adj, dtype=np.int64) @ pt
         m4 = 49 * ell.M**4
-        # overflow audit for the int64 expression below
+        n2 = 2 * ell.norm2**2
+        # overflow audit for the int64 expressions below; it covers both
+        # bounds because n2 <= 18 M^4 < m4
         worst = int(norm2.max()) * det * m4 + int(np.abs(a_mat).sum()) * (box + 1) ** 2 * m4
         assert worst < 2**62
         quad = np.einsum("ni,ij,nj->n", pts, a_mat, pts)
         dist_scaled = norm2 * det - quad  # det * dist^2, exact integers
         in_span = dist_scaled == 0
-        ok = m4 * dist_scaled >= det
-        viol = ~(ok | in_span)
-        if viol.any():
+        for name, k in (("49M^4", m4), ("2n^2", n2)):
+            viol = ~((k * dist_scaled >= det) | in_span)
             for idx in np.nonzero(viol)[0][:20]:
-                bad.append((ell.triple, tuple(int(v) for v in pts[idx])))
+                bad.append((ell.triple, tuple(int(v) for v in pts[idx]), name))
     return bad

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, log
 from multiprocessing import Pool
 
-from .asymptotics import _icbrt, count_Nst
+from .asymptotics import count_Nst
 from .constants import PI, PI_BRACKET, ZETA3
 from .heights import (
     PointClass,
@@ -38,7 +38,7 @@ from .lattice import (
     reduce_gram,
     successive_minima,
 )
-from .exactlin import gram_det2
+from .exactlin import gram_det2, iroot
 from .oracles import count_primitive_boxscan, distance_lemma_violations, oracle_count_points
 
 SUITE_NAMES = (
@@ -87,38 +87,45 @@ def _sl_worker(triple: tuple[int, int, int]):
     return None
 
 
-def _mink_worker(triple: tuple[int, int, int]):
-    """Exact minima checks for one form; returns None or the failure tag."""
+def _mink_worker(triple: tuple[int, int, int]) -> list[str]:
+    """Exact minima checks for one form; returns the tags of failed checks."""
     ell = LinearForm(*triple)
     q = quotient(ell)
     sm = successive_minima(q)
     m4 = 49 * ell.M**4
+    fails = []
     if sm.lam3_sq > 1:
-        return (triple, "lam3")
+        fails.append("lam3")
     if sm.lam1_sq * m4 < 1:
-        return (triple, "lam1")
+        fails.append("lam1")
+    if 2 * ell.norm2**2 * sm.lam1_sq < 1:
+        fails.append("lam1-n2")
     prod = sm.lam1_sq * sm.lam2_sq * sm.lam3_sq
     covol2q = Fraction(1, q.covol2_product)
     pi_lo, pi_hi = PI_BRACKET
     # squared Minkowski: (16/9) covol2 <= prod * (16 pi^2/9) <= 64 covol2
     if not (covol2q <= prod * pi_lo * pi_lo):
-        return (triple, "minkowski-lower")
+        fails.append("minkowski-lower")
     if not (prod * pi_hi * pi_hi <= 36 * covol2q):
-        return (triple, "minkowski-upper")
-    return None
+        fails.append("minkowski-upper")
+    return fails
 
 
 def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
-    """Successive-minima bounds and Minkowski's second theorem, exhaustively."""
+    """Successive-minima bounds and Minkowski's second theorem, exhaustively,
+    plus the first-minimum bound 2 n^2 lambda_1^2 >= 1 (n = a^2 + b^2 + c^2)
+    behind the count's cutoff and empty-fiber prune."""
     triples = _canonical_triples(m_max)
     if threads > 1:
         with Pool(threads) as pool:
             results = pool.map(_mink_worker, triples, chunksize=512)
     else:
         results = [_mink_worker(tr) for tr in triples]
-    failures = [r for r in results if r is not None]
+    failures = [tags for tags in results if set(tags) - {"lam1-n2"}]
+    n2_failures = [tags for tags in results if "lam1-n2" in tags]
     checks: list = []
     _check(checks, "minima-bounds-and-minkowski", not failures, f"{len(triples)} forms, {len(failures)} failures")
+    _check(checks, "first-minimum-lower-bound", not n2_failures, f"2 n^2 lam1^2 >= 1 on {len(triples)} forms, {len(n2_failures)} failures")
     best_fail = []
     for m in range(2, m_max + 1):
         sm = successive_minima(quotient(LinearForm(m, m - 1, 0)))
@@ -129,10 +136,14 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
 
 
 def suite_minima(m_max: int = 4, box: int = 3, threads: int = 1) -> dict:
-    """Exhaustive distance lower bound dist^2 >= 1/(49 M^4) outside the span."""
+    """Exhaustive distance lower bounds outside the span: dist^2 >= 1/(49 M^4)
+    and the first-minimum bound dist^2 >= 1/(2 n^2), n = a^2 + b^2 + c^2."""
     bad = distance_lemma_violations(m_max, box)
+    bad_m4 = [v for v in bad if v[2] == "49M^4"]
+    bad_n2 = [v for v in bad if v[2] == "2n^2"]
     checks: list = []
-    _check(checks, "distance-lower-bound", not bad, f"box |x_i|<={box}, forms M<={m_max}, violations={len(bad)}")
+    _check(checks, "distance-lower-bound", not bad_m4, f"box |x_i|<={box}, forms M<={m_max}, violations={len(bad_m4)}")
+    _check(checks, "distance-lower-bound-2n2", not bad_n2, f"box |x_i|<={box}, forms M<={m_max}, violations={len(bad_n2)}")
     return _report("minima", {"m_max": m_max, "box": box}, checks)
 
 
@@ -176,7 +187,7 @@ def _gon_worker(args: tuple) -> dict:
     for k in ks:
         # volume-matched radius R = k * covol^(1/3): strict cutoff
         # x gram x < R^2  <=>  (x gram_int x)^3 < k^6 covol2p^2
-        t_int = _icbrt(k**6 * cv2p * cv2p - 1)
+        t_int = iroot(k**6 * cv2p * cv2p - 1, 3)
         n = count_primitive_form(gred, t_int, strict=False)
         n2 = count_primitive_boxscan(q, t_int, strict=False)
         r = k * cv2p ** (-1.0 / 6.0)

@@ -79,6 +79,20 @@ def test_fiber_sum_identity():
     assert total == count_Nst(2, 1, b)
 
 
+def test_count_golden_values():
+    # exact counts across both regimes, recorded before the empty-fiber prune
+    golden = {
+        (1, 1, 3): 225,
+        (1, 1, 5): 937,
+        (5, 2, 3): 39,
+        (3, 1, 10): 5397,
+        (3, 2, 10): 213,
+        (2, 1, 7): 2005,
+    }
+    for (s, t, b), n in golden.items():
+        assert count_Nst(s, t, b) == n, (s, t, b)
+
+
 def test_count_scaling_law():
     assert count_Nst(2, 1, 7) == count_Nst(4, 2, 49)
     assert count_Nst(3, 2, 4) == count_Nst(6, 4, 16)
@@ -146,13 +160,14 @@ def test_le_count_nonreduced_excluded():
     assert le_height2(za) ** 3 <= b * b
     n_split, n_nonsplit, _ = _le_region_worker((za.ell.triple, b))
     # recount the same fiber including nonreduced points
-    from hilb2.asymptotics import _REGION_INV, _icbrt
+    from hilb2.asymptotics import _REGION_INV
+    from hilb2.exactlin import iroot
     from hilb2.lattice import enumerate_form_le, quotient
     from hilb2.hilb import HilbPoint
-    from math import gcd
+    from math import floor, gcd
 
     quo = quotient(za.ell)
-    t_f = _icbrt(F(za.covol2_I1) ** 3 * (_REGION_INV * b) ** 2)
+    t_f = iroot(floor(F(za.covol2_I1) ** 3 * (_REGION_INV * b) ** 2), 3)
     n_all = 0
     seen_za = False
     for x in enumerate_form_le(quo.gram_int, t_f):

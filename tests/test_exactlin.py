@@ -11,6 +11,7 @@ from hilb2.exactlin import (
     diagonalize,
     gram_det2,
     hnf,
+    iroot,
     kernel,
     kernel_basis,
     mat_mul,
@@ -188,3 +189,19 @@ def test_hnf_canonical_form():
         for k in range(i):
             assert 0 <= h[k][p] < row[p]
 
+
+
+def test_iroot_brackets_the_real_root():
+    rng = random.Random(7)
+    for k in range(1, 8):
+        xs = list(range(0, 300)) + [rng.randrange(10**rng.randint(1, 60)) for _ in range(300)]
+        for x in xs:
+            r = iroot(x, k)
+            assert r**k <= x < (r + 1) ** k, (x, k)
+    for k in (2, 3, 6):
+        for r in (10**20, 2**70 + 1):
+            assert iroot(r**k, k) == r and iroot(r**k - 1, k) == r - 1
+    with pytest.raises(ValueError):
+        iroot(-1, 3)
+    with pytest.raises(ValueError):
+        iroot(5, 0)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from conftest import seeded_forms
+from hilb2.asymptotics import count_Nst
 from hilb2.exactlin import gram_det2
 from hilb2.hilb import (
     HilbPoint,
@@ -18,10 +19,19 @@ from hilb2.hilb import (
     fiber_points,
     ideal_lattice,
     m_cutoff,
+    max_covol2_I2,
     monomials,
     poly_mul,
 )
-from hilb2.lattice import LinearForm, product_basis, quotient
+from hilb2.lattice import (
+    LinearForm,
+    count_primitive_form,
+    min_form_value,
+    product_basis,
+    product_covol2_formula,
+    quotient,
+)
+from hilb2.oracles import _distance_lemma_cutoff, oracle_fiber_points_monomial_box
 
 
 def test_monomial_order_degree2():
@@ -199,3 +209,82 @@ def test_record_serialization_fields():
         "covol2_I1": 1,
         "covol2_I2": 5,
     }
+
+
+def _unpruned_count(f, s, t, b):
+    """Fiber count straight from the quotient lattice, with no prune."""
+    t_max = max_covol2_I2(f.norm2, s, t, b)
+    n = count_primitive_form(quotient(f).gram_int, t_max, strict=False)
+    assert n % 2 == 0
+    return n // 2
+
+
+def test_max_covol2_I2_is_the_largest_admissible_value():
+    import random
+    from math import lcm
+
+    rng = random.Random(3)
+    for _ in range(400):
+        s = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        b = Fraction(rng.randint(1, 400), rng.randint(1, 9))
+        cv1 = rng.randint(1, 3000)
+        big_l = lcm(s.denominator, t.denominator)
+
+        def ok(x):  # H^(2L) = cv1^(L(s-t)) * x^(Lt) <= b^(2L)
+            return Fraction(cv1) ** int(big_l * (s - t)) * x ** int(big_l * t) <= b ** (2 * big_l)
+
+        k = max_covol2_I2(cv1, s, t, b)
+        assert (k == 0 or ok(k)) and not ok(k + 1)
+
+
+def test_first_minimum_lower_bound_all_forms_m12():
+    # 2 n^2 * lambda_1^2 >= 1, the bound behind m_cutoff and the fiber prune
+    for f in canonical_forms(12):
+        q = quotient(f)
+        assert 2 * f.norm2**2 * min_form_value(q) >= q.covol2_product, f
+
+
+def test_empty_fiber_prune_is_sound():
+    s, t = Fraction(2), Fraction(1)
+    for b in (Fraction(5), Fraction(10)):
+        fired = 0
+        for f in canonical_forms(_distance_lemma_cutoff(s, t, b)):
+            unpruned = _unpruned_count(f, s, t, b)
+            if 2 * f.norm2**2 * max_covol2_I2(f.norm2, s, t, b) < product_covol2_formula(*f.triple):
+                fired += 1
+                assert unpruned == 0, f
+            assert fiber_point_count(f, s, t, b) == unpruned, f
+        assert fired > 0
+
+
+def test_m_cutoff_is_sound_upper_bound_regime():
+    for s, t, b in ((1, 2, 2), (1, 2, 3), (1, 1, 3)):
+        s, t, b = Fraction(s), Fraction(t), Fraction(b)
+        m = m_cutoff(s, t, b)
+        for f in canonical_forms(m + 3):
+            if f.M > m:
+                assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
+
+
+def test_upper_bound_regime_counts_match_unpruned_recount():
+    for b, expected in ((2, 33), (3, 63)):
+        s, t = Fraction(1), Fraction(2)
+        n = count_Nst(s, t, b)
+        recount = sum(
+            _unpruned_count(f, s, t, Fraction(b)) for f in canonical_forms(2 * m_cutoff(s, t, Fraction(b)))
+        )
+        assert n == recount == expected
+
+
+def test_monomial_box_oracle_inside_fiber_points():
+    # raw quadrics pushed through canonicalize land in the pruned fiber lists
+    s, t, b = Fraction(2), Fraction(1), Fraction(3)
+    forms = canonical_forms(1)
+    assert len(forms) == 13
+    found = 0
+    for f in forms:
+        box = oracle_fiber_points_monomial_box(f, s, t, b, coeff_box=2)
+        assert box <= {p.qbar for p in fiber_points(f, s, t, b)}, f
+        found += len(box)
+    assert found > 0
