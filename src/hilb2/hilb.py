@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import Iterator, Sequence
 
 from .exactlin import as_matrix, gram_det2, iroot, saturate, sign_canonical
@@ -185,18 +185,22 @@ def fiber_count(ell: LinearForm, bound: float | Fraction | int) -> int:
 
 def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
     """Clear denominators: H^(2L) = covol2_I1^a * covol2_I2^b with b > 0."""
-    from math import lcm
-
     big_l = lcm(s.denominator, t.denominator)
-    a = int(big_l * (s - t))
-    b = int(big_l * t)
-    return big_l, a, b
+    b = t.numerator * (big_l // t.denominator)
+    return big_l, s.numerator * (big_l // s.denominator) - b, b
 
 
 def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int:
     """Largest integer k with covol2_I1^(s-t) * k^t <= bound^2 (exact)."""
     big_l, a, b = _height_exponents(s, t)
-    return iroot(floor(bound ** (2 * big_l) / Fraction(cv1_sq) ** a), b)
+    # floor(bound^(2L) / cv1_sq^a) in integers
+    num = bound.numerator ** (2 * big_l)
+    den = bound.denominator ** (2 * big_l)
+    if a >= 0:
+        den *= cv1_sq**a
+    else:
+        num *= cv1_sq**-a
+    return iroot(num // den, b)
 
 
 def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:

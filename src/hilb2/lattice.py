@@ -14,7 +14,8 @@ q(S e + T f) = A S^2 + B S T + C T^2.  This module computes
   * the rank-3 quotient in those coordinates (A, B, C), with the inner
     product inherited from the orthogonal complement, held exactly as an
     *integer* Gram matrix scaled by the product covolume,
-  * exact successive minima with certified witnesses,
+  * exact successive minima and witnesses, read off a Gram matrix that is
+    checked to be Minkowski-reduced (which in dimension 3 proves them),
   * exact counts of primitive vectors in balls (Moebius + interval counting),
   * exact squared distances to the real span of the product lattice.
 
@@ -36,11 +37,8 @@ from .exactlin import (
     as_matrix,
     _xgcd,
     cross,
-    det_bareiss,
-    dot,
     gram_det2,
     kernel_basis,
-    mat_vec,
     sign_canonical,
 )
 
@@ -132,13 +130,10 @@ def product_lattice(ell: LinearForm) -> IntLattice:
     return IntLattice(ambient_dim=6, basis=basis, covol2=gram_det2(basis))
 
 
-def _adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 3x3 integer matrix, expanded along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    return [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def eval_quadratic(coeffs: Sequence[int], v: Sequence[int]) -> int:
@@ -167,17 +162,33 @@ def _projected_gram(
     orthogonal complement of the product lattice.
 
     The Gram matrix of the product basis X0*l, X1*l, X2*l has
-    n = a^2 + b^2 + c^2 on the diagonal and a_i*a_j off it.
+    n = a^2 + b^2 + c^2 on the diagonal and a_i*a_j off it; with P that
+    basis, entry (r, s) is covol2p * r.s - (P r)^T adj(P P^T) (P s).
     """
     a, b, c = ell.triple
-    n = ell.norm2
-    adj = _adjugate3(((n, a * b, a * c), (a * b, n, b * c), (a * c, b * c, n)))
-    p = product_basis(ell)
-    pr = [mat_vec(p, r) for r in rows]
-    apr = [mat_vec(adj, x) for x in pr]
+    n = a * a + b * b + c * c
+    ab, ac, bc = a * b, a * c, b * c
+    # adj(P P^T), symmetric
+    j00, j11, j22 = n * n - bc * bc, n * n - ac * ac, n * n - ab * ab
+    j01, j02, j12 = ab * (c * c - n), ac * (b * b - n), bc * (a * a - n)
+    proj = []
+    for r0, r1, r2, r3, r4, r5 in rows:
+        p0 = a * r0 + b * r1 + c * r2
+        p1 = a * r1 + b * r3 + c * r4
+        p2 = a * r2 + b * r4 + c * r5
+        proj.append((
+            r0, r1, r2, r3, r4, r5, p0, p1, p2,
+            j00 * p0 + j01 * p1 + j02 * p2,
+            j01 * p0 + j11 * p1 + j12 * p2,
+            j02 * p0 + j12 * p1 + j22 * p2,
+        ))
     return [
-        [covol2p * dot(r, s) - dot(ax, y) for s, y in zip(rows, pr)]
-        for r, ax in zip(rows, apr)
+        [
+            covol2p * (r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3 + r4 * s4 + r5 * s5)
+            - (x0 * q0 + x1 * q1 + x2 * q2)
+            for s0, s1, s2, s3, s4, s5, q0, q1, q2, _, _, _ in proj
+        ]
+        for r0, r1, r2, r3, r4, r5, _, _, _, x0, x1, x2 in proj
     ]
 
 
@@ -266,9 +277,9 @@ def _form_value(g: Sequence[Sequence[int]], x: Sequence[int]) -> int:
 def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
     ell = LinearForm(a, b, c)
     covol2p = product_covol2_formula(a, b, c)
-    gram_int = as_matrix(_projected_gram(ell, covol2p, _lift_basis(ell)))
+    gram_int = tuple(map(tuple, _projected_gram(ell, covol2p, _lift_basis(ell))))
     # exact sanity: det(gram_int) = covol2p^2, i.e. covol(quotient) = 1/covol(product)
-    assert det_bareiss(gram_int) == covol2p * covol2p
+    assert _det3(gram_int) == covol2p * covol2p
     return QuotientLattice(source=ell, gram_int=gram_int, covol2_product=covol2p)
 
 
@@ -290,9 +301,13 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
     """Greedy reduction of a PD integer 3x3 Gram matrix.
 
     Returns (g_reduced, u) with g_reduced = u^T g u, u unimodular, diagonal
-    nondecreasing.  The reduced diagonal tightly brackets the successive
-    minima in practice; correctness downstream never relies on optimality
-    (minima are certified by exact counts).
+    nondecreasing.  The loop stops only when the diagonal is sorted, no
+    pairwise size reduction shortens a vector (so 2|g_ij| <= g_ii for i < j)
+    and no (e1, e2) in {-1, 0, 1}^2 shortens the third vector: these are
+    Minkowski's conditions for ternary forms.  ``successive_minima`` and
+    ``min_form_value`` read the minima off the diagonal, so their
+    correctness relies on this fixed point being Minkowski-reduced, which
+    ``_assert_minkowski_reduced`` checks exactly on every call.
     """
     gm = [list(row) for row in g]
     u = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
@@ -362,7 +377,7 @@ def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
     a2 = a * g[1][1] - g[0][1] ** 2
     b2 = a * g[1][2] - g[0][1] * g[0][2]
     c2 = a * g[2][2] - g[0][2] ** 2
-    detg = det_bareiss(g)
+    detg = _det3(g)
     # x3 range: x3^2 * det(g) <= t * det(top-left 2x2 block)
     m3 = isqrt((t * a2) // detg)
     total = 0
@@ -385,14 +400,6 @@ def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
             s1 = isqrt(d1)
             total += (s1 - beta) // a + ((s1 + beta) // a) + 1
     return total
-
-
-def count_form_nonzero(g: Sequence[Sequence[int]], t: int, strict: bool) -> int:
-    """#{x != 0 : x^T g x <= t} (or < t when strict)."""
-    bound = t - 1 if strict else t
-    if bound < 0:
-        return 0
-    return count_form_le(g, bound) - 1
 
 
 def count_primitive_form(g: Sequence[Sequence[int]], t: int, strict: bool) -> int:
@@ -460,7 +467,7 @@ def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
     a = g[0][0]
     a2 = a * g[1][1] - g[0][1] ** 2
     b2 = a * g[1][2] - g[0][1] * g[0][2]
-    detg = det_bareiss(g)
+    detg = _det3(g)
     m3 = isqrt((t * a2) // detg)
     at = a * t
     adet = a * detg
@@ -487,150 +494,68 @@ def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
 
 
 # ---------------------------------------------------------------------------
-# successive minima with exact certificates
+# successive minima read off a Minkowski-reduced basis
 # ---------------------------------------------------------------------------
 
 
-def _polar(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(g[i][j] * x[i] * y[j] for i in range(3) for j in range(3))
+def _assert_minkowski_reduced(g: Sequence[Sequence[int]]) -> None:
+    """Raise AssertionError unless the symmetric integer Gram matrix g is
+    Minkowski-reduced: 0 < a <= b <= c, 2|h| <= a, 2|k| <= a, 2|m| <= b, and
+    g(e1*b1 + e2*b2 + b3) >= c, i.e. a + b + 2(e1 k + e2 m + e1 e2 h) >= 0,
+    for e1, e2 = +-1 (a, b, c the diagonal; h, k, m the entries 01, 02, 12).
 
-
-def _count_line_lt(l1: int, t: int) -> int:
-    """#{k != 0 : k^2 * l1 < t} for the line through a vector of form value l1."""
-    if t <= l1:
-        return 0
-    return 2 * isqrt((t - 1) // l1)
-
-
-def _count_plane_lt(g2: Sequence[Sequence[int]], t: int) -> int:
-    """#{(k,l) != 0 : [k,l] g2 [k,l]^T < t} for a PD integer 2x2 Gram matrix."""
-    bound = t - 1
-    if bound < 0:
-        return 0
-    a, b = g2[0][0], g2[0][1]
-    c = g2[1][1]
-    det2 = a * c - b * b
-    ml = isqrt((bound * a) // det2)
-    total = 0
-    for l in range(-ml, ml + 1):
-        d = a * bound - l * l * det2
-        if d < 0:
-            continue
-        s = isqrt(d)
-        bl = b * l
-        total += (s - bl) // a + ((s + bl) // a) + 1
-    return total - 1
-
-
-def _minima_from_candidates(cands: list[tuple[int, Row]]) -> tuple[list[int], list[Row]] | None:
-    """Greedy independent triple of minimal form values from (value, x) pairs
-    sorted by value; independence of the third witness is tested against the
-    plane normal of the first two."""
-    vals: list[int] = []
-    wits: list[Row] = []
-    normal: Row | None = None
-    for val, x in cands:
-        if not wits:
-            wits.append(x)
-            vals.append(val)
-        elif normal is None:
-            cr = cross(wits[0], x)
-            if cr != (0, 0, 0):
-                wits.append(x)
-                vals.append(val)
-                normal = cr
-        elif normal[0] * x[0] + normal[1] * x[1] + normal[2] * x[2] != 0:
-            wits.append(x)
-            vals.append(val)
-            return vals, wits
-    return None
-
-
-@lru_cache(maxsize=8)
-def _box_vectors_canonical(k: int) -> tuple[Row, ...]:
-    out = []
-    for x0 in range(-k, k + 1):
-        for x1 in range(-k, k + 1):
-            for x2 in range(-k, k + 1):
-                x = (x0, x1, x2)
-                if any(x) and sign_canonical(x) == x:
-                    out.append(x)
-    return tuple(out)
-
-
-def _certify_minima(g: Sequence[Sequence[int]], vals: list[int], wits: list[Row]) -> bool:
-    l1, l2, l3 = vals
-    if count_form_nonzero(g, l1, strict=True) != 0:
-        return False
-    if count_form_nonzero(g, l2, strict=True) != _count_line_lt(l1, l2):
-        return False
-    w1, w2 = wits[0], wits[1]
-    g2 = [
-        [_form_value(g, w1), _polar(g, w1, w2)],
-        [_polar(g, w1, w2), _form_value(g, w2)],
-    ]
-    if count_form_nonzero(g, l3, strict=True) != _count_plane_lt(g2, l3):
-        return False
-    return True
+    Raised explicitly, not by ``assert``, so that ``python -O`` keeps it.
+    """
+    (a, h, k), (h1, b, m), (k1, m1, c) = g
+    if not (
+        h1 == h
+        and k1 == k
+        and m1 == m
+        and 0 < a <= b <= c
+        and 2 * abs(h) <= a
+        and 2 * abs(k) <= a
+        and 2 * abs(m) <= b
+        and a + b + 2 * (k + m + h) >= 0
+        and a + b + 2 * (k - m - h) >= 0
+        and a + b + 2 * (m - k - h) >= 0
+        and a + b + 2 * (h - k - m) >= 0
+    ):
+        raise AssertionError(f"Gram matrix is not Minkowski-reduced: {g}")
 
 
 def successive_minima(q: QuotientLattice) -> SuccessiveMinima:
     """Exact successive minima of the quotient lattice with witness cosets.
 
-    Candidate short vectors come from a reduced basis; the claimed minima are
-    then *certified* by exact interval counts (no nonzero vector below the
-    first minimum, only multiples of the first witness below the second, only
-    plane vectors below the third).  If certification fails the search bound
-    is enlarged until it succeeds, so the result never depends on the quality
-    of the reduction.
+    ``reduce_gram`` returns g_red = u^T gram_int u with u unimodular, and
+    g_red is checked to be Minkowski-reduced (``_assert_minkowski_reduced``).
+    In dimension at most 4 a Minkowski-reduced basis attains the successive
+    minima (van der Waerden, "Die Reduktionstheorie der positiven
+    quadratischen Formen", Acta Math. 96, 1956; Nguyen and Stehle,
+    "Low-dimensional lattice basis reduction revisited", ACM Trans.
+    Algorithms 5(4), 2009), and for ternary forms Minkowski's conditions
+    are the ones with coefficients in {0, +-1} that the check tests
+    (Minkowski 1905).  So lambda_i^2 * covol2_product is the i-th diagonal
+    entry of g_red, and the i-th column of u is a witness.  The counting
+    certificate of these values runs in ``verify`` (suite ``minkowski``).
     """
-    g = q.gram_int
-    gred, u = reduce_gram(g)
-    # fast path: a small coefficient box around the reduced basis almost
-    # always contains the minima witnesses; certification keeps it honest
-    cands = []
-    for x in _box_vectors_canonical(2):
-        cands.append((_form_value(gred, x), x))
-    cands.sort()
-    got = _minima_from_candidates(cands)
-    done = False
-    if got is not None and _certify_minima(gred, *got):
-        vals, wits = got
-        done = True
-    if not done:
-        bound = max(gred[i][i] for i in range(3))
-        while True:
-            cands = []
-            for x in enumerate_form_le(gred, bound):
-                if sign_canonical(x) == x:
-                    cands.append((_form_value(gred, x), x))
-            cands.sort()
-            got = _minima_from_candidates(cands)
-            if got is not None:
-                vals, wits = got
-                if _certify_minima(gred, vals, wits):
-                    break
-            bound *= 2
+    gred, u = reduce_gram(q.gram_int)
+    _assert_minkowski_reduced(gred)
     d = q.covol2_product
-    wits_orig = tuple(tuple(dot(u[r], y) for r in range(3)) for y in wits)
     return SuccessiveMinima(
-        lam1_sq=Fraction(vals[0], d),
-        lam2_sq=Fraction(vals[1], d),
-        lam3_sq=Fraction(vals[2], d),
-        witnesses=wits_orig,  # type: ignore[arg-type]
+        lam1_sq=Fraction(gred[0][0], d),
+        lam2_sq=Fraction(gred[1][1], d),
+        lam3_sq=Fraction(gred[2][2], d),
+        witnesses=tuple(zip(*u)),  # type: ignore[arg-type]
     )
 
 
 def min_form_value(q: QuotientLattice) -> int:
-    """Minimal nonzero value of gram_int, i.e. lambda_1^2 * covol2_product."""
+    """Minimal nonzero value of gram_int, i.e. lambda_1^2 * covol2_product:
+    the first diagonal entry of the Minkowski-reduced Gram matrix (see
+    ``successive_minima``)."""
     gred, _ = reduce_gram(q.gram_int)
-    bound = min(gred[i][i] for i in range(3))
-    best = bound
-    for x in enumerate_form_le(gred, bound):
-        v = _form_value(gred, x)
-        if v < best:
-            best = v
-    return best
+    _assert_minkowski_reduced(gred)
+    return gred[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +585,21 @@ def gon_main_term(q: QuotientLattice, radius: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _kernel_basis_cached(a: int, b: int, c: int) -> tuple[Row, Row]:
-    e, f = kernel_basis(a, b, c)
+    (e0, e1, e2), (f0, f1, f2) = kernel_basis(a, b, c)
+    ee = e0 * e0 + e1 * e1 + e2 * e2
+    ff = f0 * f0 + f1 * f1 + f2 * f2
     # Lagrange reduction; both steps keep e x f = (a, b, c), and ties keep
     # the HNF order
     while True:
-        if dot(f, f) > dot(e, e):
-            e, f = tuple(-x for x in f), e
-        ef, ff = dot(e, f), dot(f, f)
+        if ff > ee:
+            e0, e1, e2, f0, f1, f2 = -f0, -f1, -f2, e0, e1, e2
+            ee, ff = ff, ee
+        ef = e0 * f0 + e1 * f1 + e2 * f2
         if 2 * abs(ef) <= ff:
-            return e, f
+            return (e0, e1, e2), (f0, f1, f2)
         k = _nearest_div(ef, ff)
-        e = tuple(x - k * y for x, y in zip(e, f))
+        e0, e1, e2 = e0 - k * f0, e1 - k * f1, e2 - k * f2
+        ee += k * (k * ff - 2 * ef)
 
 
 def kernel_basis_of(ell: LinearForm) -> tuple[Row, Row]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -139,6 +139,18 @@ def count_primitive_rows(g: Sequence[Sequence[int]], t: int, strict: bool = Fals
     if bound < 0:
         return 0
     h = _checked_reduction(g)
+    bounds = _box_bounds(h, bound)
+    # the numpy path takes form values at most two steps outside the box
+    worst = sum(
+        abs(h[i][j]) * (bounds[i] + 2) * (bounds[j] + 2) for i in range(3) for j in range(3)
+    )
+    slice_rows = _slice_rows_numpy if worst + bound < _INT64_SAFE else _slice_rows_python
+    return sum(slice_rows(h, bound, x2, lo1, hi1) for x2, lo1, hi1 in _row_slices(h, bound))
+
+
+def _row_slices(h: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[int, int, int]]:
+    """(x2, lo1, hi1) for every x2 slice holding a row (x1, x2) whose real x0
+    line meets the ellipsoid x^T h x <= bound, with its exact x1 interval."""
     a = h[0][0]
     # the row (x1, x2) is nonempty iff min over real x0 of a * (x^T h x) is at
     # most a * bound; that minimum is the binary form p in (x1, x2)
@@ -147,13 +159,6 @@ def count_primitive_rows(g: Sequence[Sequence[int]], t: int, strict: bool = Fals
     p22 = a * h[2][2] - h[0][2] ** 2
     pdet = p11 * p22 - p12 * p12
     top = p11 * a * bound
-    bounds = _box_bounds(h, bound)
-    # the numpy path takes form values at most two steps outside the box
-    worst = sum(
-        abs(h[i][j]) * (bounds[i] + 2) * (bounds[j] + 2) for i in range(3) for j in range(3)
-    )
-    slice_rows = _slice_rows_numpy if worst + bound < _INT64_SAFE else _slice_rows_python
-    n = 0
     m2 = isqrt(top // pdet)
     for x2 in range(-m2, m2 + 1):
         # (p11 x1 + p12 x2)^2 <= p11 * a * bound - pdet * x2^2
@@ -161,23 +166,26 @@ def count_primitive_rows(g: Sequence[Sequence[int]], t: int, strict: bool = Fals
         lo1 = -((s + p12 * x2) // p11)
         hi1 = (s - p12 * x2) // p11
         if lo1 <= hi1:
-            n += slice_rows(h, bound, x2, lo1, hi1)
-    return n
+            yield x2, lo1, hi1
+
+
+def _x0_interval(h: Sequence[Sequence[int]], bound: int, x1: int, x2: int) -> tuple[int, int]:
+    """Exact interval [lo, hi] of the x0 with x^T h x <= bound (lo > hi if none)."""
+    a = h[0][0]
+    # a x0^2 + 2 beta x0 + rest <= bound  <=>  (a x0 + beta)^2 <= disc
+    beta = h[0][1] * x1 + h[0][2] * x2
+    rest = h[1][1] * x1 * x1 + 2 * h[1][2] * x1 * x2 + h[2][2] * x2 * x2
+    disc = beta * beta - a * (rest - bound)
+    if disc < 0:
+        return 1, 0
+    s = isqrt(disc)
+    return -((s + beta) // a), (s - beta) // a
 
 
 def _slice_rows_python(h: list[list[int]], bound: int, x2: int, lo1: int, hi1: int) -> int:
-    a = h[0][0]
-    n = 0
-    for x1 in range(lo1, hi1 + 1):
-        # a x0^2 + 2 beta x0 + rest <= bound  <=>  (a x0 + beta)^2 <= disc
-        beta = h[0][1] * x1 + h[0][2] * x2
-        rest = h[1][1] * x1 * x1 + 2 * h[1][2] * x1 * x2 + h[2][2] * x2 * x2
-        disc = beta * beta - a * (rest - bound)
-        if disc < 0:
-            continue
-        s = isqrt(disc)
-        n += _coprime_in(-((s + beta) // a), (s - beta) // a, gcd(x1, x2))
-    return n
+    return sum(
+        _coprime_in(*_x0_interval(h, bound, x1, x2), gcd(x1, x2)) for x1 in range(lo1, hi1 + 1)
+    )
 
 
 def _halfwidth_estimate(c, rest, a: int):
@@ -299,7 +307,7 @@ def oracle_fiber_qbars(
     vol = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
     grid = _grid_form_values(g, bounds) if vol <= 4_000_000 else None
     if grid is None:
-        candidates = _python_candidates(g, bounds, t_cap)
+        candidates = _python_candidates(g, t_cap)
     else:
         x0, x1, x2, vals = grid
         mask = vals <= t_cap
@@ -320,17 +328,15 @@ def oracle_fiber_qbars(
     return found
 
 
-def _python_candidates(g, bounds, t_cap):
-    from .lattice import enumerate_form_le
-
-    perm = (2, 0, 1)
-    h = [[g[perm[i]][perm[j]] for j in range(3)] for i in range(3)]
+def _python_candidates(g: Sequence[Sequence[int]], t_cap: int) -> list[tuple[int, int, int]]:
+    """Every x with x^T g x <= t_cap, 0 included, by an exact row walk in the
+    basis of g: x2 slices and x1 intervals from the binary form of the rows,
+    then each row's x0 interval, all from integer square roots."""
     out = []
-    for y in enumerate_form_le(h, t_cap):
-        x = [0, 0, 0]
-        for i in range(3):
-            x[perm[i]] = y[i]
-        out.append(tuple(x))
+    for x2, lo1, hi1 in _row_slices(g, t_cap):
+        for x1 in range(lo1, hi1 + 1):
+            lo, hi = _x0_interval(g, t_cap, x1, x2)
+            out.extend((x0, x1, x2) for x0 in range(lo, hi + 1))
     return out
 
 

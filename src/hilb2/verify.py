@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, log
+from math import gcd, isqrt, log
 from multiprocessing import Pool
+from typing import Sequence
 
 from .asymptotics import count_Nst
 from .constants import PI, PI_BRACKET, ZETA3
@@ -31,6 +32,7 @@ from .heights import (
 from .hilb import canonical_forms, canonicalize, enumerate_points
 from .lattice import (
     LinearForm,
+    count_form_le,
     count_primitive_form,
     product_basis,
     product_covol2_formula,
@@ -38,7 +40,7 @@ from .lattice import (
     reduce_gram,
     successive_minima,
 )
-from .exactlin import gram_det2, iroot
+from .exactlin import det_bareiss, gram_det2, iroot
 from .oracles import count_primitive_boxscan, distance_lemma_violations, oracle_count_points
 
 SUITE_NAMES = (
@@ -87,6 +89,62 @@ def _sl_worker(triple: tuple[int, int, int]):
     return None
 
 
+def _count_nonzero_lt(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x != 0 : x^T g x < t}."""
+    return count_form_le(g, t - 1) - 1 if t > 0 else 0
+
+
+def _polar(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(g[i][j] * x[i] * y[j] for i in range(3) for j in range(3))
+
+
+def _count_line_lt(l1: int, t: int) -> int:
+    """#{k != 0 : k^2 * l1 < t} for the line through a vector of form value l1."""
+    if t <= l1:
+        return 0
+    return 2 * isqrt((t - 1) // l1)
+
+
+def _count_plane_lt(g2: Sequence[Sequence[int]], t: int) -> int:
+    """#{(k,l) != 0 : [k,l] g2 [k,l]^T < t} for a PD integer 2x2 Gram matrix."""
+    bound = t - 1
+    if bound < 0:
+        return 0
+    a, b = g2[0][0], g2[0][1]
+    c = g2[1][1]
+    det2 = a * c - b * b
+    ml = isqrt((bound * a) // det2)
+    total = 0
+    for l in range(-ml, ml + 1):
+        d = a * bound - l * l * det2
+        if d < 0:
+            continue
+        s = isqrt(d)
+        bl = b * l
+        total += (s - bl) // a + ((s + bl) // a) + 1
+    return total - 1
+
+
+def _certify_minima(
+    g: Sequence[Sequence[int]], vals: Sequence[int], wits: Sequence[Sequence[int]]
+) -> bool:
+    """Exact counting certificate that ``vals`` are the successive minima of
+    the PD integer Gram matrix g, attained by the independent ``wits``: no
+    nonzero vector lies below the first value, only multiples of the first
+    witness below the second, and only vectors of the lattice spanned by the
+    first two witnesses below the third."""
+    l1, l2, l3 = vals
+    w1, w2, _ = wits
+    if [_polar(g, w, w) for w in wits] != [l1, l2, l3] or det_bareiss(wits) == 0:
+        return False
+    if _count_nonzero_lt(g, l1) != 0:
+        return False
+    if _count_nonzero_lt(g, l2) != _count_line_lt(l1, l2):
+        return False
+    g2 = [[l1, _polar(g, w1, w2)], [_polar(g, w1, w2), l2]]
+    return _count_nonzero_lt(g, l3) == _count_plane_lt(g2, l3)
+
+
 def _mink_worker(triple: tuple[int, int, int]) -> list[str]:
     """Exact minima checks for one form; returns the tags of failed checks."""
     ell = LinearForm(*triple)
@@ -94,6 +152,11 @@ def _mink_worker(triple: tuple[int, int, int]) -> list[str]:
     sm = successive_minima(q)
     m4 = 49 * ell.M**4
     fails = []
+    scaled = [lam * q.covol2_product for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)]
+    if any(v.denominator != 1 for v in scaled) or not _certify_minima(
+        q.gram_int, [v.numerator for v in scaled], sm.witnesses
+    ):
+        fails.append("minima-count-certificate")
     if sm.lam3_sq > 1:
         fails.append("lam3")
     if sm.lam1_sq * m4 < 1:
@@ -114,18 +177,22 @@ def _mink_worker(triple: tuple[int, int, int]) -> list[str]:
 def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
     """Successive-minima bounds and Minkowski's second theorem, exhaustively,
     plus the first-minimum bound 2 n^2 lambda_1^2 >= 1 (n = a^2 + b^2 + c^2)
-    behind the count's cutoff and empty-fiber prune."""
+    behind the count's cutoff and empty-fiber prune, and an exact counting
+    certificate of the minima read off the reduced Gram matrix."""
     triples = _canonical_triples(m_max)
     if threads > 1:
         with Pool(threads) as pool:
             results = pool.map(_mink_worker, triples, chunksize=512)
     else:
         results = [_mink_worker(tr) for tr in triples]
-    failures = [tags for tags in results if set(tags) - {"lam1-n2"}]
+    own_checks = {"lam1-n2", "minima-count-certificate"}
+    failures = [tags for tags in results if set(tags) - own_checks]
     n2_failures = [tags for tags in results if "lam1-n2" in tags]
+    cert_failures = [tags for tags in results if "minima-count-certificate" in tags]
     checks: list = []
     _check(checks, "minima-bounds-and-minkowski", not failures, f"{len(triples)} forms, {len(failures)} failures")
     _check(checks, "first-minimum-lower-bound", not n2_failures, f"2 n^2 lam1^2 >= 1 on {len(triples)} forms, {len(n2_failures)} failures")
+    _check(checks, "minima-count-certificate", not cert_failures, f"exact counts on {len(triples)} forms, {len(cert_failures)} failures")
     best_fail = []
     for m in range(2, m_max + 1):
         sm = successive_minima(quotient(LinearForm(m, m - 1, 0)))

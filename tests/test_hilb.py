@@ -238,6 +238,27 @@ def test_max_covol2_I2_is_the_largest_admissible_value():
         assert (k == 0 or ok(k)) and not ok(k + 1)
 
 
+def test_max_covol2_I2_against_the_fraction_formula():
+    import random
+    from math import floor, lcm
+
+    from hilb2.exactlin import iroot
+
+    rng = random.Random(8)
+    below = 0
+    for _ in range(400):
+        s = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        b = Fraction(rng.randint(1, 400), rng.randint(1, 9))
+        cv1 = rng.randint(1, 3000)
+        big_l = lcm(s.denominator, t.denominator)
+        a_exp, b_exp = int(big_l * (s - t)), int(big_l * t)
+        want = iroot(floor(b ** (2 * big_l) / Fraction(cv1) ** a_exp), b_exp)
+        assert max_covol2_I2(cv1, s, t, b) == want, (cv1, s, t, b)
+        below += s < t
+    assert below > 100
+
+
 def test_first_minimum_lower_bound_all_forms_m12():
     # 2 n^2 * lambda_1^2 >= 1, the bound behind m_cutoff and the fiber prune
     for f in canonical_forms(12):

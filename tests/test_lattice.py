@@ -16,7 +16,7 @@ from hilb2.exactlin import (
     mat_mul,
     mat_vec,
 )
-from hilb2.hilb import enumerate_points
+from hilb2.hilb import canonical_forms, enumerate_points
 from hilb2.lattice import (
     LinearForm,
     count_primitive,
@@ -28,9 +28,11 @@ from hilb2.lattice import (
     product_covol2_formula,
     product_lattice,
     quotient,
+    min_form_value,
     reduce_gram,
     successive_minima,
 )
+from hilb2.verify import _certify_minima
 from hilb2 import oracles
 from hilb2.lattice import count_primitive_form
 from hilb2.oracles import count_primitive_gram_boxscan, count_primitive_rows, minima_boxscan
@@ -234,6 +236,64 @@ def test_successive_minima_against_boxscan():
         ]
 
 
+def test_minima_read_off_the_reduced_gram_are_certified():
+    # the Minkowski-reduced diagonal against the exact counting certificate,
+    # on every form with M <= 10; the witnesses are a basis
+    forms = canonical_forms(10)
+    assert len(forms) == 3745
+    for f in forms:
+        q = quotient(f)
+        sm = successive_minima(q)
+        vals = [int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)]
+        assert _certify_minima(q.gram_int, vals, sm.witnesses), f
+        assert abs(det3(sm.witnesses)) == 1, f
+        assert min_form_value(q) == vals[0], f
+
+
+def test_certify_minima_rejects_wrong_claims():
+    q = quotient(LinearForm(2, 1, 0))
+    sm = successive_minima(q)
+    w1, w2, w3 = sm.witnesses
+    vals = [int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)]
+    assert vals == [5, 21, 105]
+    assert _certify_minima(q.gram_int, vals, (w1, w2, w3))
+    # a value its witness does not attain; second and third swapped; a
+    # non-minimal first witness; dependent witnesses
+    assert not _certify_minima(q.gram_int, [5, 21, 104], (w1, w2, w3))
+    assert not _certify_minima(q.gram_int, [5, 105, 21], (w1, w3, w2))
+    w = tuple(x + y for x, y in zip(w1, w2))
+    assert not _certify_minima(q.gram_int, [q.covol2_with(w), 21, 105], (w, w2, w3))
+    w = tuple(2 * x for x in w1)
+    assert not _certify_minima(q.gram_int, [5, 21, 20], (w1, w2, w))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        ((2, 0, 0), (0, 1, 0), (0, 0, 3)),  # diagonal not sorted
+        ((2, 2, 0), (2, 5, 0), (0, 0, 6)),  # 2|h| > a
+        ((2, 0, 2), (0, 5, 0), (2, 0, 6)),  # 2|k| > a
+        ((2, 0, 0), (0, 5, 3), (0, 3, 6)),  # 2|m| > b
+        # e1 b1 + e2 b2 + b3 shorter than b3, for (e1, e2) = (1, 1), (1, -1),
+        # (-1, 1), (-1, -1)
+        ((4, -2, -2), (-2, 4, -2), (-2, -2, 5)),
+        ((4, 2, -2), (2, 4, 2), (-2, 2, 5)),
+        ((4, 2, 2), (2, 4, -2), (2, -2, 5)),
+        ((4, -2, 2), (-2, 4, 2), (2, 2, 5)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 1)),  # a = 0
+        ((1, 0, 0), (1, 1, 0), (0, 0, 1)),  # not symmetric
+    ],
+)
+def test_minima_reject_a_gram_that_is_not_minkowski_reduced(monkeypatch, h):
+    u = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    monkeypatch.setattr(lattice, "reduce_gram", lambda g: (h, u))
+    q = quotient(LinearForm(1, 0, 0))
+    with pytest.raises(AssertionError):
+        successive_minima(q)
+    with pytest.raises(AssertionError):
+        min_form_value(q)
+
+
 def test_count_primitive_axis_examples():
     q = quotient(LinearForm(1, 0, 0))
     assert count_primitive(q, 1.5) == 18
@@ -345,6 +405,22 @@ def test_count_primitive_rows_corrects_float_estimate(monkeypatch, error):
     for triple, t in (((1, 0, 0), 400), ((3, -2, 5), 4 * 10**5), ((46, -38, 29), 16 * 10**9)):
         g = quotient(LinearForm(*triple)).gram_int
         assert count_primitive_rows(g, t) == count_primitive_form(g, t, False), triple
+
+
+def test_python_candidates_against_the_grid():
+    # the row walk of the oracle's large-box path against its numpy grid path
+    cases = [([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 30), ([[2, 1, 0], [1, 3, 1], [0, 1, 5]], 40)]
+    cases += [([[5, 2, -2], [2, 7, 3], [-2, 3, 9]], 0)]
+    for f in seeded_forms(21, 6, 6):
+        g = quotient(f).gram_int
+        cases.append((g, min(g[i][i] for i in range(3)) * 7))
+    for g, t in cases:
+        bounds = oracles._box_bounds(g, t)
+        x0, x1, x2, vals = oracles._grid_form_values(g, bounds)
+        mask = vals <= t
+        want = set(zip(x0[mask].tolist(), x1[mask].tolist(), x2[mask].tolist()))
+        got = oracles._python_candidates(g, t)
+        assert len(got) == len(set(got)) and set(got) == want, (g, t)
 
 
 @pytest.mark.parametrize(
