@@ -49,7 +49,6 @@ from .hilb import (
     QInSpanError,
     canonicalize,
     enumerate_points,
-    fiber_count,
     ideal_lattice,
 )
 from .lattice import (
@@ -61,7 +60,6 @@ from .lattice import (
     dist_to_span,
     gon_main_term,
     product_covol2_formula,
-    product_lattice,
     quotient,
     successive_minima,
 )

@@ -26,7 +26,7 @@ from .constants import PI, ZETA3
 from .exactlin import iroot, sign_canonical
 from .heights import discriminant, is_perfect_square, le_height2
 from .hilb import HilbPoint, canonical_forms, fiber_point_count, m_cutoff
-from .lattice import LinearForm, enumerate_form_le, quotient
+from .lattice import LinearForm, enumerate_form_le, product_covol2_formula, quotient
 from math import floor, gcd, isqrt
 
 
@@ -75,8 +75,8 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
         raise ValueError("M_max out of supported range")
     shell_sums = np.zeros(m_max + 1, dtype=np.float64)
     rng = np.arange(-m_max, m_max + 1, dtype=np.int64)
-    b, c = np.meshgrid(rng, rng, indexing="ij")
-    b2, c2 = b * b, c * c
+    b, c = rng[:, None], rng[None, :]  # broadcast to the (b, c) grid
+    bc2 = b * b + c * c
     mabs = np.maximum(np.abs(b), np.abs(c))
     gbc = np.gcd(np.abs(b), np.abs(c))
     expo = 1.5 - 1.5 * ratio
@@ -85,20 +85,8 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
         mask = g == 1
         if not mask.any():
             continue
-        a2 = np.int64(a * a)
-        u = a2 + b2 + c2
-        sl = (
-            a2**3
-            + 2 * b2 * a2**2
-            + 2 * c2 * a2**2
-            + 2 * b2**2 * a2
-            + 5 * c2 * b2 * a2
-            + 2 * c2**2 * a2
-            + b2**3
-            + 2 * c2 * b2**2
-            + 2 * c2**2 * b2
-            + c2**3
-        )
+        u = np.int64(a * a) + bc2
+        sl = product_covol2_formula(np.int64(a), b, c)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.power(u.astype(np.float64), expo) / sl.astype(np.float64)
         shell = np.maximum(mabs, abs(a))
@@ -202,14 +190,29 @@ def convergence_report(
 # ---------------------------------------------------------------------------
 
 # The count is taken at the anticanonical scale: a point qualifies when the
-# cube of its Le Rudulier height is at most B.  The nonsplit scan covers the
-# region H_{0,3} <= 4 B and asserts that every counted point keeps
-# H_Le^3/H_{0,3} >= 0.35, so qualifying points drifting toward the region
-# boundary trip the margin assertion before any could be missed; observed
-# minima of the ratio stay above 0.55 out to B = 1000, and the independent
-# split-pair count cross-checks the region on the split locus.
-_REGION_INV = Fraction(4, 1)  # region: H_{0,3} <= B / 0.25
-_MARGIN_SQ = Fraction(1225, 10000)  # 0.35^2
+# cube of its Le Rudulier height H is at most B.  Two consequences of the
+# closed form of H (see ``heights.le_height2``) bound the search, with n =
+# covol2_I1 = a^2 + b^2 + c^2:
+#
+# * Form cutoff.  H^2 >= n for every point that is not nonreduced, so only
+#   forms with n^3 <= B^2 (hence M^6 <= B^2) can hold a counted point.
+# * Region.  covol2_I2 / n lies in [H^2 / 3, 2 H^2], so every counted point
+#   has H_{0,3}^2 = (covol2_I2 / n)^3 <= 8 H^6 <= 8 B^2, and ratio = H^3 /
+#   H_{0,3} >= 2^(-3/2), which the scan asserts on every counted point.
+#   Proof: covol2_I2 = covol2_product * dist^2(q, l V) in the monomial-
+#   coefficient norm.  That norm lies between 1 and sqrt(2) times the
+#   Frobenius norm of the symmetric matrix, so dist^2 lies between dist_F^2
+#   and 2 dist_F^2.  The Frobenius distance is the Frobenius norm of the
+#   restriction of q to the plane l^perp (see ``hilb.m_cutoff``), whose
+#   squared eigenvalues sum to dist_F^2.  They are the eigenvalues of
+#   G^-1 Qbar (G = Gram(e, f), det G = n), with trace L / n and determinant
+#   -D / 4n, so 2 n^2 dist_F^2 = 2 L^2 + n D.  That lies in [H^2, 2 H^2]:
+#   for D > 0 because H^2 = L^2 + n D, for D <= 0 because H^2 = L^2 >=
+#   n |D|.  With 2 n^3 / 3 <= covol2_product <= n^3 this gives
+#   n H^2 / 3 <= covol2_I2 <= 2 n H^2.  Since also 2 L^2 + n D >= n |D|,
+#   the same steps give criterion 8's discriminant bound with 3 for 4:
+#   |D| n^2 <= 3 covol2_I2.
+# The independent split-pair count cross-checks both on the split locus.
 
 
 def _split_pair_count(bound: Fraction) -> int:
@@ -248,7 +251,7 @@ def _canonical_triple(x: int, y: int, z: int) -> bool:
 
 
 def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
-    """Scan one fiber of the anticanonical region.
+    """Scan one fiber of the anticanonical region H_{0,3}^2 <= 8 B^2.
 
     Returns (split_count, nonsplit_count, min ratio^2 over counted points)
     where ratio = H_Le^3 / H_{0,3}.
@@ -257,10 +260,8 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
     ell = LinearForm(*triple)
     quo = quotient(ell)
     cv1 = ell.norm2
-    t_f = iroot(floor(Fraction(cv1, 1) ** 3 * (_REGION_INV * bound) ** 2), 3)
-    if t_f < 1:
-        return 0, 0, None
     b2 = bound * bound
+    t_f = iroot(floor(8 * b2 * cv1**3), 3)
     n_split = 0
     n_nonsplit = 0
     min_ratio_sq: Fraction | None = None
@@ -272,7 +273,7 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
         d = discriminant(z)
         if d == 0:
             continue
-        # calibrated discriminant bound, revalidated on every scanned point
+        # criterion 8's discriminant bound (proved in the notes above)
         assert abs(d) * cv1 * cv1 <= 4 * cv2, f"disc bound violated at {triple}, {x}"
         le2 = le_height2(z)
         if le2**3 <= b2:
@@ -281,7 +282,7 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
             else:
                 n_nonsplit += 1
             ratio_sq = le2**3 * cv1**3 / Fraction(cv2) ** 3
-            assert ratio_sq >= _MARGIN_SQ, f"height-comparison margin violated at {triple}, {x}"
+            assert 8 * ratio_sq >= 1, f"height-comparison theorem violated at {triple}, {x}"
             if min_ratio_sq is None or ratio_sq < min_ratio_sq:
                 min_ratio_sq = ratio_sq
     return n_split, n_nonsplit, min_ratio_sq
@@ -293,8 +294,9 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     Counts points that are not nonreduced and satisfy le_height^3 <= B.
     Split points are counted twice independently (pair enumeration of
     primitive integer solutions, and the region scan); the two counts are
-    asserted equal.  The nonsplit side comes from the region scan whose
-    search region is certified empirically with margin (see module notes).
+    asserted equal.  The nonsplit side comes from the region scan, whose
+    form cutoff and search region are proved (see the notes above
+    ``_split_pair_count``).
     """
     b = Fraction(bound)
     out = {
@@ -308,9 +310,9 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     if b < 1:
         return out
     split_pairs = _split_pair_count(b)
-    m6 = 64 * (_REGION_INV * b) ** 2
-    m_max = max(1, iroot(floor(m6), 6))
-    args = [(f.triple, b) for f in canonical_forms(m_max)]
+    b2 = b * b
+    forms = canonical_forms(iroot(floor(b2), 6))
+    args = [(f.triple, b) for f in forms if f.norm2**3 <= b2]
     if threads <= 1:
         results = [_le_region_worker(a) for a in args]
     else:

@@ -6,7 +6,9 @@ form produces a primitive integer binary quadratic form, which is the point's
 the discriminant of the point's coordinate ring, computed here by three
 independent routes (direct, split GCD-of-cross-product, nonsplit parameter
 formula) that the test suite checks against each other.  The Le Rudulier
-height is evaluated exactly at the squared level in all three classes.
+height is exact at the squared level through one closed form in qbar and the
+Gram matrix of the kernel basis; the class-wise solutions and ideal norms
+here make up its independent reference in ``verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exactlin import _xgcd, cross, sign_canonical, smith_minor_gcd
+from .exactlin import _xgcd, cross, dot, sign_canonical, smith_minor_gcd
 from .hilb import HilbPoint, ideal_lattice
 from .lattice import eval_quadratic, kernel_basis_of
 
@@ -327,35 +329,53 @@ def height_st(z: HilbPoint, s: float, t: float) -> float:
 
 
 def le_height2(z: HilbPoint) -> Fraction:
-    """Exact square of the Le Rudulier height.
+    """Exact square of the Le Rudulier height, in closed form.
 
-    Nonreduced: ||v||^4 for the unique primitive solution.  Split:
-    ||v||^2 ||w||^2.  Nonsplit: the product of the squared norms of the two
-    embeddings of the quadratic solution divided by the squared ideal norm in
-    the maximal order.
+    The height is |v|^2 |w|^2 for the two primitive integer solutions v, w of
+    a split point, |v|^4 for the one solution of a nonreduced point, and, for
+    a point defined over K = Q(sqrt(D)), |u|^2 |u'|^2 / N(I)^2: u is a
+    solution with coordinates in K, u' its conjugate, I the ideal its
+    coordinates generate in the maximal order, and |.| the Euclidean norm at
+    each real place or the Hermitian norm |u|_h^2 = |u'|_h^2 at the complex
+    place.  (``verify`` composes it that way, class by class, as the
+    independent reference.)  With (e, f) = ``kernel_basis_of(ell)``, Gram
+    entries ee, ef, ff, qbar = (A, B, C), D = B^2 - 4AC, n = a^2 + b^2 + c^2
+    and L = A ff - B ef + C ee:
+
+        H_Le^2 = L^2 + n D  if D > 0,  and  L^2  if D <= 0.
+
+    Proof.  Let g(S, T) = |S e + T f|^2 = ee S^2 + 2 ef S T + ff T^2, the
+    Gram form; disc g = -4 det Gram(e, f) = -4 |e x f|^2 = -4n.  The
+    classical identity 4 Res(f1, f2) = (2 A1 C2 + 2 A2 C1 - B1 B2)^2 -
+    disc f1 disc f2 gives Res(qbar, g) = L^2 + n D, and L is the apolar
+    pairing of qbar with g.  If k qbar = (y1 S - x1 T)(y2 S - x2 T), then
+    k^2 Res(qbar, g) = g(x1, y1) g(x2, y2) = (u1 . u1)(u2 . u2) for the
+    points u_i = x_i e + y_i f of the subscheme.
+
+    * D a square (D = 0 included): by Gauss's lemma qbar = +-(y1 S - x1 T)
+      (y2 S - x2 T) with primitive integer factors.  The u_i are primitive
+      because (e, f) is a basis of a saturated lattice, so H_Le^2 =
+      |u1|^2 |u2|^2 = Res(qbar, g) = L^2 + n D.
+    * D not a square (so A != 0): x1 = -B + sqrt(D), y1 = 2A and the
+      conjugates give k = 4A.  (e, f) extends to a basis of Z^3, so the
+      coordinates of u1 generate I = (x1, y1).  Content ideals multiply in
+      the maximal order (Gauss's lemma) and qbar is primitive, so
+      I I' = (4A) and N(I)^2 = 16 A^2.
+      - D > 0: H_Le^2 = |u1|^2 |u2|^2 / 16 A^2 = Res(qbar, g).
+      - D < 0: write u1 = r + sqrt(D) s with r = -B e + 2A f, s = e.  By
+        Lagrange's identity |u1|_h^4 = |u1 . u1|^2 + 4|D| |r x s|^2, and
+        |u1 . u1|^2 = (u1 . u1)(u2 . u2) = 16 A^2 Res, |r x s|^2 = 4 A^2 n.
+        So H_Le^2 = Res + n |D| = L^2.
+
+    Corollaries used by the anticanonical count: Res >= 0 for D < 0 (it is
+    |u1 . u1|^2 / 16 A^2), so L^2 >= n |D| there, and H_Le^2 >= n |D| >= n
+    for every point that is not nonreduced.
     """
-    cls = classify(z)
-    if cls is PointClass.NONREDUCED:
-        v = nonreduced_solution(z)
-        n = sum(x * x for x in v)
-        return Fraction(n * n)
-    if cls is PointClass.SPLIT:
-        sol = split_solutions(z)
-        nv = sum(x * x for x in sol.v)
-        nw = sum(x * x for x in sol.w)
-        return Fraction(nv * nw)
-    p = nonsplit_params(z)
-    d = p.disc
-    r, s = p.rational_part, p.irrational_part
-    nr = sum(x * x for x in r)
-    ns = sum(x * x for x in s)
-    rs = sum(x * y for x, y in zip(r, s))
-    if d > 0:
-        prod = (nr + d * ns) ** 2 - 4 * d * rs * rs
-    else:
-        prod = (nr - d * ns) ** 2
-    norm = _maximal_order_norm(d, r, s)
-    return Fraction(prod, norm * norm)
+    e, f = kernel_basis_of(z.ell)
+    a, b, c = z.qbar
+    el = a * dot(f, f) - b * dot(e, f) + c * dot(e, e)
+    d = b * b - 4 * a * c
+    return Fraction(el * el + z.ell.norm2 * d if d > 0 else el * el)
 
 
 def le_height(z: HilbPoint) -> float:

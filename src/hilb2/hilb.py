@@ -104,16 +104,6 @@ class HilbPoint:
         """Canonical monomial-coordinate lift of the quadric."""
         return self.quotient().lift(self.qbar)
 
-    def record(self) -> dict:
-        """Serialization record (consumed by the CLI point emitter)."""
-        return {
-            "ell": self.ell.triple,
-            "qbar": self.qbar,
-            "q_lift": self.q_lift(),
-            "covol2_I1": self.covol2_I1,
-            "covol2_I2": self.covol2_I2,
-        }
-
 
 def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
     """Build the canonical point from a raw linear form and quadric.
@@ -163,19 +153,6 @@ def _monomial_vec(d: int, k: int) -> tuple[int, ...]:
     vec = [0] * dim_forms(d)
     vec[k] = 1
     return tuple(vec)
-
-
-def fiber_count(ell: LinearForm, bound: float | Fraction | int) -> int:
-    """Number of degree-2 primitive lattices over the form with covolume <= bound."""
-    y = Fraction(bound)
-    if y <= 0:
-        return 0
-    quo = quotient(ell)
-    t = y * y  # threshold on the exact squared covolume, an integer form value
-    scaled = [[t.denominator * x for x in row] for row in quo.gram_int]
-    n = count_primitive_form(scaled, t.numerator, strict=False)
-    assert n % 2 == 0
-    return n // 2
 
 
 # ---------------------------------------------------------------------------

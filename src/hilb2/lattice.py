@@ -37,7 +37,6 @@ from .exactlin import (
     as_matrix,
     _xgcd,
     cross,
-    gram_det2,
     kernel_basis,
     sign_canonical,
 )
@@ -123,11 +122,6 @@ def product_basis(ell: LinearForm) -> Matrix:
         (0, a, 0, b, c, 0),
         (0, 0, a, 0, b, c),
     ])
-
-
-def product_lattice(ell: LinearForm) -> IntLattice:
-    basis = product_basis(ell)
-    return IntLattice(ambient_dim=6, basis=basis, covol2=gram_det2(basis))
 
 
 def _det3(m: Sequence[Sequence[int]]) -> int:

@@ -19,6 +19,7 @@ from .asymptotics import count_Nst
 from .constants import PI, PI_BRACKET, ZETA3
 from .heights import (
     PointClass,
+    _maximal_order_norm,
     classify,
     disc_nonsplit,
     disc_ratio,
@@ -26,10 +27,11 @@ from .heights import (
     discriminant,
     ideal_norm,
     le_height2,
+    nonreduced_solution,
     nonsplit_params,
     split_solutions,
 )
-from .hilb import canonical_forms, canonicalize, enumerate_points
+from .hilb import HilbPoint, canonical_forms, canonicalize, enumerate_points
 from .lattice import (
     LinearForm,
     count_form_le,
@@ -330,12 +332,46 @@ def suite_gon(
     return rep
 
 
+def _le_height2_classwise(z: HilbPoint) -> Fraction:
+    """Le Rudulier height squared from the solutions, class by class: the
+    independent reference for the closed form ``heights.le_height2``.
+
+    Nonreduced: ||v||^4 for the unique primitive solution.  Split:
+    ||v||^2 ||w||^2.  Nonsplit: the product of the squared norms of the two
+    embeddings of the quadratic solution divided by the squared ideal norm in
+    the maximal order.
+    """
+    cls = classify(z)
+    if cls is PointClass.NONREDUCED:
+        n = sum(x * x for x in nonreduced_solution(z))
+        return Fraction(n * n)
+    if cls is PointClass.SPLIT:
+        sol = split_solutions(z)
+        nv = sum(x * x for x in sol.v)
+        nw = sum(x * x for x in sol.w)
+        return Fraction(nv * nw)
+    p = nonsplit_params(z)
+    d = p.disc
+    r, s = p.rational_part, p.irrational_part
+    nr = sum(x * x for x in r)
+    ns = sum(x * x for x in s)
+    rs = sum(x * y for x, y in zip(r, s))
+    if d > 0:
+        prod = (nr + d * ns) ** 2 - 4 * d * rs * rs
+    else:
+        prod = (nr - d * ns) ** 2
+    norm = _maximal_order_norm(d, r, s)
+    return Fraction(prod, norm * norm)
+
+
 def suite_disc_agreement(height_bound: float = 15.0, threads: int = 1) -> dict:
-    """Three discriminant routes agree exactly on every enumerated point."""
+    """Three discriminant routes agree exactly on every enumerated point, and
+    so do the closed-form and the class-wise Le Rudulier heights."""
     n = {"nonreduced": 0, "split": 0, "nonsplit": 0}
     bad_mod = 0
     bad_split = 0
     bad_nonsplit = 0
+    bad_le = 0
     total = 0
     for z in enumerate_points(2, 1, Fraction(height_bound)):
         total += 1
@@ -352,10 +388,13 @@ def suite_disc_agreement(height_bound: float = 15.0, threads: int = 1) -> dict:
             if disc_nonsplit(p) != d:
                 bad_nonsplit += 1
             ideal_norm(p)  # asserts Smith-minor norm == closed form
+        if le_height2(z) != _le_height2_classwise(z):
+            bad_le += 1
     checks: list = []
     _check(checks, "congruence-mod-4", bad_mod == 0, f"{total} points")
     _check(checks, "split-gcd-formula", bad_split == 0, f"{n['split']} split points")
     _check(checks, "nonsplit-parameter-formula", bad_nonsplit == 0, f"{n['nonsplit']} nonsplit points")
+    _check(checks, "le-height-closed-form", bad_le == 0, f"{total} points, {bad_le} mismatches")
     if height_bound >= 15:  # the full-scale run must cover a large sample
         _check(checks, "sample-size", total >= 10_000, f"{total} points at height bound {height_bound}")
     rep = _report("disc-agreement", {"height_bound": height_bound, "s": 2, "t": 1}, checks)

@@ -160,14 +160,13 @@ def test_le_count_nonreduced_excluded():
     assert le_height2(za) ** 3 <= b * b
     n_split, n_nonsplit, _ = _le_region_worker((za.ell.triple, b))
     # recount the same fiber including nonreduced points
-    from hilb2.asymptotics import _REGION_INV
     from hilb2.exactlin import iroot
     from hilb2.lattice import enumerate_form_le, quotient
     from hilb2.hilb import HilbPoint
     from math import floor, gcd
 
     quo = quotient(za.ell)
-    t_f = iroot(floor(F(za.covol2_I1) ** 3 * (_REGION_INV * b) ** 2), 3)
+    t_f = iroot(floor(8 * b * b * za.covol2_I1**3), 3)
     n_all = 0
     seen_za = False
     for x in enumerate_form_le(quo.gram_int, t_f):
@@ -183,6 +182,40 @@ def test_le_count_nonreduced_excluded():
                 seen_za = True
     assert seen_za
     assert n_split + n_nonsplit < n_all
+
+
+@pytest.mark.parametrize("b", [8, 27])
+def test_le_count_cutoff_and_region_are_sound(b):
+    # rescan with the wider form cutoff iroot(64 (4B)^2, 6) and region
+    # H_{0,3} <= 4B that the count used before both were proved
+    from math import gcd
+
+    from hilb2.exactlin import iroot, sign_canonical
+    from hilb2.heights import discriminant, is_perfect_square, le_height2
+    from hilb2.hilb import HilbPoint, canonical_forms
+    from hilb2.lattice import enumerate_form_le, quotient
+
+    n_split = n_nonsplit = 0
+    ratios = []
+    for ell in canonical_forms(iroot(64 * (4 * b) ** 2, 6)):
+        quo = quotient(ell)
+        cv1 = ell.norm2
+        for x in enumerate_form_le(quo.gram_int, iroot(cv1**3 * (4 * b) ** 2, 3)):
+            if gcd(gcd(x[0], x[1]), x[2]) != 1 or sign_canonical(x) != x:
+                continue
+            z = HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x))
+            d = discriminant(z)
+            le2 = le_height2(z)
+            if d == 0 or le2**3 > b * b:
+                continue
+            if is_perfect_square(d):
+                n_split += 1
+            else:
+                n_nonsplit += 1
+            ratios.append(le2**3 * cv1**3 / Fraction(z.covol2_I2) ** 3)
+    rep = le_count_detailed(b)
+    assert (rep["split"], rep["nonsplit"]) == (n_split, n_nonsplit)
+    assert rep["min_ratio"] == float(min(ratios)) ** 0.5
 
 
 def test_le_rudulier_prediction_constant():

@@ -14,7 +14,6 @@ from hilb2.hilb import (
     canonical_forms,
     dim_forms,
     enumerate_points,
-    fiber_count,
     fiber_point_count,
     fiber_points,
     ideal_lattice,
@@ -106,13 +105,6 @@ def test_multiplicativity_consistency():
         assert Fraction(z.covol2_I2) == q.covol2_product * q.norm_sq(z.qbar)
 
 
-def test_fiber_count_examples():
-    ell = LinearForm(1, 0, 0)
-    assert fiber_count(ell, 1.5) == 9
-    assert fiber_count(ell, 1) == 3
-    assert fiber_count(ell, Fraction(1, 2)) == 0
-
-
 def test_enumerate_points_empty_below_one():
     assert list(enumerate_points(2, 1, Fraction(99, 100))) == []
 
@@ -197,18 +189,6 @@ def test_roundtrip_recovers_defining_lattices():
         gens = [list(r) for r in product_basis(z.ell)] + [list(q_raw)]
         assert hnf(lat2.basis) == saturate(gens)
         assert ideal_lattice(z, 1).basis == ((z.ell.a, z.ell.b, z.ell.c),)
-
-
-def test_record_serialization_fields():
-    z = canonicalize((0, 0, 1), (1, 0, 0, -2, 0, 0))
-    rec = z.record()
-    assert rec == {
-        "ell": (0, 0, 1),
-        "qbar": z.qbar,
-        "q_lift": z.q_lift(),
-        "covol2_I1": 1,
-        "covol2_I2": 5,
-    }
 
 
 def _unpruned_count(f, s, t, b):
