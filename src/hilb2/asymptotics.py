@@ -6,10 +6,12 @@ integer triples (both signs) of
 
     (a^2 + b^2 + c^2)^(3/2 - (3/2) ratio) / covol2_product(a, b, c)
 
-scaled by pi / (3 zeta(3)).  Partial sums are accumulated shell by shell
-(shell = max |coordinate|), and the tail is bounded termwise using the lower
-covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a 26 M^2 shell count, giving a
-certified bracket [partial, partial + tail_bound].
+scaled by pi / (3 zeta(3)).  The partial sum over the shells
+max |coordinate| <= M_max takes one term per orbit of the signed coordinate
+permutations, weighted by the orbit size, in one ``math.fsum``.  The tail is
+bounded termwise using the lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a
+26 M^2 shell count.  The bracket [partial, partial + tail_bound] is widened
+by a per-term rounding budget and rounded outward, so it is certified.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constants import PI, ZETA3
+from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .exactlin import iroot, sign_canonical
 from .heights import discriminant, is_perfect_square, le_height2
 from .hilb import HilbPoint, canonical_forms, fiber_point_count, m_cutoff
@@ -61,44 +64,110 @@ class ConstantEstimate:
         return self.partial + self.tail_bound
 
 
-def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
-    """Shell-ordered partial sum of the leading-constant series plus a
-    certified tail bound.
+# Summation orbits.  n = a^2 + b^2 + c^2 and ``product_covol2_formula`` are
+# symmetric polynomials in a^2, b^2, c^2, and primitivity is invariant under
+# signed permutations, so every term is constant on an orbit of the
+# 48-element group of signed coordinate permutations.  The representatives of
+# shell M (max |coordinate| = M) are the primitive (a, b, M) with
+# 0 <= a <= b <= M; the orbit of one has (distinct permutations: 1, 3 or 6)
+# * 2^(nonzero coordinates) elements.
+_PERMUTATIONS = np.array([6, 3, 1], dtype=np.int64)  # by the number of a == b, b == M
 
-    Summation order is fixed (shells M = 1, 2, ...; within a shell the
-    natural lexicographic traversal) so the float result is reproducible.
+# float64 unit roundoff, and a bound on the absolute error one term can pick
+# up when its value underflows (see the budget in ``constant_c``)
+_U = Fraction(1, 2**53)
+_UNDERFLOW = Fraction(1, 2**1067)
+
+
+def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (M, a, b, w) for M = 1..m_max: the orbit representatives
+    (a, b, M) of the primitive triples of shell M and their orbit sizes w."""
+    bb, aa = np.tril_indices(m_max + 1)  # pairs a <= b, ordered by b
+    gab = np.gcd(aa, bb)
+    for m in range(1, m_max + 1):
+        k = (m + 1) * (m + 2) // 2  # the pairs with b <= m come first
+        keep = np.gcd(gab[:k], m) == 1
+        a, b = aa[:k][keep], bb[:k][keep]
+        perms = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
+        yield m, a, b, perms << (1 + (a > 0) + (b > 0))
+
+
+def _orbit_sum(expo: float, m_max: int) -> float:
+    """math.fsum of w * n^expo / covol2_product over the orbit
+    representatives of shells 1..m_max: the correctly rounded sum of the
+    computed terms, whatever their order.  n^expo comes from a table of
+    ``math.pow`` over the 3 m_max^2 possible norms."""
+    powers = np.fromiter(
+        (math.pow(k, expo) if k else 0.0 for k in range(3 * m_max * m_max + 1)),
+        dtype=np.float64,
+    )
+    shells = (
+        (powers[a * a + b * b + m * m] / product_covol2_formula(a, b, np.int64(m)) * w).tolist()
+        for m, a, b, w in _orbit_shells(m_max)
+    )
+    return math.fsum(chain.from_iterable(shells))
+
+
+def _to_float(x: Fraction, toward: float) -> float:
+    """The float next to x on the side of ``toward`` (-inf or +inf)."""
+    f = float(x)  # correctly rounded
+    if (Fraction(f) > x) if toward < 0 else (Fraction(f) < x):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
+    """Certified bracket [lo, hi] of the leading constant at ``ratio``.
+
+    The partial sum runs over the shells M = 1..m_max, one term per orbit
+    representative weighted by its orbit size (notes above
+    ``_orbit_shells``), and ``lo`` is that sum rounded outward.  ``hi`` adds
+    the tail bound: each term is <= 1.5 M^(-3-3r) by the covolume sandwich
+    covol2_product >= (2/3) n^3, a shell holds <= 26 M^2 vectors, and
+    comparing with the integral gives (13 / r) m_max^(-3r).  The prefactor
+    pi / (3 zeta(3)) is enclosed with ``PI_BRACKET`` and ``ZETA3_BRACKET``.
+
+    Rounding budget per term t = w * (n^e / P), u = 2^-53:
+      * n < 2^53 converts exactly, and so does P <= 20 M^6 for
+        m_max <= 276; above that the conversion costs u;
+      * n^e: ``math.pow`` is C's pow, which glibc (2.28 and later) and musl
+        document below 0.6 ulp; the budget allows 1 ulp (2u).  If
+        1.5 - 1.5 r itself rounds, the exponent error de adds
+        exp(|de| ln n) - 1 <= 2 |de| ln(3 m_max^2), which r <= 1e6 keeps
+        below 1e-8;
+      * the division and the product with w cost u each (w <= 48 is exact);
+      * a term that underflows picks up at most 2^-1067 in absolute value.
+    ``math.fsum`` is correctly rounded, within u of the sum of the terms.
+    The bracket is widened by all of these, in exact rational arithmetic,
+    and converted to floats with outward rounding.  It is certified for the
+    float value of ``ratio``.
     """
     ratio = float(ratio)
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
+    if not 0 < ratio <= 1e6:
+        raise ValueError("ratio must lie in (0, 1e6]")
     if not 1 <= m_max <= 500:
         raise ValueError("M_max out of supported range")
-    shell_sums = np.zeros(m_max + 1, dtype=np.float64)
-    rng = np.arange(-m_max, m_max + 1, dtype=np.int64)
-    b, c = rng[:, None], rng[None, :]  # broadcast to the (b, c) grid
-    bc2 = b * b + c * c
-    mabs = np.maximum(np.abs(b), np.abs(c))
-    gbc = np.gcd(np.abs(b), np.abs(c))
     expo = 1.5 - 1.5 * ratio
-    for a in range(-m_max, m_max + 1):
-        g = np.gcd(np.int64(abs(a)), gbc)
-        mask = g == 1
-        if not mask.any():
-            continue
-        u = np.int64(a * a) + bc2
-        sl = product_covol2_formula(np.int64(a), b, c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.power(u.astype(np.float64), expo) / sl.astype(np.float64)
-        shell = np.maximum(mabs, abs(a))
-        np.add.at(shell_sums, shell[mask], terms[mask])
-    total = 0.0
-    for m in range(1, m_max + 1):
-        total += float(shell_sums[m])
-    partial = PI / (3.0 * ZETA3) * total
-    # termwise: each term <= 1.5 M^(-3-3r); shell size <= 26 M^2; integrate
-    tail = PI / (3.0 * ZETA3) * (13.0 / ratio) * m_max ** (-3.0 * ratio)
-    tail *= 1.0 + 1e-9  # float-rounding slack on an already-safe bound
-    return ConstantEstimate(ratio=ratio, M_max=m_max, partial=partial, tail_bound=tail)
+    total = Fraction(_orbit_sum(expo, m_max))
+    # relative budget per term (docstring), and the fsum step
+    de = abs(Fraction(expo) - Fraction(3, 2) * (1 - Fraction(ratio)))
+    rel = (1 + 2 * _U) * (1 + _U) ** 2 * (1 + 2 * de * Fraction(math.log(3 * m_max * m_max)))
+    if 20 * m_max**6 >= 2**53:
+        rel /= 1 - _U
+    eps = rel - 1
+    terms_abs = (m_max + 1) ** 3 * _UNDERFLOW  # more than the number of terms
+    part_lo = (total / (1 + _U) - terms_abs) / (1 + eps)
+    part_hi = (total / (1 - _U) + terms_abs) / (1 - eps)
+    (pi_lo, pi_hi), (z_lo, z_hi) = PI_BRACKET, ZETA3_BRACKET
+    k_lo, k_hi = pi_lo / (3 * z_hi), pi_hi / (3 * z_lo)
+    # the 1e-9 covers the float rounding of the tail's factors, 2^-1020 their underflow
+    tail = _to_float(k_hi, math.inf) * (13.0 / ratio) * m_max ** (-3.0 * ratio)
+    tail = tail * (1.0 + 1e-9) + 2.0**-1020
+    lo = _to_float(k_lo * part_lo, -math.inf)
+    hi = _to_float(k_hi * part_hi + Fraction(tail), math.inf)
+    # lo + tail_bound rounds to a float >= hi, since hi is a float
+    tail_bound = _to_float(Fraction(hi) - Fraction(lo), math.inf)
+    return ConstantEstimate(ratio=ratio, M_max=m_max, partial=lo, tail_bound=tail_bound)
 
 
 def _fiber_count_worker(args: tuple) -> int:
@@ -145,9 +214,10 @@ def convergence_report(
     """Table comparing exact counts against the predicted power law.
 
     Each row holds (B, N, c_low, c_high, prediction, rel_dev, envelope) with
-    prediction = c_mid * B^(3/t) and envelope = B^(2/t) + B^(3/s) log* B, the
-    shape of the error terms.  For s/t <= 1 the report is labeled as an upper
-    bound regime.
+    prediction = c_mid * B^(3/t), rel_dev = N / prediction - 1 (None when the
+    prediction is 0) and envelope = B^(2/t) + B^(3/s) log* B, the shape of the
+    error terms.  For s/t <= 1 the report is labeled as an upper bound
+    regime.
     """
     sf, tf = Fraction(s), Fraction(t)
     if sf <= 0 or tf <= 0:
@@ -160,9 +230,9 @@ def convergence_report(
     for b in b_values:
         n = count_Nst(sf, tf, Fraction(b), threads=threads)
         pred = c_mid * float(b) ** (3.0 / float(tf))
-        rel_dev = n / pred - 1.0 if pred else float("inf")
+        rel_dev = n / pred - 1.0 if pred else None
         envelope = float(b) ** (2.0 / float(tf)) + float(b) ** (3.0 / float(sf)) * max(
-            1.0, math.log(float(b))
+            1.0, math.log(max(float(b), 1.0))
         )
         rows.append(
             {

@@ -19,7 +19,7 @@ from math import isqrt
 
 from .asymptotics import (
     constant_c,
-    count_Nst,
+    convergence_report,
     le_count_detailed,
     le_rudulier_prediction,
 )
@@ -121,10 +121,13 @@ def build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
+    """--threads, else HILB2_THREADS, else 1; clamped to [1, os.cpu_count()]."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HILB2_THREADS")
-    return max(1, int(env)) if env else 1
+        n = args.threads
+    else:
+        env = os.environ.get("HILB2_THREADS")
+        n = int(env) if env else 1
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def _emit(args, text: str) -> None:
@@ -202,17 +205,16 @@ def _cmd_count(args) -> int:
         else:
             _emit(args, _json_text({"schema_version": POINT_SCHEMA_VERSION, "points": rows}))
         return 0
-    n = count_Nst(args.s, args.t, args.B, threads=threads)
-    est = constant_c(float(args.s / args.t), args.const_M_max)
-    c_mid = 0.5 * (est.lo + est.hi)
-    pred = c_mid * float(args.B) ** (3.0 / float(args.t))
+    (row,) = convergence_report(
+        args.s, args.t, [args.B], const_m_max=args.const_M_max, threads=threads
+    )["rows"]
     report = {
         "schema_version": 1,
         "query": {"s": str(args.s), "t": str(args.t), "B": str(args.B)},
-        "N": n,
-        "c_bracket": {"low": est.lo, "high": est.hi},
-        "prediction": pred,
-        "rel_dev": n / pred - 1.0 if pred else None,
+        "N": row["N"],
+        "c_bracket": {"low": row["c_low"], "high": row["c_high"]},
+        "prediction": row["prediction"],
+        "rel_dev": row["rel_dev"],
     }
     if args.format == "csv":
         flat = _flatten(report)

@@ -301,7 +301,8 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
     Minkowski's conditions for ternary forms.  ``successive_minima`` and
     ``min_form_value`` read the minima off the diagonal, so their
     correctness relies on this fixed point being Minkowski-reduced, which
-    ``_assert_minkowski_reduced`` checks exactly on every call.
+    ``_assert_minkowski_reduced`` checks exactly on every reduction they use
+    (``_minkowski_reduced``).
     """
     gm = [list(row) for row in g]
     u = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
@@ -517,6 +518,15 @@ def _assert_minkowski_reduced(g: Sequence[Sequence[int]]) -> None:
         raise AssertionError(f"Gram matrix is not Minkowski-reduced: {g}")
 
 
+@lru_cache(maxsize=16)
+def _minkowski_reduced(g: Matrix) -> tuple[Matrix, Matrix]:
+    """``reduce_gram(g)``, checked to be Minkowski-reduced; cached so that
+    ``successive_minima`` and ``min_form_value`` on one Gram reduce it once."""
+    gred, u = reduce_gram(g)
+    _assert_minkowski_reduced(gred)
+    return gred, u
+
+
 def successive_minima(q: QuotientLattice) -> SuccessiveMinima:
     """Exact successive minima of the quotient lattice with witness cosets.
 
@@ -532,8 +542,7 @@ def successive_minima(q: QuotientLattice) -> SuccessiveMinima:
     entry of g_red, and the i-th column of u is a witness.  The counting
     certificate of these values runs in ``verify`` (suite ``minkowski``).
     """
-    gred, u = reduce_gram(q.gram_int)
-    _assert_minkowski_reduced(gred)
+    gred, u = _minkowski_reduced(q.gram_int)
     d = q.covol2_product
     return SuccessiveMinima(
         lam1_sq=Fraction(gred[0][0], d),
@@ -547,9 +556,7 @@ def min_form_value(q: QuotientLattice) -> int:
     """Minimal nonzero value of gram_int, i.e. lambda_1^2 * covol2_product:
     the first diagonal entry of the Minkowski-reduced Gram matrix (see
     ``successive_minima``)."""
-    gred, _ = reduce_gram(q.gram_int)
-    _assert_minkowski_reduced(gred)
-    return gred[0][0]
+    return _minkowski_reduced(q.gram_int)[0][0][0]
 
 
 # ---------------------------------------------------------------------------

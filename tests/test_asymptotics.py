@@ -1,8 +1,13 @@
+import math
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hilb2.asymptotics import (
+    _orbit_shells,
+    _orbit_sum,
     CountQuery,
     bm_exponents,
     constant_c,
@@ -13,6 +18,7 @@ from hilb2.asymptotics import (
     le_rudulier_prediction,
 )
 from hilb2.hilb import enumerate_points
+from hilb2.lattice import product_covol2_formula
 from hilb2.oracles import oracle_count_points
 
 
@@ -35,8 +41,68 @@ def test_constant_brackets_are_nested():
 def test_constant_validation():
     with pytest.raises(ValueError):
         constant_c(0.0, 10)
+    with pytest.raises(ValueError):  # beyond what the rounding budget covers
+        constant_c(2e6, 10)
     with pytest.raises(ValueError):
         constant_c(2.0, 0)
+
+
+def _cube_terms(m_max):
+    """(n, covol2_product) of every primitive vector of max-norm <= m_max,
+    by a plain scan of the cube."""
+    r = range(-m_max, m_max + 1)
+    for a in r:
+        for b in r:
+            for c in r:
+                if gcd(gcd(a, b), c) == 1:
+                    yield a * a + b * b + c * c, product_covol2_formula(a, b, c)
+
+
+@pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
+def test_orbit_sum_matches_full_cube(ratio):
+    expo = 1.5 - 1.5 * ratio
+    for m in range(1, 9):
+        want = math.fsum(n**expo / p for n, p in _cube_terms(m))
+        assert abs(_orbit_sum(expo, m) - want) <= 4 * math.ulp(want), m
+
+
+def test_orbit_weights_count_each_shell():
+    brute = Counter()
+    r = range(-15, 16)
+    for a in r:
+        for b in r:
+            for c in r:
+                if gcd(gcd(a, b), c) == 1:
+                    brute[max(abs(a), abs(b), abs(c))] += 1
+    shells = {m: int(w.sum()) for m, _, _, w in _orbit_shells(15)}
+    assert shells == dict(brute)
+    assert shells[1] == 26
+
+
+@pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
+def test_constant_bracket_encloses_mpmath_partial_sum(ratio):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        pref = mpmath.pi / (3 * mpmath.zeta(3))
+        expo = mpmath.mpf(3) / 2 - mpmath.mpf(3) / 2 * mpmath.mpf(ratio)
+        # at M = 2, 3 (ratio 2), 3 (1.5) and 6 (3) the correctly rounded sum of
+        # the float terms lies above the true partial sum: they need the budget
+        for m in (1, 2, 3, 5, 6, 20):
+            terms = Counter(_cube_terms(m))
+            partial = pref * mpmath.fsum(k * mpmath.mpf(n) ** expo / p for (n, p), k in terms.items())
+            est = constant_c(ratio, m)
+            assert est.lo <= partial <= est.hi, (m, est, partial)
+        # the bracket assumes n^expo within 1 ulp; spot-check math.pow here
+        e = float(expo)
+        for n in [*range(1, 1201), *range(1201, 3 * 200 * 200 + 1, 997)]:
+            assert abs(math.pow(n, e) - mpmath.mpf(n) ** expo) <= math.ulp(math.pow(n, e))
+
+
+def test_constant_at_benchmark_scale():
+    est = constant_c(2.0, 200)
+    assert est.lo <= 5.940037494756796 <= est.hi
+    assert est.hi - est.lo <= 1e-12
+    assert abs(est.partial - 5.940037494756796) <= 1e-14
 
 
 def test_count_query_validation():

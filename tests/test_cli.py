@@ -1,11 +1,14 @@
+import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
-from hilb2.cli import height_field, main, point_row
+from hilb2.asymptotics import constant_c, count_Nst
+from hilb2.cli import _threads, height_field, main, point_row
 from hilb2.hilb import HilbPoint, enumerate_points
 from hilb2.lattice import LinearForm
 
@@ -24,6 +27,62 @@ def test_count_json(capsys):
     assert out["N"] == 729
     assert out["c_bracket"]["low"] <= out["c_bracket"]["high"]
     assert out["query"] == {"s": "2", "t": "1", "B": "5"}
+
+
+def _count_report_before(s, t, b, m_max, fmt):
+    """The summary report as ``count`` built it before it read
+    ``convergence_report``: its own constant, prediction and rel_dev."""
+    n = count_Nst(s, t, b)
+    est = constant_c(float(s / t), m_max)
+    pred = 0.5 * (est.lo + est.hi) * float(b) ** (3.0 / float(t))
+    report = {
+        "schema_version": 1,
+        "query": {"s": str(s), "t": str(t), "B": str(b)},
+        "N": n,
+        "c_bracket": {"low": est.lo, "high": est.hi},
+        "prediction": pred,
+        "rel_dev": n / pred - 1.0 if pred else None,
+    }
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    flat = {
+        "schema_version": 1, "query.s": str(s), "query.t": str(t), "query.B": str(b),
+        "N": n, "c_bracket.low": est.lo, "c_bracket.high": est.hi,
+        "prediction": pred, "rel_dev": report["rel_dev"],
+    }
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=list(flat), lineterminator="\n")
+    w.writeheader()
+    w.writerow(flat)
+    return buf.getvalue()
+
+
+def test_count_report_unchanged_by_shared_prediction(capsys):
+    cases = [("2", "1", "5"), ("3", "2", "7/2"), ("2", "1", "0"), ("1", "1", "3")]
+    for s, t, b in cases:
+        for fmt in ("json", "csv"):
+            argv = ["count", "--s", s, "--t", t, "--B", b, "--const-M-max", "12", "--format", fmt]
+            assert main(argv) == 0
+            want = _count_report_before(Fraction(s), Fraction(t), Fraction(b), 12, fmt)
+            assert capsys.readouterr().out == want, (s, t, b, fmt)
+    # the prediction is 0 at B = 0, and rel_dev is null rather than a division
+    main(["count", "--s", "2", "--t", "1", "--B", "0", "--const-M-max", "12"])
+    assert json.loads(capsys.readouterr().out)["rel_dev"] is None
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    # _threads only reads its inputs; no worker is started here
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("HILB2_THREADS", raising=False)
+    assert _threads(argparse.Namespace(threads=7)) == 2
+    assert _threads(argparse.Namespace(threads=2)) == 2
+    assert _threads(argparse.Namespace(threads=0)) == 1
+    assert _threads(argparse.Namespace(threads=None)) == 1
+    monkeypatch.setenv("HILB2_THREADS", "9")
+    assert _threads(argparse.Namespace(threads=None)) == 2
+    assert _threads(argparse.Namespace(threads=1)) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    assert _threads(argparse.Namespace(threads=None)) == 1
 
 
 def test_constant_json(capsys):
