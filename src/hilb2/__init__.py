@@ -49,10 +49,8 @@ from .hilb import (
     QInSpanError,
     canonicalize,
     enumerate_points,
-    ideal_lattice,
 )
 from .lattice import (
-    IntLattice,
     LinearForm,
     QuotientLattice,
     SuccessiveMinima,

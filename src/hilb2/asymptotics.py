@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from multiprocessing import Pool
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,9 +170,13 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     return ConstantEstimate(ratio=ratio, M_max=m_max, partial=lo, tail_bound=tail_bound)
 
 
-def _fiber_count_worker(args: tuple) -> int:
-    triple, s, t, bound = args
-    return fiber_point_count(LinearForm(*triple), s, t, bound)
+def parallel_map(fn: Callable, items: Sequence, args: tuple, threads: int, chunksize: int) -> list:
+    """[fn(x, *args) for x in items], in order; over a pool of ``threads``
+    worker processes when threads > 1 (``fn``, items and args must pickle)."""
+    if threads <= 1:
+        return [fn(x, *args) for x in items]
+    with Pool(threads) as pool:
+        return pool.starmap(fn, [(x, *args) for x in items], chunksize=chunksize)
 
 
 def count_Nst(
@@ -188,11 +192,7 @@ def count_Nst(
     if q.B < 1:
         return 0
     forms = canonical_forms(m_cutoff(q.s, q.t, q.B))
-    if threads <= 1:
-        return sum(fiber_point_count(f, q.s, q.t, q.B) for f in forms)
-    args = [(f.triple, q.s, q.t, q.B) for f in forms]
-    with Pool(threads) as pool:
-        return sum(pool.map(_fiber_count_worker, args, chunksize=64))
+    return sum(parallel_map(fiber_point_count, forms, (q.s, q.t, q.B), threads, chunksize=64))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
@@ -320,14 +320,12 @@ def _canonical_triple(x: int, y: int, z: int) -> bool:
     return gcd(gcd(x, y), z) == 1 and sign_canonical((x, y, z)) == (x, y, z)
 
 
-def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
+def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fraction | None]:
     """Scan one fiber of the anticanonical region H_{0,3}^2 <= 8 B^2.
 
     Returns (split_count, nonsplit_count, min ratio^2 over counted points)
     where ratio = H_Le^3 / H_{0,3}.
     """
-    triple, bound = args
-    ell = LinearForm(*triple)
     quo = quotient(ell)
     cv1 = ell.norm2
     b2 = bound * bound
@@ -344,7 +342,7 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
         if d == 0:
             continue
         # criterion 8's discriminant bound (proved in the notes above)
-        assert abs(d) * cv1 * cv1 <= 4 * cv2, f"disc bound violated at {triple}, {x}"
+        assert abs(d) * cv1 * cv1 <= 4 * cv2, f"disc bound violated at {ell.triple}, {x}"
         le2 = le_height2(z)
         if le2**3 <= b2:
             if is_perfect_square(d):
@@ -352,7 +350,7 @@ def _le_region_worker(args: tuple) -> tuple[int, int, Fraction | None]:
             else:
                 n_nonsplit += 1
             ratio_sq = le2**3 * cv1**3 / Fraction(cv2) ** 3
-            assert 8 * ratio_sq >= 1, f"height-comparison theorem violated at {triple}, {x}"
+            assert 8 * ratio_sq >= 1, f"height-comparison theorem violated at {ell.triple}, {x}"
             if min_ratio_sq is None or ratio_sq < min_ratio_sq:
                 min_ratio_sq = ratio_sq
     return n_split, n_nonsplit, min_ratio_sq
@@ -382,12 +380,8 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     split_pairs = _split_pair_count(b)
     b2 = b * b
     forms = canonical_forms(iroot(floor(b2), 6))
-    args = [(f.triple, b) for f in forms if f.norm2**3 <= b2]
-    if threads <= 1:
-        results = [_le_region_worker(a) for a in args]
-    else:
-        with Pool(threads) as pool:
-            results = pool.map(_le_region_worker, args, chunksize=16)
+    kept = [f for f in forms if f.norm2**3 <= b2]
+    results = parallel_map(_le_region_worker, kept, (b,), threads, chunksize=16)
     n_split = sum(r[0] for r in results)
     n_nonsplit = sum(r[1] for r in results)
     ratios = [r[2] for r in results if r[2] is not None]

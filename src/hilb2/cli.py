@@ -28,6 +28,7 @@ from .heights import (
     classify,
     discriminant,
     height2_st,
+    height_st,
     le_height,
     le_height2,
 )
@@ -151,6 +152,16 @@ def _csv_text(rows: list[dict], fields: list[str]) -> str:
     return buf.getvalue()
 
 
+def _emit_report(args, report: dict) -> int:
+    """Write a summary report as one flattened CSV row or as JSON."""
+    if args.format == "csv":
+        flat = _flatten(report)
+        _emit(args, _csv_text([flat], list(flat)))
+    else:
+        _emit(args, _json_text(report))
+    return 0
+
+
 def _flatten(obj, prefix="") -> dict:
     out = {}
     for k, v in obj.items():
@@ -175,7 +186,7 @@ def height_field(z: HilbPoint, s: Fraction, t: Fraction) -> str:
                 return str(r)
         val = float(h2) ** 0.5
     else:
-        val = z.covol2_I1 ** (float(s - t) / 2.0) * z.covol2_I2 ** (float(t) / 2.0)
+        val = height_st(z, s, t)
     return format(val, ".17g")
 
 
@@ -216,12 +227,7 @@ def _cmd_count(args) -> int:
         "prediction": row["prediction"],
         "rel_dev": row["rel_dev"],
     }
-    if args.format == "csv":
-        flat = _flatten(report)
-        _emit(args, _csv_text([flat], list(flat)))
-    else:
-        _emit(args, _json_text(report))
-    return 0
+    return _emit_report(args, report)
 
 
 def _cmd_constant(args) -> int:
@@ -235,12 +241,7 @@ def _cmd_constant(args) -> int:
         "c_low": est.lo,
         "c_high": est.hi,
     }
-    if args.format == "csv":
-        flat = _flatten(report)
-        _emit(args, _csv_text([flat], list(flat)))
-    else:
-        _emit(args, _json_text(report))
-    return 0
+    return _emit_report(args, report)
 
 
 def _cmd_inspect(args) -> int:
@@ -262,12 +263,7 @@ def _cmd_inspect(args) -> int:
         "H_Le": le_height(z),
         "H_Le2_exact": f"{h_le2.numerator}/{h_le2.denominator}",
     }
-    if args.format == "csv":
-        flat = _flatten(report)
-        _emit(args, _csv_text([flat], list(flat)))
-    else:
-        _emit(args, _json_text(report))
-    return 0
+    return _emit_report(args, report)
 
 
 def _cmd_verify(args) -> int:
@@ -302,12 +298,7 @@ def _cmd_le_count(args) -> int:
     pred = le_rudulier_prediction(float(args.B)) if args.B > 1 else None
     rep["prediction"] = pred
     rep["ratio_to_prediction"] = rep["total"] / pred if pred else None
-    if args.format == "csv":
-        flat = _flatten(rep)
-        _emit(args, _csv_text([flat], list(flat)))
-    else:
-        _emit(args, _json_text(rep))
-    return 0
+    return _emit_report(args, rep)
 
 
 def main(argv=None) -> int:

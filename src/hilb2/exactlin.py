@@ -2,9 +2,9 @@
 
 Everything in this module is exact: matrices are plain tuples/lists of Python
 ints (arbitrary precision), determinants are computed fraction-free (Bareiss),
-and lattice operations (Hermite normal form, diagonalization with tracked
-unimodular transforms, saturation, kernels, basis completion) never touch
-floating point.
+and lattice operations never touch floating point.  One routine eliminates:
+the row Hermite normal form ``hnf``.  Kernels, saturation and basis
+completion are read off the HNF of an augmented matrix [M^T | I].
 
 Matrices are row-major sequences of equal-length integer rows.  A lattice is
 always the row span of such a matrix.
@@ -33,10 +33,6 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> Matrix:
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("ragged matrix")
     return mat
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -150,138 +146,65 @@ def hnf(rows: Iterable[Sequence[int]]) -> Matrix:
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), zero rows are dropped, and rows are ordered by pivot column.
+    Each column is cleared below its pivot by Euclid's algorithm across the
+    rows: the row with the least nonzero entry becomes the pivot and the
+    others are reduced modulo it, until it is the only nonzero one.  Taking
+    the least entry keeps the entries of large augmented matrices small
+    (``saturate`` on degree-5 ideal lattices), where pairwise extended-gcd
+    steps let them grow without bound.
     """
     work = [list(map(int, r)) for r in rows]
     if not work:
         return ()
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # gather a pivot at (pivot_row, col) via extended-gcd row ops
-        idx = None
-        for i in range(pivot_row, len(work)):
-            if work[i][col] != 0:
-                idx = i
-                break
-        if idx is None:
-            continue
-        work[pivot_row], work[idx] = work[idx], work[pivot_row]
-        for i in range(pivot_row + 1, len(work)):
-            if work[i][col] == 0:
-                continue
-            a, b = work[pivot_row][col], work[i][col]
-            g, x, y = _xgcd(a, b)
-            u, v = a // g, b // g
-            r_p, r_i = work[pivot_row], work[i]
-            new_p = [x * p + y * q for p, q in zip(r_p, r_i)]
-            new_i = [-v * p + u * q for p, q in zip(r_p, r_i)]
-            work[pivot_row], work[i] = new_p, new_i
-        if work[pivot_row][col] < 0:
-            work[pivot_row] = [-x for x in work[pivot_row]]
-        p = work[pivot_row][col]
-        for i in range(pivot_row):
-            q = work[i][col] // p
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return as_matrix(row for row in work[:pivot_row])
-
-
-def diagonalize(mat: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (diag, V, W) where for some unimodular U the matrix U*M*V is
-    diagonal with the given (possibly shorter than n) diagonal, V is the
-    accumulated column transform and W = V^-1.  The diagonal entries are
-    nonnegative.  Divisibility ordering of the diagonal is *not* enforced;
-    rank, saturation, kernels and primitivity checks do not need it.
-    """
-    a = [list(map(int, row)) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    v = identity(n)
-    w = identity(n)
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        w[i], w[j] = w[j], w[i]
-
-    def col_addmul(dst: int, src: int, k: int) -> None:
-        # c_dst <- c_dst + k * c_src ; W: row_src <- row_src - k * row_dst
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-        w[src] = [x - k * y for x, y in zip(w[src], w[dst])]
-
-    def col_negate(i: int) -> None:
-        for row in a:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        w[i] = [-x for x in w[i]]
-
-    t = 0
-    while t < m and t < n:
-        # pick the nonzero entry of minimal |value| in the working submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            col_swap(t, bj)
+    p = 0
+    for col in range(len(work[0])):
         while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if not dirty:
+            rest = [i for i in range(p, len(work)) if work[i][col]]
+            if not rest:
                 break
-            # a smaller remainder exists somewhere in row/column t; re-pivot
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            bi, bj = best
-            if bi != t:
-                a[t], a[bi] = a[bi], a[t]
-            if bj != t:
-                col_swap(t, bj)
-        if a[t][t] < 0:
-            col_negate(t)
-        t += 1
-    diag = [a[i][i] for i in range(t)]
-    return diag, v, w
+            best = min(rest, key=lambda i: abs(work[i][col]))
+            work[p], work[best] = work[best], work[p]
+            if len(rest) == 1:
+                break
+            piv = work[p]
+            for i in range(p + 1, len(work)):
+                q = work[i][col] // piv[col]
+                if q:
+                    work[i] = [x - q * y for x, y in zip(work[i], piv)]
+        if not rest:
+            continue
+        if work[p][col] < 0:
+            work[p] = [-x for x in work[p]]
+        piv = work[p]
+        for i in range(p):
+            q = work[i][col] // piv[col]
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], piv)]
+        p += 1
+        if p == len(work):
+            break
+    return as_matrix(work[:p])
 
 
-def rank(mat: Iterable[Sequence[int]]) -> int:
-    diag, _, _ = diagonalize(mat)
-    return sum(1 for d in diag if d != 0)
+def _augment(mat: Matrix) -> list[list[int]]:
+    """Rows of [M^T | I]: row i is column i of M followed by the i-th unit
+    vector, so the right block of any row combination records it."""
+    n = len(mat[0])
+    return [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(zip(*mat))]
+
+
+def kernel(mat: Iterable[Sequence[int]]) -> Matrix:
+    """HNF basis of the integer right kernel {x in Z^n : M x = 0}.
+
+    The row span of [M^T | I] is {(x^T M^T, x^T) : x in Z^n}.  Its HNF rows
+    with a vanishing M^T part span the elements with that part zero, so
+    their right blocks are a basis of the kernel, and already in HNF.
+    """
+    m = as_matrix(mat)
+    if not m:
+        raise ValueError("empty matrix")
+    k = len(m)
+    return tuple(row[k:] for row in hnf(_augment(m)) if not any(row[:k]))
 
 
 def saturate(generators: Iterable[Sequence[int]]) -> Matrix:
@@ -289,51 +212,43 @@ def saturate(generators: Iterable[Sequence[int]]) -> Matrix:
 
     The saturation is {v in Z^n : k*v in span for some nonzero integer k};
     it contains the input lattice with finite index and is primitive in Z^n.
+    It is the kernel of the kernel: the integer vectors orthogonal to every
+    x with M x = 0.  A full-column-rank input saturates to Z^n.
     """
     gens = as_matrix(generators)
     if not gens or all(all(x == 0 for x in row) for row in gens):
         raise ValueError("zero matrix has no saturation")
-    diag, _, w = diagonalize(gens)
-    r = sum(1 for d in diag if d != 0)
-    return hnf(w[:r])
-
-
-def kernel(mat: Iterable[Sequence[int]]) -> Matrix:
-    """HNF basis of the integer right kernel {x in Z^n : M x = 0}."""
-    m = as_matrix(mat)
-    if not m:
-        raise ValueError("empty matrix")
-    n = len(m[0])
-    diag, v, _ = diagonalize(m)
-    r = sum(1 for d in diag if d != 0)
-    cols = [[v[i][j] for i in range(n)] for j in range(r, n)]
-    return hnf(cols)
+    ker = kernel(gens)
+    if not ker:
+        n = len(gens[0])
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return kernel(ker)
 
 
 def complement_basis(rows: Iterable[Sequence[int]]) -> Matrix:
     """Complete a primitive row lattice to a basis of the ambient Z^n.
 
-    Returns k = n - rank rows whose cosets form a basis of Z^n / span(rows).
-    Each returned row is reduced modulo the HNF of the input lattice, making
-    the output canonical for a fixed diagonalization strategy.  Requires the
-    input lattice to be primitive (all invariant factors 1).  The quotient
-    lattices of ``lattice`` are completed in closed form; this generic
-    completion is the reference the tests check them against.
+    Returns n - r rows (r independent input rows) whose cosets form a basis
+    of Z^n / span(rows), each reduced modulo the HNF of the input lattice.
+    The HNF of [L^T | I] is [U L^T | U] with U unimodular; its top r x r
+    block is I exactly when the r rows are independent and primitive (their
+    columns then span Z^r), and raises ValueError otherwise.  Then
+    L U^T = [I | 0], so L is the first r rows of (U^-1)^T, and the others
+    complete it; (U^-1)^T is the right block of the HNF of [U^T | I].  The
+    quotient lattices of ``lattice`` are completed in closed form; this
+    generic completion is the reference the tests check them against.
     """
     mat = as_matrix(rows)
-    diag, _, w = diagonalize(mat)
-    r = sum(1 for d in diag if d != 0)
-    if any(abs(d) != 1 for d in diag[:r]):
+    r, n = len(mat), len(mat[0])
+    h = hnf(_augment(mat))
+    if [row[:r] for row in h[:r]] != [tuple(int(i == j) for j in range(r)) for i in range(r)]:
         raise ValueError("lattice is not primitive; no unimodular complement")
-    n = len(mat[0])
-    h = hnf(mat)
-    pivots = []
-    for row in h:
-        col = next(j for j, x in enumerate(row) if x != 0)
-        pivots.append((col, row))
+    u = tuple(row[r:] for row in h)
+    inv_t = hnf(_augment(u))
+    pivots = [(next(j for j, x in enumerate(row) if x), row) for row in hnf(mat)]
     comp = []
-    for lift in w[r:n]:
-        vec = list(lift)
+    for lift in inv_t[r:]:
+        vec = list(lift[n:])
         for col, hrow in pivots:
             q = vec[col] // hrow[col]
             if q:

@@ -17,11 +17,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, isqrt
 from typing import Sequence
 
 from .exactlin import _xgcd, cross, dot, sign_canonical, smith_minor_gcd
-from .hilb import HilbPoint, ideal_lattice
+from .hilb import HilbPoint, monomials
 from .lattice import eval_quadratic, kernel_basis_of
 
 
@@ -302,13 +303,95 @@ def _maximal_order_norm(disc: int, r: Sequence[int], s: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _annihilators(qbar: Sequence[int], e: int) -> tuple[list[int], list[int]]:
+    """Two independent integer solutions c of A c_j + B c_{j+1} + C c_{j+2} = 0
+    (j = 0..e-2), for qbar = (A, B, C); see ``height2_e``."""
+    a, b, c = qbar
+    if a == c == 0:
+        return [1] + [0] * e, [0] * e + [1]
+    mirror = c == 0
+    if mirror:
+        a, c = c, a
+    sols = []
+    for u in ([1, 0], [0, 1]):
+        while len(u) <= e:
+            u.append(-b * u[-1] - a * c * u[-2])
+        sol = [u[j] * c ** (e - j) for j in range(e + 1)]
+        sols.append(sol[::-1] if mirror else sol)
+    return sols[0], sols[1]
+
+
+def _binary_product(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    """Product of two binary forms, coefficients indexed by the power of T."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
 def height2_e(z: HilbPoint, e: int) -> int:
-    """Exact squared covolume of the degree-e ideal lattice."""
-    if e == 1:
-        return z.covol2_I1
-    if e == 2:
-        return z.covol2_I2
-    return ideal_lattice(z, e).covol2
+    """Exact squared covolume of the degree-e ideal lattice I(e), e >= 1.
+
+    I(e) is the saturation of l V_{e-1} + q V_{e-2} in V_e, the integer
+    forms of degree e in their monomial coefficients (standard inner
+    product).  With c1, c2 from ``_annihilators``, phi_j = c_j o rho and g
+    the gcd of the 2x2 minors of (c1; c2):
+
+        covol^2(I(e)) = det Gram(phi1, phi2) / g^2.
+
+    Proof.  Let (k1, k2) = ``kernel_basis_of(l)`` and l(w) = 1; (w, k1, k2)
+    is a basis of Z^3, so X = x w + S k1 + T k2 is an automorphism of V_e,
+    and the restriction rho(F) = F(S k1 + T k2) maps V_e onto W_e, the
+    integer binary forms of degree e (coordinate j: the coefficient of
+    S^(e-j) T^j).  rho(q) = qbar = (A, B, C), and rho has kernel l V_{e-1}.
+
+    * Over Q, F is in l V_{e-1} + q V_{e-2} iff rho(F) = qbar h for some h
+      (lift h to H; then rho(F - q H) = 0).  qbar W_{e-2} is saturated in
+      W_e by Gauss's lemma, since qbar is primitive, so
+      I(e) = rho^-1(qbar W_{e-2}).
+    * c annihilates qbar W_{e-2} iff A c_j + B c_{j+1} + C c_{j+2} = 0 for
+      j = 0..e-2.  The products qbar S^(e-2-j) T^j are independent, so the
+      solutions have rank (e + 1) - (e - 1) = 2, and the saturated lattice
+      qbar W_{e-2} of rank e - 1 is the common kernel of any two
+      independent solutions.  Hence I(e) = {F : phi1(F) = phi2(F) = 0}.
+    * So I(e) is the orthogonal lattice of P = span(phi1, phi2) in V_e, and
+      sat(P) is the orthogonal lattice of I(e).  A primitive lattice and
+      its orthogonal lattice have the same covolume (W. M. Schmidt, "On
+      heights of algebraic subspaces and diophantine approximations", Ann.
+      of Math. 85, 1967), so covol^2(I(e)) = det Gram(phi1, phi2) /
+      [sat(P) : P]^2.  rho has an integer right inverse, so rho^T is
+      injective with saturated image and [sat(P) : P] = g.
+
+    Solutions: for C != 0, run u_{j+2} = -B u_{j+1} - A C u_j from
+    (u_0, u_1) = (1, 0) and (0, 1), and set c_j = u_j C^(e-j); then
+    A c_j + B c_{j+1} + C c_{j+2} = C^(e-j-1) (A C u_j + B u_{j+1} + u_{j+2})
+    = 0, and c_0, c_1 show the two are independent.  For C = 0 != A the same
+    runs on (C, B, A) with the coordinates reversed.  For qbar = S T the
+    conditions say c_1 = ... = c_{e-1} = 0, so c = (1, 0, ..., 0) and
+    (0, ..., 0, 1).
+    """
+    if e < 1:
+        raise ValueError("degree must be >= 1")
+    c1, c2 = _annihilators(z.qbar, e)
+    # powers[v][k]: the coefficients of (k1[v] S + k2[v] T)^k
+    powers = []
+    for p, q in zip(*kernel_basis_of(z.ell)):
+        row = [[1]]
+        for _ in range(e):
+            row.append(_binary_product(row[-1], (p, q)))
+        powers.append(row)
+    phi1, phi2 = [], []
+    for i, j, k in monomials(e):
+        rho = _binary_product(_binary_product(powers[0][i], powers[1][j]), powers[2][k])
+        phi1.append(dot(c1, rho))
+        phi2.append(dot(c2, rho))
+    g = 0
+    for i, j in combinations(range(e + 1), 2):
+        g = gcd(g, c1[i] * c2[j] - c1[j] * c2[i])
+    det = dot(phi1, phi1) * dot(phi2, phi2) - dot(phi1, phi2) ** 2
+    assert det % (g * g) == 0
+    return det // (g * g)
 
 
 def height_e(z: HilbPoint, e: int) -> float:
@@ -323,7 +406,7 @@ def height2_st(z: HilbPoint, s: int | Fraction, t: int | Fraction) -> Fraction:
     return Fraction(z.covol2_I1) ** int(s - t) * Fraction(z.covol2_I2) ** int(t)
 
 
-def height_st(z: HilbPoint, s: float, t: float) -> float:
+def height_st(z: HilbPoint, s: float | Fraction, t: float | Fraction) -> float:
     """Height covol(I1)^(s-t) * covol(I2)^t for arbitrary real exponents."""
     return z.covol2_I1 ** ((s - t) / 2.0) * z.covol2_I2 ** (t / 2.0)
 

@@ -17,9 +17,8 @@ from functools import lru_cache
 from math import floor, gcd, lcm
 from typing import Iterator, Sequence
 
-from .exactlin import as_matrix, gram_det2, iroot, saturate, sign_canonical
+from .exactlin import iroot, sign_canonical
 from .lattice import (
-    IntLattice,
     LinearForm,
     QuotientLattice,
     count_primitive_form,
@@ -50,23 +49,6 @@ def monomials(d: int) -> tuple[tuple[int, int, int], ...]:
     for i in range(d, -1, -1):
         for j in range(d - i, -1, -1):
             out.append((i, j, d - i - j))
-    return tuple(out)
-
-
-def dim_forms(d: int) -> int:
-    return (d + 2) * (d + 1) // 2
-
-
-def poly_mul(p: Sequence[int], dp: int, q: Sequence[int], dq: int) -> tuple[int, ...]:
-    """Multiply coefficient vectors over the canonical monomial bases."""
-    index = {m: k for k, m in enumerate(monomials(dp + dq))}
-    out = [0] * len(index)
-    for cp, (i1, j1, k1) in zip(p, monomials(dp), strict=True):
-        if cp == 0:
-            continue
-        for cq, (i2, j2, k2) in zip(q, monomials(dq), strict=True):
-            if cq:
-                out[index[(i1 + i2, j1 + j2, k1 + k2)]] += cp * cq
     return tuple(out)
 
 
@@ -126,33 +108,6 @@ def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
         raise NonPrimitiveIdealError("non-primitive Lambda_2")
     qbar = sign_canonical(qbar)
     return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quo.covol2_with(qbar))
-
-
-def ideal_lattice(z: HilbPoint, e: int) -> IntLattice:
-    """Saturated lattice of degree-e forms in the point's ideal.
-
-    Rank is dim(degree-e forms) - 2 for every e >= 1.
-    """
-    if e < 1:
-        raise ValueError("degree must be >= 1")
-    a, b, c = z.ell.triple
-    if e == 1:
-        basis = as_matrix([(a, b, c)])
-        return IntLattice(ambient_dim=3, basis=basis, covol2=gram_det2(basis))
-    ell_coeffs = (a, b, c)
-    q_coeffs = z.q_lift()
-    gens = [poly_mul(ell_coeffs, 1, _monomial_vec(e - 1, k), e - 1) for k in range(dim_forms(e - 1))]
-    if e >= 2:
-        gens += [poly_mul(q_coeffs, 2, _monomial_vec(e - 2, k), e - 2) for k in range(dim_forms(e - 2))]
-    basis = saturate(gens)
-    return IntLattice(ambient_dim=dim_forms(e), basis=basis, covol2=gram_det2(basis))
-
-
-@lru_cache(maxsize=64)
-def _monomial_vec(d: int, k: int) -> tuple[int, ...]:
-    vec = [0] * dim_forms(d)
-    vec[k] = 1
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,6 @@ class LinearForm:
 
 
 @dataclass(frozen=True)
-class IntLattice:
-    """Integer sublattice given by an independent row basis, with cached covol^2."""
-
-    ambient_dim: int
-    basis: Matrix
-    covol2: int
-
-
-@dataclass(frozen=True)
 class SuccessiveMinima:
     lam1_sq: Fraction
     lam2_sq: Fraction
@@ -221,10 +212,6 @@ class QuotientLattice:
         """Canonical lifts of the three coset basis vectors, built on first
         use only: most quotients are never lifted."""
         return _lift_basis(self.source)
-
-    @property
-    def rank(self) -> int:
-        return 3
 
     @property
     def covol2(self) -> Fraction:

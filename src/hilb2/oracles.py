@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exactlin import det_bareiss, gram_det2, mat_mul, transpose
-from .hilb import canonical_forms
+from .exactlin import Matrix, det_bareiss, gram_det2, mat_mul, saturate, transpose
+from .hilb import canonical_forms, monomials
 from .lattice import LinearForm, QuotientLattice, product_basis, quotient, reduce_gram
 
 
@@ -411,6 +411,36 @@ def oracle_fiber_points_monomial_box(
                             if base * Fraction(z.covol2_I2) ** b_exp <= rhs:
                                 out.add(z.qbar)
     return out
+
+
+# ---------------------------------------------------------------------------
+# ideal lattices by generic saturation (reference for heights.height2_e)
+# ---------------------------------------------------------------------------
+
+
+def poly_mul(p: Sequence[int], dp: int, q: Sequence[int], dq: int) -> tuple[int, ...]:
+    """Multiply coefficient vectors over the canonical monomial bases."""
+    index = {m: k for k, m in enumerate(monomials(dp + dq))}
+    out = [0] * len(index)
+    for cp, (i1, j1, k1) in zip(p, monomials(dp), strict=True):
+        if cp == 0:
+            continue
+        for cq, (i2, j2, k2) in zip(q, monomials(dq), strict=True):
+            if cq:
+                out[index[(i1 + i2, j1 + j2, k1 + k2)]] += cp * cq
+    return tuple(out)
+
+
+def oracle_ideal_basis(ell: Sequence[int], q: Sequence[int], e: int) -> Matrix:
+    """HNF basis of the degree-e ideal lattice of the system l = q = 0: the
+    saturation of l V_{e-1} + q V_{e-2} in the degree-e forms, by generic
+    integer linear algebra.  ``ell`` and ``q`` are raw coefficient vectors
+    (three and six), so the system need not be canonical."""
+    gens = []
+    for f, d in ((ell, 1), (q, 2)):
+        n = len(monomials(e - d)) if e >= d else 0
+        gens += [poly_mul(f, d, [int(i == k) for i in range(n)], e - d) for k in range(n)]
+    return saturate(gens)
 
 
 # ---------------------------------------------------------------------------

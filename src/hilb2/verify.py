@@ -12,10 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, log
-from multiprocessing import Pool
 from typing import Sequence
 
-from .asymptotics import count_Nst
+from .asymptotics import count_Nst, parallel_map
 from .constants import PI, PI_BRACKET, ZETA3
 from .heights import (
     PointClass,
@@ -61,33 +60,23 @@ def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
     checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
-def _canonical_triples(m_max: int) -> list[tuple[int, int, int]]:
-    return [f.triple for f in canonical_forms(m_max)]
-
-
 def suite_sl_formula(m_max: int = 30, threads: int = 1) -> dict:
     """Covolume polynomial vs Gram determinant, plus the sandwich bounds."""
-    triples = _canonical_triples(m_max)
-    if threads > 1:
-        with Pool(threads) as pool:
-            bad = pool.map(_sl_worker, triples, chunksize=2048)
-    else:
-        bad = [_sl_worker(tr) for tr in triples]
+    forms = canonical_forms(m_max)
+    bad = parallel_map(_sl_worker, forms, (), threads, chunksize=2048)
     failures = [b for b in bad if b is not None]
     checks: list = []
-    _check(checks, "polynomial-equals-gram-det", not failures, f"{len(triples)} forms, {len(failures)} failures")
+    _check(checks, "polynomial-equals-gram-det", not failures, f"{len(forms)} forms, {len(failures)} failures")
     return _report("sl-formula", {"m_max": m_max}, checks)
 
 
-def _sl_worker(triple: tuple[int, int, int]):
-    a, b, c = triple
-    ell = LinearForm(a, b, c)
+def _sl_worker(ell: LinearForm):
     cv = gram_det2(product_basis(ell))
-    if cv != product_covol2_formula(a, b, c):
-        return (triple, "formula")
-    r2 = a * a + b * b + c * c
+    if cv != product_covol2_formula(*ell.triple):
+        return (ell.triple, "formula")
+    r2 = ell.norm2
     if not (2 * r2**3 <= 3 * cv and cv <= r2**3):
-        return (triple, "sandwich")
+        return (ell.triple, "sandwich")
     return None
 
 
@@ -147,9 +136,8 @@ def _certify_minima(
     return _count_nonzero_lt(g, l3) == _count_plane_lt(g2, l3)
 
 
-def _mink_worker(triple: tuple[int, int, int]) -> list[str]:
+def _mink_worker(ell: LinearForm) -> list[str]:
     """Exact minima checks for one form; returns the tags of failed checks."""
-    ell = LinearForm(*triple)
     q = quotient(ell)
     sm = successive_minima(q)
     m4 = 49 * ell.M**4
@@ -181,20 +169,16 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
     plus the first-minimum bound 2 n^2 lambda_1^2 >= 1 (n = a^2 + b^2 + c^2)
     behind the count's cutoff and empty-fiber prune, and an exact counting
     certificate of the minima read off the reduced Gram matrix."""
-    triples = _canonical_triples(m_max)
-    if threads > 1:
-        with Pool(threads) as pool:
-            results = pool.map(_mink_worker, triples, chunksize=512)
-    else:
-        results = [_mink_worker(tr) for tr in triples]
+    forms = canonical_forms(m_max)
+    results = parallel_map(_mink_worker, forms, (), threads, chunksize=512)
     own_checks = {"lam1-n2", "minima-count-certificate"}
     failures = [tags for tags in results if set(tags) - own_checks]
     n2_failures = [tags for tags in results if "lam1-n2" in tags]
     cert_failures = [tags for tags in results if "minima-count-certificate" in tags]
     checks: list = []
-    _check(checks, "minima-bounds-and-minkowski", not failures, f"{len(triples)} forms, {len(failures)} failures")
-    _check(checks, "first-minimum-lower-bound", not n2_failures, f"2 n^2 lam1^2 >= 1 on {len(triples)} forms, {len(n2_failures)} failures")
-    _check(checks, "minima-count-certificate", not cert_failures, f"exact counts on {len(triples)} forms, {len(cert_failures)} failures")
+    _check(checks, "minima-bounds-and-minkowski", not failures, f"{len(forms)} forms, {len(failures)} failures")
+    _check(checks, "first-minimum-lower-bound", not n2_failures, f"2 n^2 lam1^2 >= 1 on {len(forms)} forms, {len(n2_failures)} failures")
+    _check(checks, "minima-count-certificate", not cert_failures, f"exact counts on {len(forms)} forms, {len(cert_failures)} failures")
     best_fail = []
     for m in range(2, m_max + 1):
         sm = successive_minima(quotient(LinearForm(m, m - 1, 0)))
@@ -204,7 +188,7 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
     return _report("minkowski", {"m_max": m_max}, checks)
 
 
-def suite_minima(m_max: int = 4, box: int = 3, threads: int = 1) -> dict:
+def suite_minima(m_max: int = 4, box: int = 3) -> dict:
     """Exhaustive distance lower bounds outside the span: dist^2 >= 1/(49 M^4)
     and the first-minimum bound dist^2 >= 1/(2 n^2), n = a^2 + b^2 + c^2."""
     bad = distance_lemma_violations(m_max, box)
@@ -216,7 +200,7 @@ def suite_minima(m_max: int = 4, box: int = 3, threads: int = 1) -> dict:
     return _report("minima", {"m_max": m_max, "box": box}, checks)
 
 
-def _gon_sample(seed: int, n: int, m_max: int) -> list[tuple[int, int, int]]:
+def _gon_sample(seed: int, n: int, m_max: int) -> list[LinearForm]:
     """Deterministic seeded sample of primitive forms with max coordinate at
     most m_max, stratified so roughly one draw in seven is small (the small
     stratum is where the literal radii are computationally reachable)."""
@@ -232,16 +216,14 @@ def _gon_sample(seed: int, n: int, m_max: int) -> list[tuple[int, int, int]]:
         if ell.triple in seen:
             continue
         seen.add(ell.triple)
-        out.append(ell.triple)
+        out.append(ell)
     return out
 
 
-def _gon_worker(args: tuple) -> dict:
+def _gon_worker(ell: LinearForm, ks: tuple, literal_cap: float) -> list[dict]:
     """One lattice of the geometry-of-numbers suite: dual-enumerator counts at
     volume-matched radii (and at literal radii whose main term is at most
     literal_cap) plus the envelope constant each radius requires."""
-    triple, ks, literal_cap = args
-    ell = LinearForm(*triple)
     q = quotient(ell)
     cv2p = q.covol2_product
     sm = successive_minima(q)
@@ -267,7 +249,7 @@ def _gon_worker(args: tuple) -> dict:
             n = count_primitive_form(gred, t_lit, strict=False)
             n2 = count_primitive_boxscan(q, t_lit, strict=False)
             rows.append(_gon_row("literal", k, float(k), n, n2, l1, l2, l3, covol))
-    return {"triple": triple, "rows": rows}
+    return rows
 
 
 def _gon_row(kind, k, r, n, n2, l1, l2, l3, covol):
@@ -308,13 +290,9 @@ def suite_gon(
     ``n_literal``, the number of literal-radius counts made.
     """
     sample = _gon_sample(seed, n_lattices, m_max)
-    args = [(t, tuple(ks), float(literal_cap)) for t in sample]
-    if threads > 1:
-        with Pool(threads) as pool:
-            results = pool.map(_gon_worker, args, chunksize=4)
-    else:
-        results = [_gon_worker(a) for a in args]
-    rows = [r for res in results for r in res["rows"]]
+    args = (tuple(ks), float(literal_cap))
+    results = parallel_map(_gon_worker, sample, args, threads, chunksize=4)
+    rows = [r for res in results for r in res]
     mismatches = [r for r in rows if r["count"] != r["count_boxscan"]]
     c_max = max(r["c_required"] for r in rows)
     n_literal = sum(1 for r in rows if r["kind"] == "literal")
@@ -364,7 +342,7 @@ def _le_height2_classwise(z: HilbPoint) -> Fraction:
     return Fraction(prod, norm * norm)
 
 
-def suite_disc_agreement(height_bound: float = 15.0, threads: int = 1) -> dict:
+def suite_disc_agreement(height_bound: float = 15.0) -> dict:
     """Three discriminant routes agree exactly on every enumerated point, and
     so do the closed-form and the class-wise Le Rudulier heights."""
     n = {"nonreduced": 0, "split": 0, "nonsplit": 0}
@@ -461,7 +439,7 @@ def suite_oracle_count(
     return rep
 
 
-def suite_disc_bound(height_bound: float = 15.0, k_max: int = 30, threads: int = 1) -> dict:
+def suite_disc_bound(height_bound: float = 15.0, k_max: int = 30) -> dict:
     """Discriminant-to-height ratio bounded by 4; exact family values 4k^2/(k^4+1)."""
     worst = Fraction(0)
     bad = 0
@@ -503,7 +481,7 @@ def run_suite(name: str, seed: int = 0, threads: int = 1, **overrides) -> dict:
     if name == "minkowski":
         return suite_minkowski(overrides.get("m_max", 30), threads)
     if name == "minima":
-        return suite_minima(overrides.get("m_max", 4), overrides.get("box", 3), threads)
+        return suite_minima(overrides.get("m_max", 4), overrides.get("box", 3))
     if name == "gon":
         return suite_gon(
             seed=seed,
@@ -512,7 +490,7 @@ def run_suite(name: str, seed: int = 0, threads: int = 1, **overrides) -> dict:
             threads=threads,
         )
     if name == "disc-agreement":
-        return suite_disc_agreement(overrides.get("height_bound", 15.0), threads)
+        return suite_disc_agreement(overrides.get("height_bound", 15.0))
     if name == "za-family":
         return suite_za_family(overrides.get("a_max", 20))
     if name == "oracle-count":
@@ -521,7 +499,5 @@ def run_suite(name: str, seed: int = 0, threads: int = 1, **overrides) -> dict:
             b_values = (1, 2, 5, 10, 20, 30)
         return suite_oracle_count(b_values=tuple(b_values), threads=threads)
     if name == "disc-bound":
-        return suite_disc_bound(
-            overrides.get("height_bound", 15.0), overrides.get("k_max", 30), threads
-        )
+        return suite_disc_bound(overrides.get("height_bound", 15.0), overrides.get("k_max", 30))
     raise ValueError(f"unknown suite: {name}")

@@ -102,13 +102,13 @@ def test_criterion_06_pencil_family():
 
 @pytest.mark.acceptance
 def test_criterion_07_discriminant_triple_agreement():
-    rep = suite_disc_agreement(height_bound=15.0, threads=THREADS)
+    rep = suite_disc_agreement(height_bound=15.0)
     _suite_result("7", rep)
 
 
 @pytest.mark.acceptance
 def test_criterion_08_discriminant_height_bound():
-    rep = suite_disc_bound(height_bound=15.0, k_max=30, threads=THREADS)
+    rep = suite_disc_bound(height_bound=15.0, k_max=30)
     _suite_result("8", rep)
 
 

@@ -224,7 +224,7 @@ def test_le_count_nonreduced_excluded():
     assert classify(za) is PointClass.NONREDUCED
     b = F(2800)
     assert le_height2(za) ** 3 <= b * b
-    n_split, n_nonsplit, _ = _le_region_worker((za.ell.triple, b))
+    n_split, n_nonsplit, _ = _le_region_worker(za.ell, b)
     # recount the same fiber including nonreduced points
     from hilb2.exactlin import iroot
     from hilb2.lattice import enumerate_form_le, quotient

@@ -6,9 +6,9 @@ import pytest
 from hilb2.exactlin import (
     NotFiniteIndexError,
     RankDeficientError,
+    complement_basis,
     cross,
     det_bareiss,
-    diagonalize,
     gram_det2,
     hnf,
     iroot,
@@ -82,18 +82,27 @@ def test_saturate_idempotent_and_contains_input(rng):
         assert hnf(list(sat) + nonzero) == sat
 
 
-def test_diagonalize_transforms_consistent(rng):
+def test_saturate_full_column_rank_is_the_identity():
+    assert saturate([(2, 1, 0), (0, 3, 1), (1, 1, 5)]) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert saturate([(4, 6), (6, 4), (0, 2)]) == ((1, 0), (0, 1))
+
+
+def test_complement_basis_completes_to_a_unimodular_basis(rng):
     for _ in range(30):
-        m = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(3)]
-        diag, v, w = diagonalize(m)
-        n = 4
-        vw = mat_mul(v, w)
-        assert vw == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        assert all(d >= 0 for d in diag)
-        # row span is preserved by the column transform
-        mv = mat_mul(m, v)
-        d_mat = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(3)]
-        assert hnf(mv) == hnf(d_mat)
+        rows = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(2)]
+        if any(not any(r) for r in rows):
+            continue
+        sat = saturate(rows)
+        comp = complement_basis(sat)
+        assert len(sat) + len(comp) == 4
+        assert abs(det_bareiss(list(sat) + list(comp))) == 1
+
+
+def test_complement_basis_rejects_a_non_primitive_lattice():
+    with pytest.raises(ValueError, match="not primitive"):
+        complement_basis([(2, 0, 0)])
+    with pytest.raises(ValueError, match="not primitive"):
+        complement_basis([(1, 1, 0), (1, -1, 0)])
 
 
 def test_kernel_rank_and_membership(rng):
@@ -102,10 +111,10 @@ def test_kernel_rank_and_membership(rng):
         ker = kernel(m)
         for x in ker:
             assert all(sum(r[i] * x[i] for i in range(5)) == 0 for r in m)
-        # kernel is saturated: diagonal of its own basis is all ones
+        # the kernel is saturated, and has rank 5 - rank(m)
         if ker:
-            diag, _, _ = diagonalize(ker)
-            assert all(d == 1 for d in diag)
+            assert saturate(ker) == ker
+        assert len(ker) == 5 - len(saturate(m))
 
 
 def test_kernel_basis_axis():

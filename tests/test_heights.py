@@ -194,6 +194,43 @@ def test_height_e_examples():
         assert height2_e(z, 2) == d * d + 1
 
 
+def test_height2_e_closed_form_equals_generic_saturation():
+    from hilb2.exactlin import gram_det2
+    from hilb2.oracles import oracle_ideal_basis
+
+    def reference(z, e):
+        return gram_det2(oracle_ideal_basis(z.ell.triple, z.q_lift(), e))
+
+    pts = list(enumerate_points(2, 1, 8))
+    assert len(pts) == 3001
+    # the tested points include every branch of the annihilator recurrence
+    assert any(z.qbar[0] == 0 != z.qbar[2] for z in pts)
+    assert any(z.qbar[2] == 0 != z.qbar[0] for z in pts)
+    assert any(z.qbar == (0, 1, 0) for z in pts)
+    for z in pts:
+        assert height2_e(z, 1) == z.covol2_I1
+        assert height2_e(z, 2) == z.covol2_I2
+        for e in (2, 3, 4):
+            assert height2_e(z, e) == reference(z, e), (z, e)
+    rng = random.Random(5)
+    sample = rng.sample(pts, 40) + [
+        _point_from(rng, qbar) for qbar in [(0, 1, 0), (0, 3, 7), (5, -2, 0)] * 4
+    ]
+    for z in sample:
+        assert height2_e(z, 5) == reference(z, 5), z
+    with pytest.raises(ValueError):
+        height2_e(pts[0], 0)
+
+
+def _point_from(rng, qbar):
+    """A point with the given qbar over a seeded form with coordinates up to 40."""
+    while True:
+        t = tuple(rng.randint(-40, 40) for _ in range(3))
+        if any(t) and gcd(gcd(t[0], t[1]), t[2]) == 1:
+            ell = LinearForm.from_raw(*t)
+            return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quotient(ell).covol2_with(qbar))
+
+
 def test_height_st_examples():
     z = canonicalize((0, 0, 1), (1, 0, 0, -2, 0, 0))
     assert height_st(z, 1, 1) == height_e(z, 2)

@@ -12,15 +12,12 @@ from hilb2.hilb import (
     QInSpanError,
     canonicalize,
     canonical_forms,
-    dim_forms,
     enumerate_points,
     fiber_point_count,
     fiber_points,
-    ideal_lattice,
     m_cutoff,
     max_covol2_I2,
     monomials,
-    poly_mul,
 )
 from hilb2.lattice import (
     LinearForm,
@@ -30,7 +27,12 @@ from hilb2.lattice import (
     product_covol2_formula,
     quotient,
 )
-from hilb2.oracles import _distance_lemma_cutoff, oracle_fiber_points_monomial_box
+from hilb2.oracles import (
+    _distance_lemma_cutoff,
+    oracle_fiber_points_monomial_box,
+    oracle_ideal_basis,
+    poly_mul,
+)
 
 
 def test_monomial_order_degree2():
@@ -59,25 +61,29 @@ def test_canonicalize_equivalences():
     assert z1 == z2 == z3
 
 
+def _ideal_basis(z, e):
+    return oracle_ideal_basis(z.ell.triple, z.q_lift(), e)
+
+
 def test_ideal_lattice_small_degrees():
     z = canonicalize((0, 0, 1), (1, 0, 0, 0, 0, 0))
-    l1 = ideal_lattice(z, 1)
-    assert len(l1.basis) == 1 and l1.covol2 == 1
-    l2 = ideal_lattice(z, 2)
-    assert len(l2.basis) == 4 and l2.covol2 == z.covol2_I2
-    l3 = ideal_lattice(z, 3)
-    assert len(l3.basis) == 8 and l3.ambient_dim == 10
+    l1 = _ideal_basis(z, 1)
+    assert len(l1) == 1 and gram_det2(l1) == 1
+    l2 = _ideal_basis(z, 2)
+    assert len(l2) == 4 and gram_det2(l2) == z.covol2_I2
+    l3 = _ideal_basis(z, 3)
+    assert len(l3) == 8 and len(l3[0]) == 10
 
 
 def test_ideal_lattice_rank_law_random():
+    # rank dim(V_e) - 2 for e >= 2: the rank count behind heights.height2_e
     pts = _sample_points(40)
     for z in pts:
         for e in range(1, 5):
-            il = ideal_lattice(z, e)
-            assert len(il.basis) == dim_forms(e) - 2 if e > 1 else 1
+            assert len(_ideal_basis(z, e)) == (len(monomials(e)) - 2 if e > 1 else 1)
     # a couple of degree-5 spot checks
     for z in pts[:3]:
-        assert len(ideal_lattice(z, 5).basis) == dim_forms(5) - 2
+        assert len(_ideal_basis(z, 5)) == len(monomials(5)) - 2
 
 
 def _sample_points(n):
@@ -185,10 +191,9 @@ def test_roundtrip_recovers_defining_lattices():
     ]
     for ell_raw, q_raw in raw:
         z = canonicalize(ell_raw, q_raw)
-        lat2 = ideal_lattice(z, 2)
         gens = [list(r) for r in product_basis(z.ell)] + [list(q_raw)]
-        assert hnf(lat2.basis) == saturate(gens)
-        assert ideal_lattice(z, 1).basis == ((z.ell.a, z.ell.b, z.ell.c),)
+        assert hnf(_ideal_basis(z, 2)) == saturate(gens)
+        assert _ideal_basis(z, 1) == ((z.ell.a, z.ell.b, z.ell.c),)
 
 
 def _unpruned_count(f, s, t, b):
