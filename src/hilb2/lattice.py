@@ -2,18 +2,19 @@
 
 For a primitive integer form l = a*X0 + b*X1 + c*X2 the degree-2 polynomial
 lattice Z^6 (monomial order X0^2, X0X1, X0X2, X1^2, X1X2, X2^2) contains the
-rank-3 product lattice spanned by X0*l, X1*l, X2*l.  A reduced basis (e, f)
-of the kernel of l and a vector w with l(w) = 1 form a basis of Z^3 with
-determinant 1 in which l is the first coordinate, so the quotient
-Z^6 / (product lattice) is the lattice of binary quadratic forms on the
-kernel: the coset of a quadric q is its restriction
-q(S e + T f) = A S^2 + B S T + C T^2.  This module computes
+rank-3 product lattice spanned by X0*l, X1*l, X2*l.  For a reduced basis
+(e, f) of the kernel of l, restriction to the kernel plane,
+q -> q(S e + T f) = A S^2 + B S T + C T^2, is an integer 3x6 matrix rho
+that maps Z^6 onto Z^3 with the product lattice as its kernel, so the
+quotient Z^6 / (product lattice) is the lattice of binary quadratic forms on
+the kernel, with coset coordinates (A, B, C).  This module computes
 
   * the exact squared covolume of that product lattice (both from the Gram
     determinant and from the closed-form degree-6 polynomial in a, b, c),
-  * the rank-3 quotient in those coordinates (A, B, C), with the inner
-    product inherited from the orthogonal complement, held exactly as an
-    *integer* Gram matrix scaled by the product covolume,
+  * the rank-3 quotient in those coordinates, with the inner product
+    inherited from the orthogonal complement, held exactly as an *integer*
+    Gram matrix scaled by the product covolume: the adjugate of rho rho^T
+    (proof in ``QuotientLattice``),
   * exact successive minima and witnesses, read off a Gram matrix that is
     checked to be Minkowski-reduced (which in dimension 3 proves them),
   * exact counts of primitive vectors in balls (Moebius + interval counting),
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from .constants import PI, ZETA3
@@ -140,43 +142,6 @@ def _sym_product(u: Sequence[int], v: Sequence[int]) -> Row:
     )
 
 
-def _projected_gram(
-    ell: LinearForm, covol2p: int, rows: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """covol2p times the Gram matrix of the projections of ``rows`` onto the
-    orthogonal complement of the product lattice.
-
-    The Gram matrix of the product basis X0*l, X1*l, X2*l has
-    n = a^2 + b^2 + c^2 on the diagonal and a_i*a_j off it; with P that
-    basis, entry (r, s) is covol2p * r.s - (P r)^T adj(P P^T) (P s).
-    """
-    a, b, c = ell.triple
-    n = a * a + b * b + c * c
-    ab, ac, bc = a * b, a * c, b * c
-    # adj(P P^T), symmetric
-    j00, j11, j22 = n * n - bc * bc, n * n - ac * ac, n * n - ab * ab
-    j01, j02, j12 = ab * (c * c - n), ac * (b * b - n), bc * (a * a - n)
-    proj = []
-    for r0, r1, r2, r3, r4, r5 in rows:
-        p0 = a * r0 + b * r1 + c * r2
-        p1 = a * r1 + b * r3 + c * r4
-        p2 = a * r2 + b * r4 + c * r5
-        proj.append((
-            r0, r1, r2, r3, r4, r5, p0, p1, p2,
-            j00 * p0 + j01 * p1 + j02 * p2,
-            j01 * p0 + j11 * p1 + j12 * p2,
-            j02 * p0 + j12 * p1 + j22 * p2,
-        ))
-    return [
-        [
-            covol2p * (r0 * s0 + r1 * s1 + r2 * s2 + r3 * s3 + r4 * s4 + r5 * s5)
-            - (x0 * q0 + x1 * q1 + x2 * q2)
-            for s0, s1, s2, s3, s4, s5, q0, q1, q2, _, _, _ in proj
-        ]
-        for r0, r1, r2, r3, r4, r5, _, _, _, x0, x1, x2 in proj
-    ]
-
-
 def _lift_basis(ell: LinearForm) -> Matrix:
     """Monomial coefficients of Y1^2, Y1*Y2 and Y2^2, where (l, Y1, Y2) are
     the coordinates dual to a basis (w, e, f) of Z^3 with (e, f) =
@@ -191,16 +156,44 @@ def _lift_basis(ell: LinearForm) -> Matrix:
     return (_sym_product(u, u), _sym_product(u, v), _sym_product(v, v))
 
 
+def restriction_map(ell: LinearForm) -> Matrix:
+    """The 3x6 integer matrix rho of q -> (q(e), q(e+f) - q(e) - q(f), q(f)),
+    the coefficients of q(S e + T f) for (e, f) = ``kernel_basis_of(ell)``:
+    the six monomials at e, their polarisation at (e, f), and at f."""
+    (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
+    return (
+        (e0 * e0, e0 * e1, e0 * e2, e1 * e1, e1 * e2, e2 * e2),
+        (2 * e0 * f0, e0 * f1 + e1 * f0, e0 * f2 + e2 * f0, 2 * e1 * f1, e1 * f2 + e2 * f1, 2 * e2 * f2),
+        (f0 * f0, f0 * f1, f0 * f2, f1 * f1, f1 * f2, f2 * f2),
+    )
+
+
 @dataclass(frozen=True)
 class QuotientLattice:
     """Z^6 / (degree-1 multiples of the form), with its projected inner product.
 
     Coset coordinates are binary quadratic forms on the kernel basis
     (e, f) = ``kernel_basis_of(source)``: (A, B, C) is the class of
-    A*Y1^2 + B*Y1*Y2 + C*Y2^2 (see ``_lift_basis``).  ``gram_int`` is
-    covol2_product * gram, an exact positive definite integer matrix: the
-    squared covolume of the rank-4 lattice generated by the product lattice
-    and a coset vector u is exactly u^T gram_int u.
+    A*Y1^2 + B*Y1*Y2 + C*Y2^2 (see ``_lift_basis``), and the coset of a
+    quadric q has coordinates rho q, with rho = ``restriction_map(source)``.
+    ``gram_int`` is covol2_product * gram = adj(rho rho^T), an exact positive
+    definite integer matrix: the squared covolume of the rank-4 lattice
+    generated by the product lattice P and a coset vector u is exactly
+    u^T gram_int u.
+
+    Proof of the adjugate form.  rho maps Z^6 onto Z^3, since it sends the
+    lift basis to the unit vectors, so its kernel has rank 3 and contains P
+    (multiples of l vanish on the plane l = 0).  So L = Z^6 meet ker(rho) is
+    a saturated lattice containing P with the same span, and rho identifies
+    Z^6 / L with Z^3.  The orthogonal projection of x onto the row space of
+    rho, the orthogonal complement of P, is rho^T (rho rho^T)^-1 rho x, so
+    the coset with coordinates y has squared norm y^T (rho rho^T)^-1 y and
+    the projected lattice has squared covolume 1 / det(rho rho^T).  Since L
+    is saturated in the unimodular Z^6, that is also 1 / covol2(L), so
+    det(rho rho^T) = covol2(L) = covol2(P) / [L : P]^2.  Every build checks
+    det(rho rho^T) = covol2_product exactly, which proves L = P; then
+    covol2_product * (rho rho^T)^-1 = adj(rho rho^T), and covol2(P + Z x) =
+    covol2(P) times the squared norm of the projection of x.
     """
 
     source: LinearForm
@@ -225,10 +218,8 @@ class QuotientLattice:
     def coset_coords(self, vec6: Sequence[int]) -> tuple[int, int, int]:
         """Coordinates (q(e), q(e+f) - q(e) - q(f), q(f)) of the coset of the
         quadric q = ``vec6``: the coefficients of q(S e + T f)."""
-        e, f = kernel_basis_of(self.source)
-        a = eval_quadratic(vec6, e)
-        c = eval_quadratic(vec6, f)
-        return (a, eval_quadratic(vec6, [x + y for x, y in zip(e, f)]) - a - c, c)
+        r0, r1, r2 = restriction_map(self.source)
+        return (sum(map(mul, r0, vec6)), sum(map(mul, r1, vec6)), sum(map(mul, r2, vec6)))
 
     def lift(self, coords: Sequence[int]) -> Row:
         """Canonical monomial-coordinate lift of a coset vector."""
@@ -258,9 +249,17 @@ def _form_value(g: Sequence[Sequence[int]], x: Sequence[int]) -> int:
 def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
     ell = LinearForm(a, b, c)
     covol2p = product_covol2_formula(a, b, c)
-    gram_int = tuple(map(tuple, _projected_gram(ell, covol2p, _lift_basis(ell))))
-    # exact sanity: det(gram_int) = covol2p^2, i.e. covol(quotient) = 1/covol(product)
-    assert _det3(gram_int) == covol2p * covol2p
+    r0, r1, r2 = restriction_map(ell)
+    m00, m01, m02 = sum(map(mul, r0, r0)), sum(map(mul, r0, r1)), sum(map(mul, r0, r2))
+    m11, m12, m22 = sum(map(mul, r1, r1)), sum(map(mul, r1, r2)), sum(map(mul, r2, r2))
+    # adj(rho rho^T), symmetric
+    j00, j11, j22 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
+    j01, j02, j12 = m02 * m12 - m01 * m22, m01 * m12 - m02 * m11, m01 * m02 - m00 * m12
+    # the saturation step of the proof in QuotientLattice; raised explicitly
+    # so that python -O keeps it
+    if m00 * j00 + m01 * j01 + m02 * j02 != covol2p:
+        raise AssertionError(f"restriction map of {ell} does not have the product covolume")
+    gram_int = ((j00, j01, j02), (j01, j11, j12), (j02, j12, j22))
     return QuotientLattice(source=ell, gram_int=gram_int, covol2_product=covol2p)
 
 
@@ -279,76 +278,75 @@ def _nearest_div(p: int, q: int) -> int:
 
 
 def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
-    """Greedy reduction of a PD integer 3x3 Gram matrix.
+    """Greedy reduction of a symmetric PD integer 3x3 Gram matrix.
 
-    Returns (g_reduced, u) with g_reduced = u^T g u, u unimodular, diagonal
-    nondecreasing.  The loop stops only when the diagonal is sorted, no
-    pairwise size reduction shortens a vector (so 2|g_ij| <= g_ii for i < j)
-    and no (e1, e2) in {-1, 0, 1}^2 shortens the third vector: these are
+    Returns (g_reduced, u) with g_reduced = u^T g u, u unimodular (its
+    columns are the new basis), diagonal nondecreasing.  Each pass sorts the
+    diagonal, size-reduces b1 by b0, b2 by b0 and b2 by b1 when that
+    shortens them, and replaces b2 by the shortest strictly shorter
+    b2 + e0 b0 + e1 b1, (e0, e1) in {-1, 0, 1}^2, the first in lexicographic
+    order on ties.  It stops when a pass changes nothing; then the diagonal
+    is sorted, 2|g_ij| <= g_ii for i < j and no such step shortens b2:
     Minkowski's conditions for ternary forms.  ``successive_minima`` and
-    ``min_form_value`` read the minima off the diagonal, so their
-    correctness relies on this fixed point being Minkowski-reduced, which
-    ``_assert_minkowski_reduced`` checks exactly on every reduction they use
-    (``_minkowski_reduced``).
+    ``min_form_value`` rely on that, and ``_minkowski_reduced`` checks it
+    exactly.  The entries are held in local integers; the tests keep the
+    loop over lists as the reference, with the same (g_reduced, u).
     """
-    gm = [list(row) for row in g]
-    u = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-
-    def addmul(j: int, i: int, k: int) -> None:
-        # b_j <- b_j + k b_i
-        for r in range(3):
-            u[r][j] += k * u[r][i]
-        for r in range(3):
-            gm[r][j] += k * gm[r][i]
-        for r in range(3):
-            gm[j][r] += k * gm[i][r]
-
-    def swap(i: int, j: int) -> None:
-        for r in range(3):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-        gm[i], gm[j] = gm[j], gm[i]
-        for r in range(3):
-            gm[r][i], gm[r][j] = gm[r][j], gm[r][i]
-
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     for _ in range(10_000):
-        changed = False
-        # keep diagonal sorted
-        for i, j in ((0, 1), (1, 2), (0, 1)):
-            if gm[i][i] > gm[j][j]:
-                swap(i, j)
-                changed = True
-        # pairwise size reduction
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            k = _nearest_div(gm[i][j], gm[i][i])
-            if k and gm[j][j] - 2 * k * gm[i][j] + k * k * gm[i][i] < gm[j][j]:
-                addmul(j, i, -k)
-                changed = True
-        # greedy 3-dimensional step on the longest vector
-        best = None
-        for e1 in (-1, 0, 1):
-            for e2 in (-1, 0, 1):
-                if e1 == e2 == 0:
-                    continue
-                val = (
-                    gm[2][2]
-                    + e1 * e1 * gm[0][0]
-                    + e2 * e2 * gm[1][1]
-                    + 2 * (e1 * gm[0][2] + e2 * gm[1][2] + e1 * e2 * gm[0][1])
-                )
-                if val < gm[2][2] and (best is None or val < best[0]):
-                    best = (val, e1, e2)
-        if best is not None:
-            _, e1, e2 = best
-            if e1:
-                addmul(2, 0, e1)
-            if e2:
-                addmul(2, 1, e2)
-            changed = True
-        if not changed:
+        # a swap sorts the diagonal and every other step lowers its sum, so
+        # a pass changed something exactly when the diagonal changed
+        diagonal = (g00, g11, g22)
+        if g00 > g11:
+            g00, g11, g02, g12 = g11, g00, g12, g02
+            u00, u01, u10, u11, u20, u21 = u01, u00, u11, u10, u21, u20
+        if g11 > g22:
+            g11, g22, g01, g02 = g22, g11, g02, g01
+            u01, u02, u11, u12, u21, u22 = u02, u01, u12, u11, u22, u21
+        if g00 > g11:
+            g00, g11, g02, g12 = g11, g00, g12, g02
+            u00, u01, u10, u11, u20, u21 = u01, u00, u11, u10, u21, u20
+        # pairwise size reduction: b_j <- b_j - k b_i
+        k = _nearest_div(g01, g00)
+        if k and k * (k * g00 - 2 * g01) < 0:
+            g11 += k * (k * g00 - 2 * g01)
+            g01 -= k * g00
+            g12 -= k * g02
+            u01, u11, u21 = u01 - k * u00, u11 - k * u10, u21 - k * u20
+        k = _nearest_div(g02, g00)
+        if k and k * (k * g00 - 2 * g02) < 0:
+            g22 += k * (k * g00 - 2 * g02)
+            g02 -= k * g00
+            g12 -= k * g01
+            u02, u12, u22 = u02 - k * u00, u12 - k * u10, u22 - k * u20
+        k = _nearest_div(g12, g11)
+        if k and k * (k * g11 - 2 * g12) < 0:
+            g22 += k * (k * g11 - 2 * g12)
+            g12 -= k * g11
+            g02 -= k * g01
+            u02, u12, u22 = u02 - k * u01, u12 - k * u11, u22 - k * u21
+        # greedy 3-dimensional step: the change of g22 for each (e0, e1);
+        # on ties min takes the first in lexicographic order
+        hp, lp = g00 + g11 + 2 * g01, g02 + g12
+        hm, lm = g00 + g11 - 2 * g01, g02 - g12
+        d, e0, e1 = min(
+            (hp - 2 * lp, -1, -1), (g00 - 2 * g02, -1, 0), (hm - 2 * lm, -1, 1),
+            (g11 - 2 * g12, 0, -1), (g11 + 2 * g12, 0, 1),
+            (hm + 2 * lm, 1, -1), (g00 + 2 * g02, 1, 0), (hp + 2 * lp, 1, 1),
+        )
+        if d < 0:
+            g22 += d
+            g02, g12 = g02 + e0 * g00 + e1 * g01, g12 + e0 * g01 + e1 * g11
+            u02 += e0 * u00 + e1 * u01
+            u12 += e0 * u10 + e1 * u11
+            u22 += e0 * u20 + e1 * u21
+        if (g00, g11, g22) == diagonal:
             break
     else:  # pragma: no cover - reduction always terminates quickly
         raise AssertionError("gram reduction failed to terminate")
-    return as_matrix(gm), as_matrix(u)
+    g_red = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
+    return g_red, ((u00, u01, u02), (u10, u11, u12), (u20, u21, u22))
 
 
 def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
@@ -605,5 +603,5 @@ def dist_to_span(x: Sequence[int], ell: LinearForm) -> Fraction:
     {X0*l, X1*l, X2*l}."""
     if len(x) != 6:
         raise ValueError("expected a vector in Z^6")
-    d = product_covol2_formula(*ell.triple)
-    return Fraction(_projected_gram(ell, d, [x])[0][0], d)
+    q = quotient(ell)
+    return q.norm_sq(q.coset_coords(x))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_forms
 from hilb2 import lattice
@@ -29,6 +31,7 @@ from hilb2.lattice import (
     quotient,
     min_form_value,
     reduce_gram,
+    restriction_map,
     successive_minima,
 )
 from hilb2.verify import _certify_minima
@@ -134,6 +137,50 @@ def _reference_projected_gram(f, rows):
         [d * dot(r, s) - dot(mat_vec(adj, x), y) for s, y in zip(rows, pr)]
         for r, x in zip(rows, pr)
     ]
+
+
+def _primitive(t):
+    return gcd(gcd(t[0], t[1]), t[2]) == 1
+
+
+_coord = st.integers(-60, 60)
+# general forms, and forms with a = 0 or c = 0 (axis-parallel kernel vectors)
+_form = st.one_of(
+    st.tuples(_coord, _coord, _coord),
+    st.tuples(st.just(0), _coord, _coord),
+    st.tuples(_coord, _coord, st.just(0)),
+).filter(_primitive)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_form, st.tuples(*[st.integers(-50, 50)] * 6))
+@example((1, 0, 0), (0, 0, 0, 1, 0, 0))
+@example((0, 1, 0), (1, 2, 3, 4, 5, 6))
+@example((0, 0, 1), (-3, 0, 0, 1, 0, 0))
+def test_quotient_gram_is_the_adjugate_of_the_restriction_map(raw, x):
+    f = LinearForm.from_raw(*raw)
+    q = quotient(f)
+    rho = restriction_map(f)
+    # the steps of the proof: rho sends the lift basis to the unit vectors and
+    # kills the product lattice, and det(rho rho^T) is the product covolume
+    assert [[dot(r, w) for w in q.lift_basis] for r in rho] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert all(dot(r, p) == 0 for r in rho for p in product_basis(f))
+    assert det_bareiss(gram_matrix(rho)) == product_covol2_formula(*f.triple) == q.covol2_product
+    # gram_int and the distance against the projection in Z^6
+    assert [list(r) for r in q.gram_int] == _reference_projected_gram(f, q.lift_basis)
+    e, g = kernel_basis_of(f)
+    a, c = eval_quadratic(x, e), eval_quadratic(x, g)
+    assert q.coset_coords(x) == (a, eval_quadratic(x, [s + t for s, t in zip(e, g)]) - a - c, c)
+    want = Fraction(_reference_projected_gram(f, [x])[0][0], q.covol2_product)
+    assert dist_to_span(x, f) == want
+
+
+def test_quotient_rejects_a_restriction_map_off_the_product_covolume(monkeypatch):
+    # 2 rho does not map Z^6 onto Z^3, and det(rho rho^T) grows by 2^6
+    rho = lattice.restriction_map
+    monkeypatch.setattr(lattice, "restriction_map", lambda f: tuple(tuple(2 * x for x in r) for r in rho(f)))
+    with pytest.raises(AssertionError):
+        lattice._quotient_cached.__wrapped__(2, 1, 0)
 
 
 def test_closed_form_quotient_against_complement_basis():
@@ -433,13 +480,93 @@ def test_count_primitive_rows_rejects_bad_reduction(monkeypatch, h, u):
         count_primitive_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 10)
 
 
+def _reference_reduce_gram(g):
+    # the list-based loop reduce_gram replaced: same steps, same tie order
+    gm = [list(row) for row in g]
+    u = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+    def addmul(j, i, k):
+        # b_j <- b_j + k b_i
+        for r in range(3):
+            u[r][j] += k * u[r][i]
+        for r in range(3):
+            gm[r][j] += k * gm[r][i]
+        for r in range(3):
+            gm[j][r] += k * gm[i][r]
+
+    def swap(i, j):
+        for r in range(3):
+            u[r][i], u[r][j] = u[r][j], u[r][i]
+        gm[i], gm[j] = gm[j], gm[i]
+        for r in range(3):
+            gm[r][i], gm[r][j] = gm[r][j], gm[r][i]
+
+    while True:
+        changed = False
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            if gm[i][i] > gm[j][j]:
+                swap(i, j)
+                changed = True
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            k = (2 * gm[i][j] + gm[i][i]) // (2 * gm[i][i])
+            if k and gm[j][j] - 2 * k * gm[i][j] + k * k * gm[i][i] < gm[j][j]:
+                addmul(j, i, -k)
+                changed = True
+        best = None
+        for e1 in (-1, 0, 1):
+            for e2 in (-1, 0, 1):
+                if e1 == e2 == 0:
+                    continue
+                val = (
+                    gm[2][2]
+                    + e1 * e1 * gm[0][0]
+                    + e2 * e2 * gm[1][1]
+                    + 2 * (e1 * gm[0][2] + e2 * gm[1][2] + e1 * e2 * gm[0][1])
+                )
+                if val < gm[2][2] and (best is None or val < best[0]):
+                    best = (val, e1, e2)
+        if best is not None:
+            _, e1, e2 = best
+            if e1:
+                addmul(2, 0, e1)
+            if e2:
+                addmul(2, 1, e2)
+            changed = True
+        if not changed:
+            return tuple(map(tuple, gm)), tuple(map(tuple, u))
+
+
+def _random_pd_grams(seed, n):
+    # B^T B for random nonsingular B: small entries, large entries, and
+    # unimodular B = lower unitriangular with large entries (long reductions)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        kind = len(out) % 3
+        if kind == 2:
+            x, y, z = (rng.randint(-1000, 1000) for _ in range(3))
+            b = [[1, 0, 0], [x, 1, 0], [y, z, 1]]
+        else:
+            m = 9 if kind == 0 else 10**4
+            b = [[rng.randint(-m, m) for _ in range(3)] for _ in range(3)]
+            if det3(b) == 0:
+                continue
+        out.append(tuple(tuple(dot(ci, cj) for cj in zip(*b)) for ci in zip(*b)))
+    return out
+
+
 def test_reduce_gram_consistency():
-    for f in seeded_forms(8, 15, 10):
-        g = quotient(f).gram_int
+    # bit for bit against the reference loop: the witnesses reach verify
+    grams = [quotient(f).gram_int for f in canonical_forms(8)]
+    assert len(grams) == 2017
+    grams += _random_pd_grams(8, 3000)
+    for g in grams:
         gred, u = reduce_gram(g)
+        assert (gred, u) == _reference_reduce_gram(g), g
+        assert det3(u) in (1, -1)
         ut = [list(col) for col in zip(*u)]
         assert mat_mul(ut, mat_mul(g, u)) == [list(r) for r in gred]
-        assert gred[0][0] <= gred[1][1] <= gred[2][2]
+        lattice._assert_minkowski_reduced(gred)
 
 
 def test_dist_to_span_examples():
