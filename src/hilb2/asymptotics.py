@@ -26,10 +26,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
-from .exactlin import iroot, sign_canonical
-from .heights import discriminant, is_perfect_square, le_height2
-from .hilb import HilbPoint, canonical_forms, fiber_point_count, m_cutoff
-from .lattice import LinearForm, enumerate_form_le, product_covol2_formula, quotient
+from .exactlin import dot, iroot, sign_canonical
+from .heights import is_perfect_square, le_height2_gram
+from .hilb import canonical_forms, fiber_point_count, m_cutoff
+from .lattice import (
+    LinearForm,
+    enumerate_form_le,
+    kernel_basis_of,
+    product_covol2_formula,
+    quotient,
+)
 from math import floor, gcd, isqrt
 
 
@@ -268,7 +274,7 @@ def convergence_report(
 #   forms with n^3 <= B^2 (hence M^6 <= B^2) can hold a counted point.
 # * Region.  covol2_I2 / n lies in [H^2 / 3, 2 H^2], so every counted point
 #   has H_{0,3}^2 = (covol2_I2 / n)^3 <= 8 H^6 <= 8 B^2, and ratio = H^3 /
-#   H_{0,3} >= 2^(-3/2), which the scan asserts on every counted point.
+#   H_{0,3} >= 2^(-3/2), which the scan checks on every counted point.
 #   Proof: covol2_I2 = covol2_product * dist^2(q, l V) in the monomial-
 #   coefficient norm.  That norm lies between 1 and sqrt(2) times the
 #   Frobenius norm of the symmetric matrix, so dist^2 lies between dist_F^2
@@ -289,7 +295,8 @@ def _split_pair_count(bound: Fraction) -> int:
     """#{unordered pairs of distinct rational plane points with product of
     Euclidean heights cubed <= bound^2}, exactly."""
     b2 = bound * bound
-    nmax = iroot(floor(b2), 3)
+    num, den = b2.numerator, b2.denominator
+    nmax = iroot(num // den, 3)
     if nmax < 1:
         return 0
     box = isqrt(nmax)
@@ -307,7 +314,7 @@ def _split_pair_count(bound: Fraction) -> int:
     count = 0
     j = len(norms) - 1
     for i, ni in enumerate(norms):
-        while j > i and Fraction(ni * norms[j]) ** 3 > b2:
+        while j > i and (ni * norms[j]) ** 3 * den > num:
             j -= 1
         if j <= i:
             break
@@ -324,36 +331,51 @@ def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fract
     """Scan one fiber of the anticanonical region H_{0,3}^2 <= 8 B^2.
 
     Returns (split_count, nonsplit_count, min ratio^2 over counted points)
-    where ratio = H_Le^3 / H_{0,3}.
+    where ratio = H_Le^3 / H_{0,3}.  Each enumerated coset vector x = qbar
+    costs integer operations only: with n = covol2_I1, covol2_I2 =
+    x^T gram_int x and B^2 = num / den, a point counts when H_Le^6 den <=
+    num, and its ratio^2 is H_Le^6 n^3 / covol2_I2^3, kept as an integer
+    pair until the fiber is done.  The two proved bounds of the notes above
+    are checked on every point, raised explicitly so that python -O keeps
+    them.
     """
-    quo = quotient(ell)
-    cv1 = ell.norm2
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram = quotient(ell).gram_int
+    e, f = kernel_basis_of(ell)
+    ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
+    n = ell.norm2
+    n2, n3 = n * n, n**3
     b2 = bound * bound
-    t_f = iroot(floor(8 * b2 * cv1**3), 3)
+    num, den = b2.numerator, b2.denominator
     n_split = 0
     n_nonsplit = 0
-    min_ratio_sq: Fraction | None = None
-    for x in enumerate_form_le(quo.gram_int, t_f):
-        if not _canonical_triple(*x):
+    min_num, min_den = 0, 0  # min ratio^2 = min_num / min_den once min_den > 0
+    for x in enumerate_form_le(gram, iroot(8 * num * n3 // den, 3)):
+        a, b, c = x
+        # canonical: first nonzero coordinate positive, and primitive
+        if (a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0)))) or gcd(a, b, c) != 1:
             continue
-        cv2 = quo.covol2_with(x)
-        z = HilbPoint(ell=ell, qbar=x, covol2_I2=cv2)
-        d = discriminant(z)
+        d = b * b - 4 * a * c
         if d == 0:
             continue
+        # x^T gram_int x (``QuotientLattice.covol2_with``), inlined because it
+        # runs on every scanned vector
+        cv2 = g00 * a * a + g11 * b * b + g22 * c * c + 2 * (g01 * a * b + g02 * a * c + g12 * b * c)
         # criterion 8's discriminant bound (proved in the notes above)
-        assert abs(d) * cv1 * cv1 <= 4 * cv2, f"disc bound violated at {ell.triple}, {x}"
-        le2 = le_height2(z)
-        if le2**3 <= b2:
-            if is_perfect_square(d):
-                n_split += 1
-            else:
-                n_nonsplit += 1
-            ratio_sq = le2**3 * cv1**3 / Fraction(cv2) ** 3
-            assert 8 * ratio_sq >= 1, f"height-comparison theorem violated at {ell.triple}, {x}"
-            if min_ratio_sq is None or ratio_sq < min_ratio_sq:
-                min_ratio_sq = ratio_sq
-    return n_split, n_nonsplit, min_ratio_sq
+        if abs(d) * n2 > 4 * cv2:
+            raise AssertionError(f"disc bound violated at {ell.triple}, {x}")
+        h6 = le_height2_gram(ee, ef, ff, n, x) ** 3
+        if h6 * den > num:
+            continue
+        if is_perfect_square(d):
+            n_split += 1
+        else:
+            n_nonsplit += 1
+        r_num, r_den = h6 * n3, cv2**3
+        if 8 * r_num < r_den:
+            raise AssertionError(f"height-comparison theorem violated at {ell.triple}, {x}")
+        if min_den == 0 or r_num * min_den < min_num * r_den:
+            min_num, min_den = r_num, r_den
+    return n_split, n_nonsplit, Fraction(min_num, min_den) if min_den else None
 
 
 def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
@@ -361,10 +383,10 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
 
     Counts points that are not nonreduced and satisfy le_height^3 <= B.
     Split points are counted twice independently (pair enumeration of
-    primitive integer solutions, and the region scan); the two counts are
-    asserted equal.  The nonsplit side comes from the region scan, whose
-    form cutoff and search region are proved (see the notes above
-    ``_split_pair_count``).
+    primitive integer solutions, and the region scan); a mismatch raises
+    AssertionError, also under python -O.  The nonsplit side comes from the
+    region scan, whose form cutoff and search region are proved (see the
+    notes above ``_split_pair_count``).
     """
     b = Fraction(bound)
     out = {
@@ -385,9 +407,10 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     n_split = sum(r[0] for r in results)
     n_nonsplit = sum(r[1] for r in results)
     ratios = [r[2] for r in results if r[2] is not None]
-    assert n_split == split_pairs, (
-        f"independent split counts disagree: pairs={split_pairs} region={n_split}"
-    )
+    if n_split != split_pairs:
+        raise AssertionError(
+            f"independent split counts disagree: pairs={split_pairs} region={n_split}"
+        )
     out["split"] = n_split
     out["nonsplit"] = n_nonsplit
     out["total"] = n_split + n_nonsplit

@@ -455,10 +455,19 @@ def le_height2(z: HilbPoint) -> Fraction:
     for every point that is not nonreduced.
     """
     e, f = kernel_basis_of(z.ell)
-    a, b, c = z.qbar
-    el = a * dot(f, f) - b * dot(e, f) + c * dot(e, e)
+    return Fraction(le_height2_gram(dot(e, e), dot(e, f), dot(f, f), z.ell.norm2, z.qbar))
+
+
+def le_height2_gram(ee: int, ef: int, ff: int, n: int, qbar: Sequence[int]) -> int:
+    """The closed form of ``le_height2`` on integers: H_Le^2 = L^2 + n D if
+    D > 0 and L^2 otherwise, with L = A ff - B ef + C ee and D = B^2 - 4AC
+    for qbar = (A, B, C), the Gram entries ee, ef, ff of the kernel basis
+    and n = covol2_I1.  The anticanonical count calls it once per scanned
+    vector with the Gram entries of its fiber."""
+    a, b, c = qbar
+    el = a * ff - b * ef + c * ee
     d = b * b - 4 * a * c
-    return Fraction(el * el + z.ell.norm2 * d if d > 0 else el * el)
+    return el * el + n * d if d > 0 else el * el
 
 
 def le_height(z: HilbPoint) -> float:

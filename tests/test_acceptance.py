@@ -154,21 +154,23 @@ def test_criterion_10_growth_exponents():
 
 @pytest.mark.acceptance
 def test_criterion_11_anticanonical_stretch():
-    """Informational, non-gating comparison to the B log B asymptotic."""
+    """Gates on the exact count le_count(1000) = 20677; the comparison to the
+    B log B asymptotic is informational."""
     b = 1000
     rep = le_count_detailed(b, threads=THREADS)
     pred = le_rudulier_prediction(float(b))
     ratio = rep["total"] / pred
     window = 0.4 <= ratio <= 2.5
     detail = (
-        f"le_count({b}) = {rep['total']} (split {rep['split']}, nonsplit {rep['nonsplit']}); "
+        f"le_count({b}) = {rep['total']} (split {rep['split']}, nonsplit {rep['nonsplit']}; "
+        "expected 20677); "
         f"prediction {pred:.0f}; ratio {ratio:.3f} "
         f"({'inside' if window else 'outside'} the informational window [0.4, 2.5]; "
         "the quadratic-pair term approaches its constant far beyond desk scale)"
     )
-    # gating part: the count completed exactly at B >= 10^3 with its internal
-    # split-count cross-check; the window itself is informational
-    assert _result("11", True, detail)
+    # gating part: the exact count, with its internal split-count cross-check;
+    # the window itself is informational
+    assert _result("11", rep["total"] == 20677, detail)
 
 
 @pytest.mark.acceptance

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
+from pathlib import Path
 
 import pytest
 
+import hilb2
 from hilb2.asymptotics import (
+    _canonical_triple,
+    _le_region_worker,
     _orbit_shells,
     _orbit_sum,
     CountQuery,
@@ -17,8 +24,10 @@ from hilb2.asymptotics import (
     le_count_detailed,
     le_rudulier_prediction,
 )
-from hilb2.hilb import enumerate_points
-from hilb2.lattice import product_covol2_formula
+from hilb2.exactlin import iroot
+from hilb2.heights import discriminant, is_perfect_square, le_height2
+from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
+from hilb2.lattice import enumerate_form_le, product_covol2_formula, quotient
 from hilb2.oracles import oracle_count_points
 
 
@@ -282,6 +291,100 @@ def test_le_count_cutoff_and_region_are_sound(b):
     rep = le_count_detailed(b)
     assert (rep["split"], rep["nonsplit"]) == (n_split, n_nonsplit)
     assert rep["min_ratio"] == float(min(ratios)) ** 0.5
+
+
+def test_le_count_north_star_fixed_point():
+    assert le_count_detailed(1000) == {
+        "schema_version": 1,
+        "B": 1000.0,
+        "split": 13194,
+        "nonsplit": 7483,
+        "total": 20677,
+        "min_ratio": 0.5510373445332432,
+    }
+
+
+def test_le_count_threads_invariant():
+    assert le_count_detailed(300, threads=2) == le_count_detailed(300, threads=1)
+
+
+def _reference_le_region_worker(ell, bound):
+    """The fiber scan before the integer rewrite of ``_le_region_worker``: a
+    validated HilbPoint per canonical vector, its discriminant and Le
+    Rudulier height through the heights layer, and Fraction comparisons."""
+    quo = quotient(ell)
+    cv1 = ell.norm2
+    b2 = bound * bound
+    t_f = iroot(floor(8 * b2 * cv1**3), 3)
+    n_split = 0
+    n_nonsplit = 0
+    min_ratio_sq = None
+    for x in enumerate_form_le(quo.gram_int, t_f):
+        if not _canonical_triple(*x):
+            continue
+        cv2 = quo.covol2_with(x)
+        z = HilbPoint(ell=ell, qbar=x, covol2_I2=cv2)
+        d = discriminant(z)
+        if d == 0:
+            continue
+        assert abs(d) * cv1 * cv1 <= 4 * cv2
+        le2 = le_height2(z)
+        if le2**3 <= b2:
+            if is_perfect_square(d):
+                n_split += 1
+            else:
+                n_nonsplit += 1
+            ratio_sq = le2**3 * cv1**3 / Fraction(cv2) ** 3
+            assert 8 * ratio_sq >= 1
+            if min_ratio_sq is None or ratio_sq < min_ratio_sq:
+                min_ratio_sq = ratio_sq
+    return n_split, n_nonsplit, min_ratio_sq
+
+
+@pytest.mark.parametrize("b", [100, 300])
+def test_le_region_worker_matches_reference_scan(b):
+    bound = Fraction(b)
+    forms = [f for f in canonical_forms(iroot(b * b, 6)) if f.norm2**3 <= b * b]
+    assert forms
+    for ell in forms:
+        assert _le_region_worker(ell, bound) == _reference_le_region_worker(ell, bound), ell
+
+
+# One break per check of the anticanonical count, each applied by a
+# monkeypatch in a ``python -O`` child, which drops bare asserts: a closed
+# form that is too small breaks the height-comparison theorem, one that is too
+# large loses split points, and a fiber scanned with the quotient Gram of
+# another form breaks the discriminant bound.
+_BROKEN = {
+    "height-comparison theorem": "asymptotics.le_height2_gram = lambda *a: closed(*a) // 4",
+    "split counts disagree": "asymptotics.le_height2_gram = lambda *a: 2 * closed(*a)",
+    "disc bound": "asymptotics.quotient = lambda ell: quotient(LinearForm(1, 0, 0))",
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BROKEN))
+def test_le_count_checks_survive_python_O(check):
+    script = "\n".join(
+        [
+            "import sys",
+            "from hilb2 import asymptotics",
+            "from hilb2.heights import le_height2_gram as closed",
+            "from hilb2.lattice import LinearForm, quotient",
+            "assert sys.flags.optimize == 0",  # fails unless -O drops bare asserts
+            "print('optimize', sys.flags.optimize)",
+            _BROKEN[check],
+            "try:",
+            "    asymptotics.le_count_detailed(100)",
+            "except AssertionError as exc:",
+            "    print('raised', exc)",
+        ]
+    )
+    src = str(Path(hilb2.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("optimize 1\nraised "), r.stdout
+    assert check in r.stdout, r.stdout
 
 
 def test_le_rudulier_prediction_constant():
