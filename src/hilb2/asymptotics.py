@@ -338,6 +338,11 @@ def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fract
     pair until the fiber is done.  The two proved bounds of the notes above
     are checked on every point, raised explicitly so that python -O keeps
     them.
+
+    ``enumerate_form_le`` yields one vector of each pair +-x, and the scan
+    needs no sign test: primitivity, D, covol2_I2 and H_Le^2 are all even in
+    x, so each vector stands for the point whose qbar is its sign-canonical
+    representative.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram = quotient(ell).gram_int
     e, f = kernel_basis_of(ell)
@@ -351,8 +356,7 @@ def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fract
     min_num, min_den = 0, 0  # min ratio^2 = min_num / min_den once min_den > 0
     for x in enumerate_form_le(gram, iroot(8 * num * n3 // den, 3)):
         a, b, c = x
-        # canonical: first nonzero coordinate positive, and primitive
-        if (a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0)))) or gcd(a, b, c) != 1:
+        if gcd(a, b, c) != 1:
             continue
         d = b * b - 4 * a * c
         if d == 0:

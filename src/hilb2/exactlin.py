@@ -65,10 +65,6 @@ def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def mat_vec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [dot(row, v) for row in mat]
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
     return [[dot(row, col) for col in bt] for row in a]

@@ -390,7 +390,8 @@ def height2_e(z: HilbPoint, e: int) -> int:
     for i, j in combinations(range(e + 1), 2):
         g = gcd(g, c1[i] * c2[j] - c1[j] * c2[i])
     det = dot(phi1, phi1) * dot(phi2, phi2) - dot(phi1, phi2) ** 2
-    assert det % (g * g) == 0
+    if det % (g * g):
+        raise AssertionError(f"det {det} is not divisible by g^2 = {g * g}")
     return det // (g * g)
 
 

@@ -191,7 +191,8 @@ def _open_fiber(
 
     The first-minimum bound 2 n^2 * min_form_value >= covol2_product (see
     ``m_cutoff``) rules most fibers out in closed form, before the quotient
-    is built; it is asserted on every fiber that is built.
+    is built; it is checked on every fiber that is built, raised explicitly
+    so that python -O keeps it.
     """
     n = ell.norm2
     t_max = max_covol2_I2(n, s, t, bound)
@@ -199,7 +200,8 @@ def _open_fiber(
         return None
     quo = quotient(ell)
     m0 = min_form_value(quo)
-    assert 2 * n * n * m0 >= quo.covol2_product
+    if 2 * n * n * m0 < quo.covol2_product:
+        raise AssertionError(f"first-minimum bound violated at {ell.triple}")
     if t_max < m0:
         return None
     return quo, t_max
@@ -215,11 +217,9 @@ def fiber_points(
     quo, t_max = fiber
     pts = []
     for x in enumerate_form_le(quo.gram_int, t_max):
-        if gcd(gcd(x[0], x[1]), x[2]) != 1:
-            continue
-        if sign_canonical(x) != x:
-            continue
-        pts.append(HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x)))
+        if gcd(gcd(x[0], x[1]), x[2]) == 1:
+            x = sign_canonical(x)
+            pts.append(HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x)))
     pts.sort(key=lambda p: p.qbar)
     return pts
 
@@ -231,7 +231,8 @@ def fiber_point_count(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
         return 0
     quo, t_max = fiber
     n = count_primitive_form(quo.gram_int, t_max, strict=False)
-    assert n % 2 == 0
+    if n % 2:
+        raise AssertionError(f"odd primitive count {n} at {ell.triple}")
     return n // 2
 
 

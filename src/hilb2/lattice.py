@@ -17,7 +17,10 @@ the kernel, with coset coordinates (A, B, C).  This module computes
     (proof in ``QuotientLattice``),
   * exact successive minima and witnesses, read off a Gram matrix that is
     checked to be Minkowski-reduced (which in dimension 3 proves them),
-  * exact counts of primitive vectors in balls (Moebius + interval counting),
+  * exact counts and enumeration of the vectors in an ellipsoid, both from
+    one walk over the rows of the half-space whose last nonzero coordinate
+    is positive (``_half_rows``), and exact counts of primitive vectors in
+    balls from those counts by Moebius inversion,
   * exact squared distances to the real span of the product lattice.
 
 All lattice arithmetic is exact; floats appear only in gon_main_term.
@@ -349,37 +352,41 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
     return g_red, ((u00, u01, u02), (u10, u11, u12), (u20, u21, u22))
 
 
-def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
-    """#{x in Z^3 : x^T g x <= t}, including x = 0, by exact interval counting."""
+def _half_rows(g: Sequence[Sequence[int]], t: int) -> Iterator[tuple[int, int, int, int]]:
+    """Rows (x2, x3, lo1, hi1) of {x : x^T g x <= t} in the half-space of
+    vectors whose last nonzero coordinate is positive: x = (x1, x2, x3) is in
+    it exactly when lo1 <= x1 <= hi1 on one of the rows.
+
+    The walk takes x3 >= 0, x2 >= 0 on the slice x3 = 0, and x1 >= 1 on the
+    row x2 = x3 = 0, so it meets one vector of each +-x pair and never 0.
+    The x3 and x2 ranges hold the integer points of the projections of the
+    ellipsoid onto the x3 axis and the (x2, x3) plane, so no isqrt argument
+    is negative.  Rows may be empty (hi1 = lo1 - 1).
+    """
     if t < 0:
-        return 0
-    a = g[0][0]
-    a2 = a * g[1][1] - g[0][1] ** 2
-    b2 = a * g[1][2] - g[0][1] * g[0][2]
-    c2 = a * g[2][2] - g[0][2] ** 2
+        return
+    (a, g01, g02), (_, g11, g12), (_, _, g22) = g
+    a2 = a * g11 - g01 * g01
+    b2 = a * g12 - g01 * g02
     detg = _det3(g)
-    # x3 range: x3^2 * det(g) <= t * det(top-left 2x2 block)
-    m3 = isqrt((t * a2) // detg)
-    total = 0
     at = a * t
     adet = a * detg
-    for x3 in range(-m3, m3 + 1):
-        d2 = a2 * at - x3 * x3 * adet
-        if d2 < 0:
-            continue
-        s2 = isqrt(d2)
+    # x3^2 * det(g) <= t * det(top-left 2x2 block)
+    for x3 in range(isqrt((t * a2) // detg) + 1):
+        s2 = isqrt(a2 * at - x3 * x3 * adet)
         bb = b2 * x3
-        lo2 = -((bb + s2) // a2)
-        hi2 = (s2 - bb) // a2
-        for x2 in range(lo2, hi2 + 1):
-            beta = g[0][1] * x2 + g[0][2] * x3
-            rest = g[1][1] * x2 * x2 + 2 * g[1][2] * x2 * x3 + g[2][2] * x3 * x3
-            d1 = a * t - a * rest + beta * beta
-            if d1 < 0:
-                continue
-            s1 = isqrt(d1)
-            total += (s1 - beta) // a + ((s1 + beta) // a) + 1
-    return total
+        for x2 in range(-((bb + s2) // a2) if x3 else 0, (s2 - bb) // a2 + 1):
+            beta = g01 * x2 + g02 * x3
+            s1 = isqrt(at - a * (g11 * x2 * x2 + 2 * g12 * x2 * x3 + g22 * x3 * x3) + beta * beta)
+            yield x2, x3, (-((beta + s1) // a) if x2 or x3 else 1), (s1 - beta) // a
+
+
+def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x in Z^3 : x^T g x <= t}, including x = 0, by exact interval
+    counting over the rows of ``_half_rows``: 0, and each +-x pair twice."""
+    if t < 0:
+        return 0
+    return 1 + 2 * sum(hi1 - lo1 + 1 for _, _, lo1, hi1 in _half_rows(g, t))
 
 
 def count_primitive_form(g: Sequence[Sequence[int]], t: int, strict: bool) -> int:
@@ -441,36 +448,13 @@ def _moebius_single(n: int) -> int:
 
 
 def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
-    """Yield every nonzero x in Z^3 with x^T g x <= t (both signs)."""
-    if t < 0:
-        return
-    a = g[0][0]
-    a2 = a * g[1][1] - g[0][1] ** 2
-    b2 = a * g[1][2] - g[0][1] * g[0][2]
-    detg = _det3(g)
-    m3 = isqrt((t * a2) // detg)
-    at = a * t
-    adet = a * detg
-    for x3 in range(-m3, m3 + 1):
-        d2 = a2 * at - x3 * x3 * adet
-        if d2 < 0:
-            continue
-        s2 = isqrt(d2)
-        bb = b2 * x3
-        lo2 = -((bb + s2) // a2)
-        hi2 = (s2 - bb) // a2
-        for x2 in range(lo2, hi2 + 1):
-            beta = g[0][1] * x2 + g[0][2] * x3
-            rest = g[1][1] * x2 * x2 + 2 * g[1][2] * x2 * x3 + g[2][2] * x3 * x3
-            d1 = a * t - a * rest + beta * beta
-            if d1 < 0:
-                continue
-            s1 = isqrt(d1)
-            lo1 = -((beta + s1) // a)
-            hi1 = (s1 - beta) // a
-            for x1 in range(lo1, hi1 + 1):
-                if x1 or x2 or x3:
-                    yield (x1, x2, x3)
+    """Yield one vector of each pair +-x of nonzero x in Z^3 with
+    x^T g x <= t: the one whose last nonzero coordinate is positive (the rows
+    of ``_half_rows``).  Callers that need another representative, such as
+    the first-nonzero-positive one of ``sign_canonical``, flip the sign."""
+    for x2, x3, lo1, hi1 in _half_rows(g, t):
+        for x1 in range(lo1, hi1 + 1):
+            yield (x1, x2, x3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hilb2.asymptotics import (
     le_count_detailed,
     le_rudulier_prediction,
 )
-from hilb2.exactlin import iroot
+from hilb2.exactlin import iroot, sign_canonical
 from hilb2.heights import discriminant, is_perfect_square, le_height2
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
 from hilb2.lattice import enumerate_form_le, product_covol2_formula, quotient
@@ -245,6 +245,7 @@ def test_le_count_nonreduced_excluded():
     n_all = 0
     seen_za = False
     for x in enumerate_form_le(quo.gram_int, t_f):
+        x = sign_canonical(x)
         if gcd(gcd(x[0], x[1]), x[2]) != 1:
             continue
         first = next(v for v in x if v)
@@ -276,6 +277,7 @@ def test_le_count_cutoff_and_region_are_sound(b):
         quo = quotient(ell)
         cv1 = ell.norm2
         for x in enumerate_form_le(quo.gram_int, iroot(cv1**3 * (4 * b) ** 2, 3)):
+            x = sign_canonical(x)
             if gcd(gcd(x[0], x[1]), x[2]) != 1 or sign_canonical(x) != x:
                 continue
             z = HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x))
@@ -320,6 +322,7 @@ def _reference_le_region_worker(ell, bound):
     n_nonsplit = 0
     min_ratio_sq = None
     for x in enumerate_form_le(quo.gram_int, t_f):
+        x = sign_canonical(x)
         if not _canonical_triple(*x):
             continue
         cv2 = quo.covol2_with(x)
@@ -375,6 +378,38 @@ def test_le_count_checks_survive_python_O(check):
             _BROKEN[check],
             "try:",
             "    asymptotics.le_count_detailed(100)",
+            "except AssertionError as exc:",
+            "    print('raised', exc)",
+        ]
+    )
+    src = str(Path(hilb2.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("optimize 1\nraised "), r.stdout
+    assert check in r.stdout, r.stdout
+
+
+# The same for the two checks of the count path, in ``hilb``: a first minimum
+# that is too small breaks the bound 2 n^2 m0 >= covol2_product, and an odd
+# primitive count cannot come from +-x pairs.
+_BROKEN_COUNT = {
+    "first-minimum bound": "hilb.min_form_value = lambda quo: 0",
+    "odd primitive count": "hilb.count_primitive_form = lambda *a, **k: 1",
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BROKEN_COUNT))
+def test_count_checks_survive_python_O(check):
+    script = "\n".join(
+        [
+            "import sys",
+            "from hilb2 import asymptotics, hilb",
+            "assert sys.flags.optimize == 0",  # fails unless -O drops bare asserts
+            "print('optimize', sys.flags.optimize)",
+            _BROKEN_COUNT[check],
+            "try:",
+            "    asymptotics.count_Nst(2, 1, 10)",
             "except AssertionError as exc:",
             "    print('raised', exc)",
         ]

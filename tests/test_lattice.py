@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +17,12 @@ from hilb2.exactlin import (
     gram_det2,
     gram_matrix,
     mat_mul,
-    mat_vec,
+    Row,
 )
 from hilb2.hilb import canonical_forms, enumerate_points
 from hilb2.lattice import (
     LinearForm,
+    count_form_le,
     count_primitive,
     dist_to_span,
     eval_quadratic,
@@ -132,9 +134,9 @@ def _reference_projected_gram(f, rows):
     g3 = gram_matrix(p)
     adj = oracles._adjugate3(g3)
     d = det_bareiss(g3)
-    pr = [mat_vec(p, r) for r in rows]
+    pr = [[dot(row, r) for row in p] for r in rows]
     return [
-        [d * dot(r, s) - dot(mat_vec(adj, x), y) for s, y in zip(rows, pr)]
+        [d * dot(r, s) - dot([dot(row, x) for row in adj], y) for s, y in zip(rows, pr)]
         for r, x in zip(rows, pr)
     ]
 
@@ -567,6 +569,113 @@ def test_reduce_gram_consistency():
         ut = [list(col) for col in zip(*u)]
         assert mat_mul(ut, mat_mul(g, u)) == [list(r) for r in gred]
         lattice._assert_minkowski_reduced(gred)
+
+
+# The two walks count_form_le and enumerate_form_le ran before both became
+# one half-space walk, kept verbatim as references: each walks every x3 slice
+# and both vectors of each +-x pair.
+def _reference_count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x in Z^3 : x^T g x <= t}, including x = 0, by exact interval counting."""
+    if t < 0:
+        return 0
+    a = g[0][0]
+    a2 = a * g[1][1] - g[0][1] ** 2
+    b2 = a * g[1][2] - g[0][1] * g[0][2]
+    c2 = a * g[2][2] - g[0][2] ** 2
+    detg = lattice._det3(g)
+    # x3 range: x3^2 * det(g) <= t * det(top-left 2x2 block)
+    m3 = isqrt((t * a2) // detg)
+    total = 0
+    at = a * t
+    adet = a * detg
+    for x3 in range(-m3, m3 + 1):
+        d2 = a2 * at - x3 * x3 * adet
+        if d2 < 0:
+            continue
+        s2 = isqrt(d2)
+        bb = b2 * x3
+        lo2 = -((bb + s2) // a2)
+        hi2 = (s2 - bb) // a2
+        for x2 in range(lo2, hi2 + 1):
+            beta = g[0][1] * x2 + g[0][2] * x3
+            rest = g[1][1] * x2 * x2 + 2 * g[1][2] * x2 * x3 + g[2][2] * x3 * x3
+            d1 = a * t - a * rest + beta * beta
+            if d1 < 0:
+                continue
+            s1 = isqrt(d1)
+            total += (s1 - beta) // a + ((s1 + beta) // a) + 1
+    return total
+
+
+def _reference_enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
+    """Yield every nonzero x in Z^3 with x^T g x <= t (both signs)."""
+    if t < 0:
+        return
+    a = g[0][0]
+    a2 = a * g[1][1] - g[0][1] ** 2
+    b2 = a * g[1][2] - g[0][1] * g[0][2]
+    detg = lattice._det3(g)
+    m3 = isqrt((t * a2) // detg)
+    at = a * t
+    adet = a * detg
+    for x3 in range(-m3, m3 + 1):
+        d2 = a2 * at - x3 * x3 * adet
+        if d2 < 0:
+            continue
+        s2 = isqrt(d2)
+        bb = b2 * x3
+        lo2 = -((bb + s2) // a2)
+        hi2 = (s2 - bb) // a2
+        for x2 in range(lo2, hi2 + 1):
+            beta = g[0][1] * x2 + g[0][2] * x3
+            rest = g[1][1] * x2 * x2 + 2 * g[1][2] * x2 * x3 + g[2][2] * x3 * x3
+            d1 = a * t - a * rest + beta * beta
+            if d1 < 0:
+                continue
+            s1 = isqrt(d1)
+            lo1 = -((beta + s1) // a)
+            hi1 = (s1 - beta) // a
+            for x1 in range(lo1, hi1 + 1):
+                if x1 or x2 or x3:
+                    yield (x1, x2, x3)
+
+
+def _gram_of(b):
+    return tuple(tuple(dot(ci, cj) for cj in zip(*b)) for ci in zip(*b))
+
+
+_small = st.integers(-5, 5)
+# quotient Grams as built (unreduced) and after reduce_gram, and B^T B for
+# small nonsingular B, which is often skewed enough to leave empty rows
+_gram = st.one_of(
+    _form.map(lambda raw: quotient(LinearForm.from_raw(*raw)).gram_int),
+    _form.map(lambda raw: reduce_gram(quotient(LinearForm.from_raw(*raw)).gram_int)[0]),
+    st.lists(st.lists(_small, min_size=3, max_size=3), min_size=3, max_size=3)
+    .filter(lambda b: det3(b) != 0)
+    .map(_gram_of),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_gram, st.integers(-1, 64))
+@example(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)
+@example(((100, 30, 0), (30, 10, 0), (0, 0, 1)), 24)
+def test_half_space_walk_against_the_two_full_walks(g, k):
+    # t runs over multiples of a quarter of the first minimum: t < 0, t = 0,
+    # t below the minimum (so below g00), and up to 16 times the minimum
+    t = k * reduce_gram(g)[0][0][0] // 4
+    assert count_form_le(g, t) == _reference_count_form_le(g, t)
+    half = list(lattice.enumerate_form_le(g, t))
+    assert len(set(half)) == len(half)
+    assert (0, 0, 0) not in half
+    assert all(next(v for v in reversed(x) if v) > 0 for x in half)
+    assert set(half) | {(-a, -b, -c) for a, b, c in half} == set(_reference_enumerate_form_le(g, t))
+
+
+def test_half_space_walk_meets_empty_rows():
+    # the second example above has rows whose x1 interval holds no integer
+    rows = list(lattice._half_rows(((100, 30, 0), (30, 10, 0), (0, 0, 1)), 24))
+    assert any(hi1 < lo1 for x2, x3, lo1, hi1 in rows if x2 or x3)
 
 
 def test_dist_to_span_examples():
