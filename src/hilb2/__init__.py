@@ -17,7 +17,6 @@ from .exactlin import (
     NotFiniteIndexError,
     RankDeficientError,
     gram_det2,
-    kernel_basis,
     saturate,
     smith_minor_gcd,
 )

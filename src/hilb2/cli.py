@@ -59,6 +59,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
+def _fraction_list(text: str) -> list[Fraction]:
+    return [_fraction(x) for x in text.split(",")]
+
+
 def _int_triple(text: str) -> tuple[int, int, int]:
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 3:
@@ -111,7 +115,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--height-bound", type=float, default=None)
     sp.add_argument("--a-max", type=int, default=None)
     sp.add_argument("--k-max", type=int, default=None)
-    sp.add_argument("--b-values", default=None, help="comma-separated height bounds")
+    sp.add_argument("--b-values", type=_fraction_list, default=None,
+                    help="comma-separated height bounds")
     common(sp)
 
     sp = sub.add_parser("le-count", help="exact anticanonical-height count")
@@ -267,21 +272,8 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.m_max is not None:
-        overrides["m_max"] = args.m_max
-    if args.box is not None:
-        overrides["box"] = args.box
-    if args.n_lattices is not None:
-        overrides["n_lattices"] = args.n_lattices
-    if args.height_bound is not None:
-        overrides["height_bound"] = args.height_bound
-    if args.a_max is not None:
-        overrides["a_max"] = args.a_max
-    if args.k_max is not None:
-        overrides["k_max"] = args.k_max
-    if args.b_values is not None:
-        overrides["b_values"] = [Fraction(x) for x in args.b_values.split(",")]
+    names = ("m_max", "box", "n_lattices", "height_bound", "a_max", "k_max", "b_values")
+    overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     report = run_suite(args.suite, seed=args.seed, threads=_threads(args), **overrides)
     if args.format == "csv":
         rows = [

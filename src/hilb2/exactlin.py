@@ -4,7 +4,10 @@ Everything in this module is exact: matrices are plain tuples/lists of Python
 ints (arbitrary precision), determinants are computed fraction-free (Bareiss),
 and lattice operations never touch floating point.  One routine eliminates:
 the row Hermite normal form ``hnf``.  Kernels, saturation and basis
-completion are read off the HNF of an augmented matrix [M^T | I].
+completion are read off the HNF of an augmented matrix [M^T | I]; the
+library builds the kernel basis of a linear form in closed form
+(``lattice.kernel_basis_of``), and these generic routines are the references
+the tests check such closed forms against.
 
 Matrices are row-major sequences of equal-length integer rows.  A lattice is
 always the row span of such a matrix.
@@ -286,29 +289,3 @@ def cross(v: Sequence[int], w: Sequence[int]) -> tuple[int, int, int]:
         v[0] * w[1] - v[1] * w[0],
     )
 
-
-def kernel_basis(a: int, b: int, c: int) -> tuple[Row, Row]:
-    """Basis (e, f) of the rank-2 lattice {v in Z^3 : a v0 + b v1 + c v2 = 0}.
-
-    (a, b, c) must be primitive.  The output is the HNF basis of the kernel,
-    orientation-fixed so that the cross product e x f equals +(a, b, c)
-    exactly (possible because the form is primitive).  In closed form: with
-    g = gcd(b, c) and (b/g) x + (c/g) y = 1, the kernel vectors with v0 = 0
-    are the multiples of (0, c/g, -b/g), and (g, -a x, -a y) has the least
-    positive v0 (a is prime to g).
-    """
-    if gcd(gcd(a, b), c) != 1:
-        raise ValueError("form must be primitive")
-    g, x, y = _xgcd(b, c)
-    if g == 0:  # the form is +-X0
-        e, f = (0, 1, 0), (0, 0, 1)
-    else:
-        f = sign_canonical((0, c // g, -b // g))
-        e = (g, -a * x, -a * y)
-        pivot = 1 if f[1] else 2
-        k = e[pivot] // f[pivot]
-        e = tuple(p - k * q for p, q in zip(e, f))
-    if cross(e, f) == (a, b, c):
-        return e, f
-    assert cross(e, f) == (-a, -b, -c)
-    return e, tuple(-t for t in f)

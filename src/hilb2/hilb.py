@@ -179,7 +179,6 @@ def canonical_forms(m_max: int) -> list[LinearForm]:
             for c in rng:
                 if gcd(gcd(a, b), c) == 1:
                     out.append(LinearForm(a, b, c))
-    out.sort(key=lambda f: f.triple)
     return out
 
 
@@ -230,7 +229,7 @@ def fiber_point_count(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
     if fiber is None:
         return 0
     quo, t_max = fiber
-    n = count_primitive_form(quo.gram_int, t_max, strict=False)
+    n = count_primitive_form(quo.gram_int, t_max)
     if n % 2:
         raise AssertionError(f"odd primitive count {n} at {ell.triple}")
     return n // 2

@@ -2,8 +2,9 @@
 
 For a primitive integer form l = a*X0 + b*X1 + c*X2 the degree-2 polynomial
 lattice Z^6 (monomial order X0^2, X0X1, X0X2, X1^2, X1X2, X2^2) contains the
-rank-3 product lattice spanned by X0*l, X1*l, X2*l.  For a reduced basis
-(e, f) of the kernel of l, restriction to the kernel plane,
+rank-3 product lattice spanned by X0*l, X1*l, X2*l.  For the reduced basis
+(e, f) of the kernel of l (``kernel_basis_of``, in closed form from one
+extended gcd), restriction to the kernel plane,
 q -> q(S e + T f) = A S^2 + B S T + C T^2, is an integer 3x6 matrix rho
 that maps Z^6 onto Z^3 with the product lattice as its kernel, so the
 quotient Z^6 / (product lattice) is the lattice of binary quadratic forms on
@@ -19,8 +20,9 @@ the kernel, with coset coordinates (A, B, C).  This module computes
     checked to be Minkowski-reduced (which in dimension 3 proves them),
   * exact counts and enumeration of the vectors in an ellipsoid, both from
     one walk over the rows of the half-space whose last nonzero coordinate
-    is positive (``_half_rows``), and exact counts of primitive vectors in
-    balls from those counts by Moebius inversion,
+    is positive (``_half_rows``), and exact counts of the primitive vectors
+    in an ellipsoid from those counts by Moebius inversion, on the reduced
+    Gram matrix whose first minimum bounds the sieve,
   * exact squared distances to the real span of the product lattice.
 
 All lattice arithmetic is exact; floats appear only in gon_main_term.
@@ -42,7 +44,6 @@ from .exactlin import (
     as_matrix,
     _xgcd,
     cross,
-    kernel_basis,
     sign_canonical,
 )
 
@@ -389,26 +390,25 @@ def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
     return 1 + 2 * sum(hi1 - lo1 + 1 for _, _, lo1, hi1 in _half_rows(g, t))
 
 
-def count_primitive_form(g: Sequence[Sequence[int]], t: int, strict: bool) -> int:
-    """#{x != 0 primitive : x^T g x <= t (or < t)}, by Moebius inversion."""
-    bound = t - 1 if strict else t
-    if bound < 0:
+def count_primitive_form(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x != 0 primitive : x^T g x <= t}, by Moebius inversion over the
+    dilations d: the sum of mu(d) * #{x != 0 : x^T g x <= t // d^2}.
+
+    Counts do not depend on the basis, so g is replaced by its checked
+    Minkowski reduction (``_minkowski_reduced``, shared with
+    ``min_form_value``), on which the interval counter walks the fewest
+    rows.  Its first diagonal entry is lambda_1^2 (see
+    ``successive_minima``), so no nonzero vector is left past
+    d = isqrt(t // lambda_1^2) and the sieve stops there exactly.
+    """
+    if t < 0:
         return 0
-    total = 0
-    d = 1
-    mu = _moebius_upto(isqrt(bound // min(g[i][i] for i in range(3))) + 1 if bound else 1)
-    while True:
-        sub = bound // (d * d)
-        n = count_form_le(g, sub) - 1 if sub >= 0 else 0
-        if n == 0:
-            break
-        # the sieve is sized from the smallest diagonal entry, which can far
-        # exceed the smallest form value
-        m = mu[d] if d < len(mu) else _moebius_single(d)
-        if m:
-            total += m * n
-        d += 1
-    return total
+    gred = _minkowski_reduced(tuple(map(tuple, g)))[0]
+    d_max = isqrt(t // gred[0][0])
+    mu = _moebius_upto(d_max)
+    return sum(
+        mu[d] * (count_form_le(gred, t // (d * d)) - 1) for d in range(1, d_max + 1) if mu[d]
+    )
 
 
 def _moebius_upto(n: int) -> list[int]:
@@ -430,21 +430,6 @@ def _moebius_upto(n: int) -> list[int]:
                 break
             mu[i * p] = -mu[i]
     return mu
-
-
-def _moebius_single(n: int) -> int:
-    res = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            res = -res
-        d += 1
-    if n > 1:
-        res = -res
-    return res
 
 
 def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
@@ -544,7 +529,7 @@ def count_primitive(q: QuotientLattice, radius: float | Fraction | int) -> int:
         return 0
     t = r * r * q.covol2_product
     scaled = [[t.denominator * x for x in row] for row in q.gram_int]
-    return count_primitive_form(scaled, t.numerator, strict=True)
+    return count_primitive_form(scaled, t.numerator - 1)
 
 
 def gon_main_term(q: QuotientLattice, radius: float) -> float:
@@ -555,11 +540,21 @@ def gon_main_term(q: QuotientLattice, radius: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _kernel_basis_cached(a: int, b: int, c: int) -> tuple[Row, Row]:
-    (e0, e1, e2), (f0, f1, f2) = kernel_basis(a, b, c)
+    g, x, y = _xgcd(b, c)
+    if g == 0:  # the form X0
+        return (0, 1, 0), (0, 0, 1)
+    # the kernel vectors with v0 = 0 are the multiples of f, and
+    # (g, -a x, -a y) has the least positive v0 (a is prime to g); both
+    # steps below keep e x f = (a, b, c)
+    f0, f1, f2 = 0, c // g, -b // g
+    e1, e2 = -a * x, -a * y
+    # the HNF basis: reduce e at f's pivot p into [0, |p|)
+    p, ep = (f1, e1) if f1 else (f2, e2)
+    k = (ep - ep % abs(p)) // p
+    e0, e1, e2 = g, e1 - k * f1, e2 - k * f2
     ee = e0 * e0 + e1 * e1 + e2 * e2
-    ff = f0 * f0 + f1 * f1 + f2 * f2
-    # Lagrange reduction; both steps keep e x f = (a, b, c), and ties keep
-    # the HNF order
+    ff = f1 * f1 + f2 * f2
+    # Lagrange reduction; ties keep the HNF order
     while True:
         if ff > ee:
             e0, e1, e2, f0, f1, f2 = -f0, -f1, -f2, e0, e1, e2
@@ -576,8 +571,9 @@ def kernel_basis_of(ell: LinearForm) -> tuple[Row, Row]:
     """Reduced oriented basis (e, f) of the integer kernel of the form.
 
     e x f = (a, b, c) and 2|e.f| <= f.f <= e.e: the Lagrange reduction of
-    the HNF basis ``kernel_basis``.  Coset coordinates in ``quotient(ell)``
-    and the restricted binary form of a point are taken in this basis.
+    the HNF basis of the kernel, built in closed form from one extended gcd
+    of (b, c).  Coset coordinates in ``quotient(ell)`` and the restricted
+    binary form of a point are taken in this basis.
     """
     return _kernel_basis_cached(*ell.triple)
 

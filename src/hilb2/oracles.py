@@ -56,31 +56,26 @@ def _grid_form_values(g: Sequence[Sequence[int]], bounds: list[int]) -> tuple | 
     return x0, x1, x2, vals
 
 
-def count_primitive_boxscan(q: QuotientLattice, t: int, strict: bool = False) -> int:
-    return count_primitive_gram_boxscan(q.gram_int, t, strict)
-
-
-def count_primitive_gram_boxscan(g: Sequence[Sequence[int]], t: int, strict: bool = False) -> int:
-    """#{x != 0 primitive : x^T g x <= t (or < t)} with gcd primitivity (no
-    Moebius inversion over dilations).
+def count_primitive_gram_boxscan(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x != 0 primitive : x^T g x <= t} with gcd primitivity (no Moebius
+    inversion over dilations).
 
     Small well-rounded instances are scanned as a full numpy box with a gcd
     per point; skewed or large instances go to ``count_primitive_rows``.
     """
-    bound = t - 1 if strict else t
-    if bound < 0:
+    if t < 0:
         return 0
-    bounds = _box_bounds(g, bound)
+    bounds = _box_bounds(g, t)
     vol = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
     if vol <= 2_000_000:
         grid = _grid_form_values(g, bounds)
         if grid is not None:
             x0, x1, x2, vals = grid
-            mask = vals <= bound
+            mask = vals <= t
             mask &= (x0 != 0) | (x1 != 0) | (x2 != 0)
             prim = np.gcd(np.gcd(np.abs(x0), np.abs(x1)), np.abs(x2)) == 1
             return int(np.count_nonzero(mask & prim))
-    return count_primitive_rows(g, bound)
+    return count_primitive_rows(g, t)
 
 
 # int64 headroom required by the vectorized paths (exact below it)
@@ -125,8 +120,8 @@ def _coprime_in(lo: int, hi: int, g: int) -> int:
     return sum(mu * (hi // d - (lo - 1) // d) for d, mu in _squarefree_divisors(g))
 
 
-def count_primitive_rows(g: Sequence[Sequence[int]], t: int, strict: bool = False) -> int:
-    """#{x != 0 primitive : x^T g x <= t (or < t)}, one (x1, x2) row at a time.
+def count_primitive_rows(g: Sequence[Sequence[int]], t: int) -> int:
+    """#{x != 0 primitive : x^T g x <= t}, one (x1, x2) row at a time.
 
     Counts in a reduced basis of g (checked exactly, see _checked_reduction)
     with the shortest basis vector as the innermost coordinate x0.  Since
@@ -135,17 +130,16 @@ def count_primitive_rows(g: Sequence[Sequence[int]], t: int, strict: bool = Fals
     exclusion over the primes of that gcd.  Rows are vectorized with numpy
     per x2 slice when an int64 audit allows it, else walked in pure Python.
     """
-    bound = t - 1 if strict else t
-    if bound < 0:
+    if t < 0:
         return 0
     h = _checked_reduction(g)
-    bounds = _box_bounds(h, bound)
+    bounds = _box_bounds(h, t)
     # the numpy path takes form values at most two steps outside the box
     worst = sum(
         abs(h[i][j]) * (bounds[i] + 2) * (bounds[j] + 2) for i in range(3) for j in range(3)
     )
-    slice_rows = _slice_rows_numpy if worst + bound < _INT64_SAFE else _slice_rows_python
-    return sum(slice_rows(h, bound, x2, lo1, hi1) for x2, lo1, hi1 in _row_slices(h, bound))
+    slice_rows = _slice_rows_numpy if worst + t < _INT64_SAFE else _slice_rows_python
+    return sum(slice_rows(h, t, x2, lo1, hi1) for x2, lo1, hi1 in _row_slices(h, t))
 
 
 def _row_slices(h: Sequence[Sequence[int]], bound: int) -> Iterator[tuple[int, int, int]]:

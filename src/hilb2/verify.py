@@ -9,6 +9,7 @@ and different thread counts produce byte-identical reports.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from math import gcd, isqrt, log
@@ -38,22 +39,10 @@ from .lattice import (
     product_basis,
     product_covol2_formula,
     quotient,
-    reduce_gram,
     successive_minima,
 )
 from .exactlin import det_bareiss, gram_det2, iroot
-from .oracles import count_primitive_boxscan, distance_lemma_violations, oracle_count_points
-
-SUITE_NAMES = (
-    "sl-formula",
-    "minkowski",
-    "minima",
-    "gon",
-    "disc-agreement",
-    "za-family",
-    "oracle-count",
-    "disc-bound",
-)
+from .oracles import count_primitive_gram_boxscan, distance_lemma_violations, oracle_count_points
 
 
 def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
@@ -231,23 +220,20 @@ def _gon_worker(ell: LinearForm, ks: tuple, literal_cap: float) -> list[dict]:
     l2 = float(sm.lam2_sq) ** 0.5
     l3 = float(sm.lam3_sq) ** 0.5
     covol = cv2p ** -0.5
-    # counts and primitivity are invariant under a unimodular change of
-    # basis, and the interval counter walks the fewest rows on a reduced form
-    gred, _ = reduce_gram(q.gram_int)
     rows = []
     for k in ks:
         # volume-matched radius R = k * covol^(1/3): strict cutoff
         # x gram x < R^2  <=>  (x gram_int x)^3 < k^6 covol2p^2
         t_int = iroot(k**6 * cv2p * cv2p - 1, 3)
-        n = count_primitive_form(gred, t_int, strict=False)
-        n2 = count_primitive_boxscan(q, t_int, strict=False)
+        n = count_primitive_form(q.gram_int, t_int)
+        n2 = count_primitive_gram_boxscan(q.gram_int, t_int)
         r = k * cv2p ** (-1.0 / 6.0)
         rows.append(_gon_row("scaled", k, r, n, n2, l1, l2, l3, covol))
         main_lit = 4.0 * PI / (3.0 * ZETA3) * k**3 * cv2p**0.5
         if main_lit <= literal_cap:
             t_lit = k * k * cv2p - 1  # strict: x gram_int x <= R^2 covol2p - 1
-            n = count_primitive_form(gred, t_lit, strict=False)
-            n2 = count_primitive_boxscan(q, t_lit, strict=False)
+            n = count_primitive_form(q.gram_int, t_lit)
+            n2 = count_primitive_gram_boxscan(q.gram_int, t_lit)
             rows.append(_gon_row("literal", k, float(k), n, n2, l1, l2, l3, covol))
     return rows
 
@@ -474,30 +460,26 @@ def _report(suite: str, params: dict, checks: list) -> dict:
     }
 
 
+_SUITES = {
+    "sl-formula": suite_sl_formula,
+    "minkowski": suite_minkowski,
+    "minima": suite_minima,
+    "gon": suite_gon,
+    "disc-agreement": suite_disc_agreement,
+    "za-family": suite_za_family,
+    "oracle-count": suite_oracle_count,
+    "disc-bound": suite_disc_bound,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0, threads: int = 1, **overrides) -> dict:
-    """Dispatch a named suite with its spec-scale defaults."""
-    if name == "sl-formula":
-        return suite_sl_formula(overrides.get("m_max", 30), threads)
-    if name == "minkowski":
-        return suite_minkowski(overrides.get("m_max", 30), threads)
-    if name == "minima":
-        return suite_minima(overrides.get("m_max", 4), overrides.get("box", 3))
-    if name == "gon":
-        return suite_gon(
-            seed=seed,
-            n_lattices=overrides.get("n_lattices", 100),
-            m_max=overrides.get("m_max", 50),
-            threads=threads,
-        )
-    if name == "disc-agreement":
-        return suite_disc_agreement(overrides.get("height_bound", 15.0))
-    if name == "za-family":
-        return suite_za_family(overrides.get("a_max", 20))
-    if name == "oracle-count":
-        b_values = overrides.get("b_values")
-        if b_values is None:
-            b_values = (1, 2, 5, 10, 20, 30)
-        return suite_oracle_count(b_values=tuple(b_values), threads=threads)
-    if name == "disc-bound":
-        return suite_disc_bound(overrides.get("height_bound", 15.0), overrides.get("k_max", 30))
-    raise ValueError(f"unknown suite: {name}")
+    """Run a named suite at its spec-scale defaults, which its signature
+    states.  ``seed``, ``threads`` and each override reach the suite only
+    where its signature takes them; the others are ignored."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite: {name}")
+    suite = _SUITES[name]
+    params = inspect.signature(suite).parameters
+    kwargs = {k: v for k, v in {"seed": seed, "threads": threads, **overrides}.items() if k in params}
+    return suite(**kwargs)

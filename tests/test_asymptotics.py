@@ -148,7 +148,7 @@ def test_fiber_sum_identity():
         q = quotient(f)
         cv1 = f.norm2
         scaled = [[cv1 * x for x in row] for row in q.gram_int]
-        n = count_primitive_form(scaled, b * b, strict=False)
+        n = count_primitive_form(scaled, b * b)
         assert n % 2 == 0
         total += n // 2
     assert total == count_Nst(2, 1, b)

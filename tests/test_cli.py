@@ -7,6 +7,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+from hilb2 import verify
 from hilb2.asymptotics import constant_c, count_Nst
 from hilb2.cli import _threads, height_field, main, point_row
 from hilb2.hilb import HilbPoint, enumerate_points
@@ -130,6 +133,29 @@ def test_verify_minima_cli(capsys):
 def test_verify_unknown_suite_exit_1():
     r = run_cli(["verify", "--suite", "nope"])
     assert r.returncode == 1
+
+
+def test_suite_names_are_the_dispatch_table():
+    names = ("sl-formula", "minkowski", "minima", "gon", "disc-agreement", "za-family", "oracle-count", "disc-bound")
+    assert verify.SUITE_NAMES == tuple(verify._SUITES) == names
+
+
+def test_run_suite_passes_only_what_a_suite_takes(capsys):
+    # za-family takes a_max only, minima m_max and box: seed, threads and the
+    # other flags are ignored, and the defaults are the suite signatures'
+    rep = verify.run_suite("za-family", seed=5, threads=2, a_max=3, m_max=9, box=1)
+    assert rep["passed"] and rep["params"] == {"a_max": 3}
+    assert verify.run_suite("za-family")["params"] == {"a_max": 20}
+    rep = verify.run_suite("minima", seed=3, threads=2, m_max=2, box=2, n_lattices=7)
+    assert rep["params"] == {"m_max": 2, "box": 2}
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite("nope")
+    assert main(["verify", "--suite", "za-family", "--a-max", "3", "--m-max", "9", "--box", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"a_max": 3}
+    rc = main(["verify", "--suite", "oracle-count", "--b-values", "1,3/2", "--k-max", "4"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["B"] for r in rows] == ["1", "3/2"] * 3
 
 
 def test_point_csv_roundtrip(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -9,16 +10,17 @@ from hilb2.exactlin import (
     complement_basis,
     cross,
     det_bareiss,
+    dot,
     gram_det2,
     hnf,
     iroot,
     kernel,
-    kernel_basis,
     mat_mul,
     saturate,
+    sign_canonical,
     smith_minor_gcd,
 )
-from hilb2.lattice import LinearForm, product_basis
+from hilb2.lattice import LinearForm, kernel_basis_of, product_basis
 
 
 def test_gram_det2_orthonormal_rows():
@@ -117,45 +119,59 @@ def test_kernel_rank_and_membership(rng):
         assert len(ker) == 5 - len(saturate(m))
 
 
+# ``lattice.kernel_basis_of`` builds the reduced kernel basis of a linear
+# form in closed form; the generic HNF kernel here is its reference.
+
+
+def _reference_kernel_basis(a, b, c):
+    """HNF basis of the generic kernel, oriented so that e x f = (a, b, c),
+    then Lagrange-reduced: e -= k f, swaps (e, f) <- (-f, e), ties kept."""
+    e, f = hnf(kernel([(a, b, c)]))
+    if cross(e, f) != (a, b, c):
+        f = tuple(-x for x in f)
+    while True:
+        if dot(f, f) > dot(e, e):
+            e, f = tuple(-x for x in f), e
+        ef, ff = dot(e, f), dot(f, f)
+        if 2 * abs(ef) <= ff:
+            return e, f
+        k = (2 * ef + ff) // (2 * ff)
+        e = tuple(x - k * y for x, y in zip(e, f))
+
+
 def test_kernel_basis_axis():
-    assert kernel_basis(0, 0, 1) == ((1, 0, 0), (0, 1, 0))
+    assert kernel_basis_of(LinearForm(0, 0, 1)) == ((1, 0, 0), (0, 1, 0))
+    assert kernel_basis_of(LinearForm(1, 0, 0)) == ((0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 1, 0), (3, -5, 7), (0, 2, 9)])
 def test_kernel_basis_properties(triple):
-    a, b, c = triple
-    e, f = kernel_basis(a, b, c)
-    assert a * e[0] + b * e[1] + c * e[2] == 0
-    assert a * f[0] + b * f[1] + c * f[2] == 0
-    cross = (
-        e[1] * f[2] - e[2] * f[1],
-        e[2] * f[0] - e[0] * f[2],
-        e[0] * f[1] - e[1] * f[0],
-    )
-    # index-1 (saturated) kernel basis of a primitive form has cross = +-form;
-    # the implementation fixes the orientation to +form
-    assert cross == triple
-    assert kernel_basis(a, b, c) == (e, f)  # deterministic
+    e, f = kernel_basis_of(LinearForm(*triple))
+    assert dot(triple, e) == dot(triple, f) == 0
+    # an index-1 (saturated) kernel basis of a primitive form has
+    # e x f = +-form; the orientation is fixed to +form
+    assert cross(e, f) == triple
+    assert 2 * abs(dot(e, f)) <= dot(f, f) <= dot(e, e)
 
 
 def test_kernel_basis_is_the_generic_hnf_kernel():
-    # the closed form equals the HNF of the generic kernel, orientation fixed
-    forms = [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 3, -2), (5, 0, -3), (-2, 3, 0)]
+    # every sign-canonical primitive form with |coordinates| <= 12, and
+    # seeded random ones with coordinates up to 10^6
+    r = range(-12, 13)
+    forms = [t for t in product(r, r, r) if any(t) and sign_canonical(t) == t and gcd(*t) == 1]
     rng = random.Random(4)
-    while len(forms) < 400:
-        t = tuple(rng.randint(-30, 30) for _ in range(3))
-        if gcd(gcd(t[0], t[1]), t[2]) == 1:
+    while len(forms) < 8500:
+        t = sign_canonical([rng.randint(-10**6, 10**6) for _ in range(3)])
+        if gcd(*t) == 1:
             forms.append(t)
-    for a, b, c in forms:
-        e, f = kernel([(a, b, c)])
-        if cross(e, f) != (a, b, c):
-            f = tuple(-x for x in f)
-        assert kernel_basis(a, b, c) == (e, f), (a, b, c)
+    for t in forms:
+        assert kernel_basis_of(LinearForm(*t)) == _reference_kernel_basis(*t), t
 
 
 def test_kernel_basis_requires_primitive():
+    # the closed form relies on gcd(a, b, c) = 1, which LinearForm enforces
     with pytest.raises(ValueError):
-        kernel_basis(2, 4, 6)
+        kernel_basis_of(LinearForm(2, 4, 6))
 
 
 def test_smith_minor_gcd_identity():

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from conftest import seeded_forms
 from hilb2.asymptotics import count_Nst
-from hilb2.exactlin import gram_det2
+from hilb2.exactlin import gram_det2, sign_canonical
 from hilb2.hilb import (
     HilbPoint,
     NonPrimitiveIdealError,
@@ -158,6 +159,13 @@ def test_scaling_law_same_point_set():
     assert c == d
 
 
+def test_canonical_forms_against_sorted_brute_force():
+    for m in range(7):
+        r = range(-m, m + 1)
+        want = sorted(t for t in product(r, r, r) if any(t) and gcd(*t) == 1 and sign_canonical(t) == t)
+        assert [f.triple for f in canonical_forms(m)] == want, m
+
+
 def test_m_cutoff_is_sound():
     s, t, b = Fraction(2), Fraction(1), Fraction(5)
     m = m_cutoff(s, t, b)
@@ -199,7 +207,7 @@ def test_roundtrip_recovers_defining_lattices():
 def _unpruned_count(f, s, t, b):
     """Fiber count straight from the quotient lattice, with no prune."""
     t_max = max_covol2_I2(f.norm2, s, t, b)
-    n = count_primitive_form(quotient(f).gram_int, t_max, strict=False)
+    n = count_primitive_form(quotient(f).gram_int, t_max)
     assert n % 2 == 0
     return n // 2
 

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
@@ -386,22 +390,40 @@ def test_count_primitive_vs_boxscan_200_instances():
         r = Fraction(rng.randint(1, 12), rng.randint(1, 4))
         tt = r * r * q.covol2_product
         scaled = [[tt.denominator * x for x in row] for row in q.gram_int]
-        assert count_primitive(q, r) == count_primitive_gram_boxscan(
-            scaled, tt.numerator, strict=True
-        )
+        assert count_primitive(q, r) == count_primitive_gram_boxscan(scaled, tt.numerator - 1)
         checked += 1
 
 
-def test_count_primitive_form_beyond_the_moebius_sieve(monkeypatch):
-    # the sieve is sized from the smallest diagonal entry (100), but the
-    # smallest form value is 2, so d runs to 22 and the fallback is taken
-    calls = []
-    single = lattice._moebius_single
-    monkeypatch.setattr(lattice, "_moebius_single", lambda n: calls.append(n) or single(n))
+def test_count_primitive_form_on_a_skewed_gram():
+    # the smallest diagonal entry is 100 but the first minimum is 2, so the
+    # sieve must run to d = isqrt(1000 // 2) = 22
     g = [[100, 99, 0], [99, 100, 0], [0, 0, 100]]
-    assert count_primitive_form(g, 1000, False) == 762
-    assert count_primitive_gram_boxscan(g, 1000, False) == 762
-    assert len(calls) == 18 and max(calls) == 22
+    assert count_primitive_form(g, 1000) == 762
+    assert count_primitive_gram_boxscan(g, 1000) == 762
+
+
+def test_count_primitive_form_checks_its_reduction_under_python_O():
+    # a reduction that is not Minkowski-reduced would make the sieve stop
+    # early; the check is raised explicitly, so python -O keeps it
+    script = "\n".join(
+        [
+            "import sys",
+            "from hilb2 import lattice",
+            "assert sys.flags.optimize == 0",  # fails unless -O drops bare asserts
+            "print('optimize', sys.flags.optimize)",
+            "eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))",
+            "lattice.reduce_gram = lambda g: (((2, 0, 0), (0, 1, 0), (0, 0, 1)), eye)",
+            "try:",
+            "    lattice.count_primitive_form(eye, 10)",
+            "except AssertionError as exc:",
+            "    print('raised', exc)",
+        ]
+    )
+    src = str(Path(lattice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("optimize 1\nraised Gram matrix is not Minkowski-reduced"), r.stdout
 
 
 def test_coprime_in_bruteforce():
@@ -420,7 +442,7 @@ def test_count_primitive_rows(monkeypatch, vectorized):
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     thin = [[1, 0, 0], [0, 100, 0], [0, 0, 100]]
     assert count_primitive_rows(eye, 0) == 0
-    assert count_primitive_rows(thin, 1, strict=True) == 0
+    assert count_primitive_rows(thin, 0) == 0
     assert count_primitive_rows(thin, 1) == 2
     assert count_primitive_rows(thin, 99) == 2
     # small instances: the numpy grid path is the second reference; the
@@ -431,16 +453,16 @@ def test_count_primitive_rows(monkeypatch, vectorized):
         q = quotient(f)
         cases.append((q.gram_int, rng.randint(0, 60) * q.covol2_product))
     for g, t in cases:
-        for strict in (False, True):
-            want = count_primitive_form(g, t, strict)
-            assert count_primitive_gram_boxscan(g, t, strict) == want
-            assert count_primitive_rows(g, t, strict) == want, (g, t, strict)
+        for bound in (t, t - 1):
+            want = count_primitive_form(g, bound)
+            assert count_primitive_gram_boxscan(g, bound) == want
+            assert count_primitive_rows(g, bound) == want, (g, bound)
     # skewed quotient Grams (lambda1 ~ 1/M^2) at literal-style radii
     for triple, r in (((50, 49, 0), 2), ((46, -38, 29), 1), ((1, -47, -3), 2)):
         q = quotient(LinearForm(*triple))
         t = r * r * q.covol2_product
-        want = count_primitive_form(q.gram_int, t, True)
-        assert count_primitive_rows(q.gram_int, t, True) == want, triple
+        want = count_primitive_form(q.gram_int, t - 1)
+        assert count_primitive_rows(q.gram_int, t - 1) == want, triple
 
 
 @pytest.mark.parametrize("error", [-3.5, 2.5])
@@ -450,7 +472,7 @@ def test_count_primitive_rows_corrects_float_estimate(monkeypatch, error):
     monkeypatch.setattr(oracles, "_halfwidth_estimate", lambda c, r, a: estimate(c, r, a) + error)
     for triple, t in (((1, 0, 0), 400), ((3, -2, 5), 4 * 10**5), ((46, -38, 29), 16 * 10**9)):
         g = quotient(LinearForm(*triple)).gram_int
-        assert count_primitive_rows(g, t) == count_primitive_form(g, t, False), triple
+        assert count_primitive_rows(g, t) == count_primitive_form(g, t), triple
 
 
 def test_python_candidates_against_the_grid():
@@ -654,6 +676,30 @@ _gram = st.one_of(
     .filter(lambda b: det3(b) != 0)
     .map(_gram_of),
 )
+
+
+def _unimodular_of(steps):
+    # product of the column operations b_j <- b_j + k b_i
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    for i, j, k in steps:
+        for row in u:
+            row[j] += k * row[i]
+    return u
+
+
+_unimodular = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)).filter(lambda s: s[0] != s[1]),
+    max_size=6,
+).map(_unimodular_of)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_gram, _unimodular, st.integers(-1, 40))
+def test_count_primitive_form_is_basis_free(g, u, k):
+    # t from below 0 to 10 times the first minimum
+    t = k * reduce_gram(g)[0][0][0] // 4
+    h = mat_mul(list(zip(*u)), mat_mul(g, u))
+    assert count_primitive_form(g, t) == count_primitive_form(h, t) == count_primitive_rows(g, t)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
