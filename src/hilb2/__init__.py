@@ -5,7 +5,6 @@ the counting function, all validated against brute-force oracles."""
 
 from .asymptotics import (
     ConstantEstimate,
-    CountQuery,
     bm_exponents,
     constant_c,
     convergence_report,
@@ -53,8 +52,6 @@ from .lattice import (
     LinearForm,
     QuotientLattice,
     SuccessiveMinima,
-    count_primitive,
-    dist_to_span,
     gon_main_term,
     product_covol2_formula,
     quotient,

@@ -26,9 +26,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
-from .exactlin import dot, iroot, sign_canonical
+from .exactlin import dot, iroot
 from .heights import is_perfect_square, le_height2_gram
-from .hilb import canonical_forms, fiber_point_count, m_cutoff
+from .hilb import canonical_forms, fiber_point_count, m_cutoff, positive_exponents
 from .lattice import (
     LinearForm,
     enumerate_form_le,
@@ -36,20 +36,7 @@ from .lattice import (
     product_covol2_formula,
     quotient,
 )
-from math import floor, gcd, isqrt
-
-
-@dataclass(frozen=True)
-class CountQuery:
-    s: Fraction
-    t: Fraction
-    B: Fraction
-
-    def __post_init__(self) -> None:
-        if self.s <= 0 or self.t <= 0:
-            raise ValueError("s and t must be positive for a finite count")
-        if self.B < 0:
-            raise ValueError("B must be nonnegative")
+from math import floor, gcd
 
 
 @dataclass(frozen=True)
@@ -194,18 +181,19 @@ def count_Nst(
     parallelization (``threads``) distributes fibers and reduces exact
     integers, so the result is independent of the thread count.
     """
-    q = CountQuery(Fraction(s), Fraction(t), Fraction(bound))
-    if q.B < 1:
+    s, t = positive_exponents(s, t)
+    b = Fraction(bound)
+    if b < 0:
+        raise ValueError("B must be nonnegative")
+    if b < 1:
         return 0
-    forms = canonical_forms(m_cutoff(q.s, q.t, q.B))
-    return sum(parallel_map(fiber_point_count, forms, (q.s, q.t, q.B), threads, chunksize=64))
+    forms = canonical_forms(m_cutoff(s, t, b))
+    return sum(parallel_map(fiber_point_count, forms, (s, t, b), threads, chunksize=64))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
     """Predicted growth exponents (alpha, beta) = (3/t, 0) for positive s, t."""
-    s, t = Fraction(s), Fraction(t)
-    if s <= 0 or t <= 0:
-        raise ValueError("s and t must be positive")
+    _, t = positive_exponents(s, t)
     return Fraction(3) / t, 0
 
 
@@ -225,9 +213,7 @@ def convergence_report(
     error terms.  For s/t <= 1 the report is labeled as an upper bound
     regime.
     """
-    sf, tf = Fraction(s), Fraction(t)
-    if sf <= 0 or tf <= 0:
-        raise ValueError("s and t must be positive")
+    sf, tf = positive_exponents(s, t)
     ratio = float(sf / tf)
     regime = "asymptotic" if ratio > 1 else "upper-bound regime"
     est = constant_c(ratio, const_m_max)
@@ -291,26 +277,21 @@ def convergence_report(
 # The independent split-pair count cross-checks both on the split locus.
 
 
-def _split_pair_count(bound: Fraction) -> int:
+def _split_pair_count(norms: Sequence[int], b2: Fraction) -> int:
     """#{unordered pairs of distinct rational plane points with product of
-    Euclidean heights cubed <= bound^2}, exactly."""
-    b2 = bound * bound
+    Euclidean heights cubed <= bound^2}, exactly, given b2 = bound^2 and the
+    squared heights ``norms`` of the points with norm^3 <= b2: the primitive
+    sign-canonical triples, which are the forms the region scan keeps.
+
+    Informational: the primitive sign-canonical v with |v| <= X number
+    kappa X^3 + O(X^2), kappa = 2 pi / (3 zeta(3)) (half the primitive
+    vectors of the ball).  Summing kappa (Y / |v|)^3 over those v, with
+    density 3 kappa r^2 dr, gives 3 kappa^2 Y^3 log Y ordered pairs with
+    |v| |w| <= Y.  At Y = B^(1/3) the unordered pairs number
+    (kappa^2 / 2) B log B + O(B), about 1.518 B log B.
+    """
     num, den = b2.numerator, b2.denominator
-    nmax = iroot(num // den, 3)
-    if nmax < 1:
-        return 0
-    box = isqrt(nmax)
-    rng = range(-box, box + 1)
-    norms = []
-    for x in range(0, box + 1):
-        for y in rng:
-            for z in rng:
-                if not _canonical_triple(x, y, z):
-                    continue
-                n = x * x + y * y + z * z
-                if n <= nmax:
-                    norms.append(n)
-    norms.sort()
+    norms = sorted(norms)
     count = 0
     j = len(norms) - 1
     for i, ni in enumerate(norms):
@@ -320,11 +301,6 @@ def _split_pair_count(bound: Fraction) -> int:
             break
         count += j - i
     return count
-
-
-def _canonical_triple(x: int, y: int, z: int) -> bool:
-    """Primitive (hence nonzero) with first nonzero coordinate positive."""
-    return gcd(gcd(x, y), z) == 1 and sign_canonical((x, y, z)) == (x, y, z)
 
 
 def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fraction | None]:
@@ -390,7 +366,11 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     primitive integer solutions, and the region scan); a mismatch raises
     AssertionError, also under python -O.  The nonsplit side comes from the
     region scan, whose form cutoff and search region are proved (see the
-    notes above ``_split_pair_count``).
+    notes above ``_split_pair_count``).  Both counts read the one list of
+    primitive triples with n^3 <= B^2, as lines in the region scan and as
+    points in the pair count, so a lost triple does not cancel out: it drops
+    every split point on its line from one count, but the pairs through its
+    point from the other.
     """
     b = Fraction(bound)
     out = {
@@ -403,10 +383,9 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     }
     if b < 1:
         return out
-    split_pairs = _split_pair_count(b)
     b2 = b * b
-    forms = canonical_forms(iroot(floor(b2), 6))
-    kept = [f for f in forms if f.norm2**3 <= b2]
+    kept = [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
+    split_pairs = _split_pair_count([f.norm2 for f in kept], b2)
     results = parallel_map(_le_region_worker, kept, (b,), threads, chunksize=16)
     n_split = sum(r[0] for r in results)
     n_nonsplit = sum(r[1] for r in results)

@@ -86,7 +86,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker count (default: HILB2_THREADS or 1)")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("count", help="exact bounded-height point count")
     sp.add_argument("--s", type=_fraction, required=True)
@@ -117,6 +116,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--b-values", type=_fraction_list, default=None,
                     help="comma-separated height bounds")
+    sp.add_argument("--seed", type=int, default=0, help="sample seed (suite gon)")
     common(sp)
 
     sp = sub.add_parser("le-count", help="exact anticanonical-height count")
@@ -212,8 +212,6 @@ def point_row(z: HilbPoint, s: Fraction, t: Fraction) -> dict:
 
 def _cmd_count(args) -> int:
     threads = _threads(args)
-    if args.s <= 0 or args.t <= 0:
-        raise PointValidationError("s and t must be positive")
     if args.emit_points:
         rows = [point_row(z, args.s, args.t) for z in enumerate_points(args.s, args.t, args.B)]
         if args.format == "csv":

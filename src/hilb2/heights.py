@@ -93,12 +93,15 @@ def restrict_to_line(z: HilbPoint) -> BinaryQuadraticForm:
     The coset coordinates ``z.qbar`` are exactly these coefficients, so the
     form is read off without evaluating anything; it is primitive and
     sign-normalized (leading nonzero coefficient positive) because qbar is.
+    No library path calls it: they read ``z.qbar`` directly.
     """
     return BinaryQuadraticForm(*z.qbar)
 
 
 def discriminant(z: HilbPoint) -> int:
-    return restrict_to_line(z).disc
+    """B^2 - 4AC of the restricted form qbar = (A, B, C)."""
+    a, b, c = z.qbar
+    return b * b - 4 * a * c
 
 
 def is_perfect_square(n: int) -> bool:
@@ -114,12 +117,13 @@ def classify(z: HilbPoint) -> PointClass:
     return PointClass.NONSPLIT
 
 
-def _root_directions(form: BinaryQuadraticForm) -> list[tuple[int, int]]:
-    """Primitive integer (S, T) root directions of a split form, in canonical
-    order (the +sqrt root first; for A = 0 the T = 0 root first)."""
-    a, b, c = form.coeffs
-    k = isqrt(form.disc)
-    assert k * k == form.disc and form.disc > 0
+def _root_directions(qbar: Sequence[int], d: int) -> list[tuple[int, int]]:
+    """Primitive integer (S, T) root directions of a split form qbar of
+    discriminant d, in canonical order (the +sqrt root first; for A = 0 the
+    T = 0 root first)."""
+    a, b, c = qbar
+    k = isqrt(d)
+    assert k * k == d and d > 0
     if a == 0:
         roots = [(1, 0), (-c, b)]
     else:
@@ -137,12 +141,12 @@ def _root_directions(form: BinaryQuadraticForm) -> list[tuple[int, int]]:
 def split_solutions(z: HilbPoint) -> SplitSolutions:
     """Factor the restricted form and map the two root directions back to
     primitive integer solution vectors."""
-    form = restrict_to_line(z)
-    if not (form.disc > 0 and is_perfect_square(form.disc)):
+    d = discriminant(z)
+    if not (d > 0 and is_perfect_square(d)):
         raise ValueError("point is not split")
     e, f = kernel_basis_of(z.ell)
     vecs = []
-    for s, t in _root_directions(form):
+    for s, t in _root_directions(z.qbar, d):
         vec = tuple(s * x + t * y for x, y in zip(e, f))
         assert gcd(gcd(vec[0], vec[1]), vec[2]) == 1
         vecs.append(sign_canonical(vec))
@@ -159,10 +163,9 @@ def disc_split_gcd(sol: SplitSolutions) -> int:
 
 def nonreduced_solution(z: HilbPoint) -> tuple[int, int, int]:
     """The unique primitive integer solution of a nonreduced point's system."""
-    form = restrict_to_line(z)
-    if form.disc != 0:
+    if discriminant(z) != 0:
         raise ValueError("point is not nonreduced")
-    a, b, c = form.coeffs
+    a, b, c = z.qbar
     # sign-normalized primitive form with zero discriminant is (u S + w T)^2
     if a != 0:
         u = isqrt(a)
@@ -188,11 +191,10 @@ def nonsplit_params(z: HilbPoint) -> NonsplitParams:
     to a kernel basis with beta normalized positive.  The defining identities
     are asserted exactly before returning.
     """
-    form = restrict_to_line(z)
-    d = form.disc
+    d = discriminant(z)
     if is_perfect_square(d):
         raise ValueError("point is not nonsplit")
-    a, b = form.A, form.B
+    a, b, _ = z.qbar
     assert a != 0  # a vanishing leading coefficient forces a rational root
     e0, f0 = kernel_basis_of(z.ell)
     # rational part has kernel coordinates (-B, 2A), irrational part (1, 0)

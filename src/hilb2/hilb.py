@@ -92,27 +92,30 @@ def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
 
     The form is divided by its content and sign-normalized; the quadric is
     reduced modulo the degree-1 multiples of the form to coset coordinates.
-    Raises QInSpanError if the quadric is a multiple of the form, and
-    NonPrimitiveIdealError when the resulting degree-2 lattice is not
-    primitive (the mod-p obstruction).
+    ``HilbPoint`` raises QInSpanError if the quadric is a multiple of the
+    form, and NonPrimitiveIdealError when the resulting degree-2 lattice is
+    not primitive (the mod-p obstruction).
     """
     if len(ell_raw) != 3 or len(q) != 6:
         raise PointValidationError("expected a linear triple and six quadric coefficients")
     ell = LinearForm.from_raw(*ell_raw)
     quo = quotient(ell)
-    qbar = quo.coset_coords(q)
-    if qbar == (0, 0, 0):
-        raise QInSpanError("q in span")
-    g = gcd(gcd(qbar[0], qbar[1]), qbar[2])
-    if g != 1:
-        raise NonPrimitiveIdealError("non-primitive Lambda_2")
-    qbar = sign_canonical(qbar)
+    qbar = sign_canonical(quo.coset_coords(q))
     return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quo.covol2_with(qbar))
 
 
 # ---------------------------------------------------------------------------
 # bounded-height enumeration
 # ---------------------------------------------------------------------------
+
+
+def positive_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, Fraction]:
+    """(s, t) as Fractions; ValueError unless both are positive, since the
+    point count is infinite otherwise."""
+    s, t = Fraction(s), Fraction(t)
+    if s <= 0 or t <= 0:
+        raise ValueError("s and t must be positive")
+    return s, t
 
 
 def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
@@ -244,13 +247,10 @@ def enumerate_points(
 
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
-    s and t must be positive (the point count is infinite otherwise).
+    s and t must be positive (``positive_exponents``).
     """
-    s = Fraction(s)
-    t = Fraction(t)
+    s, t = positive_exponents(s, t)
     bound = Fraction(bound)
-    if s <= 0 or t <= 0:
-        raise ValueError("s and t must be positive")
     if bound < 1:
         return
     m_max = m_cutoff(s, t, bound)

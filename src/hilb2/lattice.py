@@ -22,8 +22,7 @@ the kernel, with coset coordinates (A, B, C).  This module computes
     one walk over the rows of the half-space whose last nonzero coordinate
     is positive (``_half_rows``), and exact counts of the primitive vectors
     in an ellipsoid from those counts by Moebius inversion, on the reduced
-    Gram matrix whose first minimum bounds the sieve,
-  * exact squared distances to the real span of the product lattice.
+    Gram matrix whose first minimum bounds the sieve.
 
 All lattice arithmetic is exact; floats appear only in gon_main_term.
 """
@@ -180,10 +179,11 @@ class QuotientLattice:
     (e, f) = ``kernel_basis_of(source)``: (A, B, C) is the class of
     A*Y1^2 + B*Y1*Y2 + C*Y2^2 (see ``_lift_basis``), and the coset of a
     quadric q has coordinates rho q, with rho = ``restriction_map(source)``.
-    ``gram_int`` is covol2_product * gram = adj(rho rho^T), an exact positive
-    definite integer matrix: the squared covolume of the rank-4 lattice
-    generated by the product lattice P and a coset vector u is exactly
-    u^T gram_int u.
+    ``gram_int`` is covol2_product times the projected Gram matrix, which
+    is adj(rho rho^T), an exact positive definite integer matrix: the
+    squared covolume of the rank-4 lattice generated by the product lattice
+    P and a coset vector u is exactly u^T gram_int u.  The quotient is held
+    only in these integers; its squared covolume is 1 / covol2_product.
 
     Proof of the adjugate form.  rho maps Z^6 onto Z^3, since it sends the
     lift basis to the unit vectors, so its kernel has rank 3 and contains P
@@ -210,15 +210,6 @@ class QuotientLattice:
         use only: most quotients are never lifted."""
         return _lift_basis(self.source)
 
-    @property
-    def covol2(self) -> Fraction:
-        return Fraction(1, self.covol2_product)
-
-    @property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        d = self.covol2_product
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.gram_int)
-
     def coset_coords(self, vec6: Sequence[int]) -> tuple[int, int, int]:
         """Coordinates (q(e), q(e+f) - q(e) - q(f), q(f)) of the coset of the
         quadric q = ``vec6``: the coefficients of q(S e + T f)."""
@@ -233,20 +224,9 @@ class QuotientLattice:
 
     def covol2_with(self, coords: Sequence[int]) -> int:
         """Squared covolume of product lattice + Z*coset; equals x^T gram_int x."""
-        return _form_value(self.gram_int, coords)
-
-    def norm_sq(self, coords: Sequence[int]) -> Fraction:
-        return Fraction(self.covol2_with(coords), self.covol2_product)
-
-
-def _form_value(g: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    x0, x1, x2 = x
-    return (
-        g[0][0] * x0 * x0
-        + g[1][1] * x1 * x1
-        + g[2][2] * x2 * x2
-        + 2 * (g[0][1] * x0 * x1 + g[0][2] * x0 * x2 + g[1][2] * x1 * x2)
-    )
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = self.gram_int
+        x0, x1, x2 = coords
+        return g00 * x0 * x0 + g11 * x1 * x1 + g22 * x2 * x2 + 2 * (g01 * x0 * x1 + g02 * x0 * x2 + g12 * x1 * x2)
 
 
 @lru_cache(maxsize=4096)
@@ -514,22 +494,8 @@ def min_form_value(q: QuotientLattice) -> int:
 
 
 # ---------------------------------------------------------------------------
-# public counting operations
+# main term of the primitive count, and the kernel basis
 # ---------------------------------------------------------------------------
-
-
-def count_primitive(q: QuotientLattice, radius: float | Fraction | int) -> int:
-    """Number of primitive coset vectors of norm strictly below ``radius``.
-
-    Both v and -v are counted, 0 is excluded; comparisons are exact (the
-    radius is converted to an exact Fraction).
-    """
-    r = Fraction(radius)
-    if r <= 0:
-        return 0
-    t = r * r * q.covol2_product
-    scaled = [[t.denominator * x for x in row] for row in q.gram_int]
-    return count_primitive_form(scaled, t.numerator - 1)
 
 
 def gon_main_term(q: QuotientLattice, radius: float) -> float:
@@ -577,11 +543,3 @@ def kernel_basis_of(ell: LinearForm) -> tuple[Row, Row]:
     """
     return _kernel_basis_cached(*ell.triple)
 
-
-def dist_to_span(x: Sequence[int], ell: LinearForm) -> Fraction:
-    """Exact squared Euclidean distance from x in Z^6 to the real span of
-    {X0*l, X1*l, X2*l}."""
-    if len(x) != 6:
-        raise ValueError("expected a vector in Z^6")
-    q = quotient(ell)
-    return q.norm_sq(q.coset_coords(x))

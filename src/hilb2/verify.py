@@ -34,6 +34,7 @@ from .heights import (
 from .hilb import HilbPoint, canonical_forms, canonicalize, enumerate_points
 from .lattice import (
     LinearForm,
+    _moebius_upto,
     count_form_le,
     count_primitive_form,
     product_basis,
@@ -189,15 +190,32 @@ def suite_minima(m_max: int = 4, box: int = 3) -> dict:
     return _report("minima", {"m_max": m_max, "box": box}, checks)
 
 
+def _form_pool(m: int) -> int:
+    """len(canonical_forms(m)) by Moebius inversion over the content d:
+    the sum of mu(d) ((2 floor(m/d) + 1)^3 - 1) / 2."""
+    mu = _moebius_upto(m)
+    return sum(mu[d] * ((2 * (m // d) + 1) ** 3 - 1) // 2 for d in range(1, m + 1))
+
+
 def _gon_sample(seed: int, n: int, m_max: int) -> list[LinearForm]:
-    """Deterministic seeded sample of primitive forms with max coordinate at
-    most m_max, stratified so roughly one draw in seven is small (the small
-    stratum is where the literal radii are computationally reachable)."""
+    """Deterministic seeded sample of n distinct primitive forms with max
+    coordinate at most m_max, stratified so roughly one draw in seven is
+    small (the small stratum is where the literal radii are computationally
+    reachable).  Raises ValueError for n < 1, and when a draw needs a new
+    form from a stratum that has none left, instead of redrawing forever."""
+    if n < 1:
+        raise ValueError("n_lattices must be at least 1")
     rng = random.Random(seed)
+    small = min(4, m_max)
+    pool = {small: _form_pool(small), m_max: _form_pool(m_max)}
+    drawn = dict.fromkeys(pool, 0)  # the forms drawn with max <= cap, per cap
     seen: set[tuple[int, int, int]] = set()
     out = []
     while len(out) < n:
-        cap = min(4, m_max) if len(out) % 7 == 3 else m_max
+        cap = small if len(out) % 7 == 3 else m_max
+        if drawn[cap] == pool[cap]:
+            raise ValueError(f"gon sample: draw {len(out) + 1} needs a new form with "
+                             f"max |coordinate| <= {cap}, and only {pool[cap]} exist")
         t = tuple(rng.randint(-cap, cap) for _ in range(3))
         if t == (0, 0, 0) or gcd(gcd(t[0], t[1]), t[2]) != 1:
             continue
@@ -206,6 +224,8 @@ def _gon_sample(seed: int, n: int, m_max: int) -> list[LinearForm]:
             continue
         seen.add(ell.triple)
         out.append(ell)
+        for c in drawn:
+            drawn[c] += ell.M <= c
     return out
 
 

@@ -4,18 +4,17 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, isqrt
 from pathlib import Path
 
 import pytest
 
 import hilb2
 from hilb2.asymptotics import (
-    _canonical_triple,
     _le_region_worker,
     _orbit_shells,
     _orbit_sum,
-    CountQuery,
+    _split_pair_count,
     bm_exponents,
     constant_c,
     convergence_report,
@@ -116,9 +115,28 @@ def test_constant_at_benchmark_scale():
 
 def test_count_query_validation():
     with pytest.raises(ValueError):
-        CountQuery(Fraction(0), Fraction(1), Fraction(2))
+        count_Nst(Fraction(0), Fraction(1), Fraction(2))
     with pytest.raises(ValueError):
         count_Nst(2, 0, 5)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (2, 0), (-1, 1), (Fraction(1, 2), Fraction(-1, 3))])
+def test_one_check_of_the_exponents(s, t):
+    # every entry point reports a non-positive s or t with the same message
+    calls = (
+        lambda: count_Nst(s, t, 5),
+        lambda: list(enumerate_points(s, t, 5)),
+        lambda: convergence_report(s, t, [5], const_m_max=10),
+        lambda: bm_exponents(s, t),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="s and t must be positive"):
+            call()
+
+
+def test_count_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="B must be nonnegative"):
+        count_Nst(2, 1, -1)
 
 
 def test_count_below_floor():
@@ -238,7 +256,7 @@ def test_le_count_nonreduced_excluded():
     from hilb2.exactlin import iroot
     from hilb2.lattice import enumerate_form_le, quotient
     from hilb2.hilb import HilbPoint
-    from math import floor, gcd
+    from math import floor, gcd, isqrt
 
     quo = quotient(za.ell)
     t_f = iroot(floor(8 * b * b * za.covol2_I1**3), 3)
@@ -310,6 +328,54 @@ def test_le_count_threads_invariant():
     assert le_count_detailed(300, threads=2) == le_count_detailed(300, threads=1)
 
 
+def _reference_split_pair_count(bound: Fraction) -> int:
+    """The pair count with its own walk, as it was before it read the region
+    scan's forms: the primitive sign-canonical (x, y, z) with n^3 <= B^2 from
+    the box max |coordinate| <= isqrt(iroot(B^2, 3)), then the same sweep."""
+    b2 = bound * bound
+    num, den = b2.numerator, b2.denominator
+    nmax = iroot(num // den, 3)
+    if nmax < 1:
+        return 0
+    box = isqrt(nmax)
+    rng = range(-box, box + 1)
+    norms = []
+    for x in range(0, box + 1):
+        for y in rng:
+            for z in rng:
+                if gcd(x, y, z) != 1 or sign_canonical((x, y, z)) != (x, y, z):
+                    continue
+                n = x * x + y * y + z * z
+                if n <= nmax:
+                    norms.append(n)
+    norms.sort()
+    count = 0
+    j = len(norms) - 1
+    for i, ni in enumerate(norms):
+        while j > i and (ni * norms[j]) ** 3 * den > num:
+            j -= 1
+        if j <= i:
+            break
+        count += j - i
+    return count
+
+
+def _kept_pair_count(bound: Fraction) -> int:
+    """``_split_pair_count`` over the forms ``le_count_detailed`` keeps."""
+    b2 = bound * bound
+    kept = [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
+    return _split_pair_count([f.norm2 for f in kept], b2)
+
+
+def test_split_pair_count_over_the_kept_forms_matches_the_box_walk():
+    bounds = [Fraction(b) for b in range(1, 301)]
+    bounds += [Fraction(7, 3), Fraction(27, 2), Fraction(1000, 7), Fraction(3**6 + 1, 3), Fraction(4097, 64)]
+    for b in bounds:
+        assert _kept_pair_count(b) == _reference_split_pair_count(b), b
+    assert _kept_pair_count(Fraction(10**3)) == _reference_split_pair_count(Fraction(10**3)) == 13194
+    assert _kept_pair_count(Fraction(10**4)) == 168438
+
+
 def _reference_le_region_worker(ell, bound):
     """The fiber scan before the integer rewrite of ``_le_region_worker``: a
     validated HilbPoint per canonical vector, its discriminant and Le
@@ -323,7 +389,7 @@ def _reference_le_region_worker(ell, bound):
     min_ratio_sq = None
     for x in enumerate_form_le(quo.gram_int, t_f):
         x = sign_canonical(x)
-        if not _canonical_triple(*x):
+        if gcd(*x) != 1:
             continue
         cv2 = quo.covol2_with(x)
         z = HilbPoint(ell=ell, qbar=x, covol2_I2=cv2)

@@ -1,10 +1,12 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from hilb2 import verify
 from hilb2.asymptotics import constant_c, count_Nst
 from hilb2.cli import _threads, height_field, main, point_row
-from hilb2.hilb import HilbPoint, enumerate_points
+from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
 from hilb2.lattice import LinearForm
 
 
@@ -128,6 +130,53 @@ def test_verify_minima_cli(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--s", "2", "--t", "1", "--B", "2"],
+        ["constant", "--ratio", "2", "--M-max", "5"],
+        ["inspect", "--ell", "1,2,3", "--q", "1,0,0,-2,0,0"],
+        ["le-count", "--B", "2"],
+    ],
+)
+def test_seed_is_a_verify_flag_only(argv, capsys):
+    # only the gon suite reads a seed; elsewhere --seed is a malformed flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+def test_gon_sample_is_unchanged():
+    # the sample behind criterion 5: its first forms and a digest of all 100
+    triples = [f.triple for f in verify._gon_sample(0, 100, 50)]
+    assert triples[:4] == [(1, -47, -3), (45, 17, -15), (12, 1, 50), (0, 3, 1)]
+    digest = hashlib.sha256(repr(triples).encode()).hexdigest()
+    assert digest == "f79e526e021065e40a2346b167f5f154915ed2b24839ad2efab7a7dbb57ed03b"
+
+
+def test_form_pool_is_the_number_of_canonical_forms():
+    assert [verify._form_pool(m) for m in range(12)] == [len(canonical_forms(m)) for m in range(12)]
+    assert (verify._form_pool(4), verify._form_pool(50)) == (289, 427393)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n-lattices", "14", "--m-max", "1"], "<= 1, and only 13 exist"),
+        (["--m-max", "0"], "<= 0, and only 0 exist"),
+        # every 7th draw needs a new form with max <= 4, of which 289 exist
+        (["--n-lattices", "2020"], "<= 4, and only 289 exist"),
+        (["--n-lattices", "0"], "n_lattices must be at least 1"),
+    ],
+)
+def test_gon_rejects_a_sample_it_cannot_draw(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "gon", *argv]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_exit_1():

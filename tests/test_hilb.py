@@ -109,7 +109,7 @@ def test_multiplicativity_consistency():
         q = quotient(z.ell)
         direct = gram_det2(list(product_basis(z.ell)) + [z.q_lift()])
         assert direct == z.covol2_I2
-        assert Fraction(z.covol2_I2) == q.covol2_product * q.norm_sq(z.qbar)
+        assert z.covol2_I2 == q.covol2_with(z.qbar)
 
 
 def test_enumerate_points_empty_below_one():

@@ -27,8 +27,6 @@ from hilb2.hilb import canonical_forms, enumerate_points
 from hilb2.lattice import (
     LinearForm,
     count_form_le,
-    count_primitive,
-    dist_to_span,
     eval_quadratic,
     gon_main_term,
     kernel_basis_of,
@@ -96,30 +94,20 @@ def test_quotient_axis_form():
     q = quotient(LinearForm(1, 0, 0))
     assert q.covol2_product == 1
     assert q.gram_int == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert q.covol2 == 1
 
 
 def test_quotient_reciprocal_covolume():
+    # the quotient has squared covolume 1 / covol2_product = 1 / 20
     q = quotient(LinearForm(1, 1, 1))
-    assert q.covol2 == Fraction(1, 20)
+    assert q.covol2_product == 20
 
 
 def test_quotient_volume_identity_sample():
-    # det(gram) * covol2(product) = 1 exactly, via the integer scaling
+    # det(gram) * covol2(product) = 1 exactly: gram_int = covol2_product * gram,
+    # so det(gram_int) = covol2_product^2
     for f in seeded_forms(3, 25, 9):
         q = quotient(f)
-        det = gram_det2_rational(q)
-        assert det * q.covol2_product == 1
-
-
-def gram_det2_rational(q):
-    g = q.gram
-    det = (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    )
-    return det
+        assert det_bareiss(q.gram_int) == q.covol2_product**2
 
 
 def test_coset_coordinates_roundtrip():
@@ -177,8 +165,7 @@ def test_quotient_gram_is_the_adjugate_of_the_restriction_map(raw, x):
     e, g = kernel_basis_of(f)
     a, c = eval_quadratic(x, e), eval_quadratic(x, g)
     assert q.coset_coords(x) == (a, eval_quadratic(x, [s + t for s, t in zip(e, g)]) - a - c, c)
-    want = Fraction(_reference_projected_gram(f, [x])[0][0], q.covol2_product)
-    assert dist_to_span(x, f) == want
+    assert q.covol2_with(q.coset_coords(x)) == _reference_projected_gram(f, [x])[0][0]
 
 
 def test_quotient_rejects_a_restriction_map_off_the_product_covolume(monkeypatch):
@@ -239,7 +226,7 @@ def test_successive_minima_witnesses_attain():
         vals = (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)
         assert vals[0] <= vals[1] <= vals[2]
         for lam, w in zip(vals, sm.witnesses):
-            assert q.norm_sq(w) == lam
+            assert Fraction(q.covol2_with(w), q.covol2_product) == lam
         d = det3(sm.witnesses)
         assert d != 0
 
@@ -344,11 +331,20 @@ def test_minima_reject_a_gram_that_is_not_minkowski_reduced(monkeypatch, h):
         min_form_value(q)
 
 
+def _count_primitive_below(q, radius) -> int:
+    """#{primitive coset vectors of norm < radius}, both signs: the quotient
+    norm is x^T gram_int x / covol2_product, so with radius^2 covol2_product
+    = num / den the count is that of x^T (den gram_int) x <= num - 1."""
+    t = Fraction(radius) ** 2 * q.covol2_product
+    scaled = [[t.denominator * x for x in row] for row in q.gram_int]
+    return count_primitive_form(scaled, t.numerator - 1)
+
+
 def test_count_primitive_axis_examples():
     q = quotient(LinearForm(1, 0, 0))
-    assert count_primitive(q, 1.5) == 18
-    assert count_primitive(q, 1) == 0  # strict inequality excludes the unit vectors
-    assert count_primitive(q, Fraction(101, 100)) == 6
+    assert _count_primitive_below(q, Fraction(3, 2)) == 18
+    assert _count_primitive_below(q, 1) == 0  # strict inequality excludes the unit vectors
+    assert _count_primitive_below(q, Fraction(101, 100)) == 6
 
 
 def test_count_primitive_below_first_minimum():
@@ -356,7 +352,7 @@ def test_count_primitive_below_first_minimum():
         q = quotient(f)
         sm = successive_minima(q)
         r_small = Fraction(1, 2) * _sqrt_lower(sm.lam1_sq)
-        assert count_primitive(q, r_small) == 0
+        assert _count_primitive_below(q, r_small) == 0
 
 
 def _sqrt_lower(x: Fraction) -> Fraction:
@@ -370,7 +366,7 @@ def _sqrt_lower(x: Fraction) -> Fraction:
 
 def test_count_primitive_main_term_ballpark():
     q = quotient(LinearForm(1, 0, 0))
-    n = count_primitive(q, 10)
+    n = _count_primitive_below(q, 10)
     main = gon_main_term(q, 10.0)
     assert abs(n - main) / main < 0.05
     assert abs(gon_main_term(q, 1.0) - 3.4846854535556503) < 1e-12
@@ -390,7 +386,7 @@ def test_count_primitive_vs_boxscan_200_instances():
         r = Fraction(rng.randint(1, 12), rng.randint(1, 4))
         tt = r * r * q.covol2_product
         scaled = [[tt.denominator * x for x in row] for row in q.gram_int]
-        assert count_primitive(q, r) == count_primitive_gram_boxscan(scaled, tt.numerator - 1)
+        assert _count_primitive_below(q, r) == count_primitive_gram_boxscan(scaled, tt.numerator - 1)
         checked += 1
 
 
@@ -725,10 +721,16 @@ def test_half_space_walk_meets_empty_rows():
 
 
 def test_dist_to_span_examples():
-    assert dist_to_span((0, 0, 0, 1, 0, 0), LinearForm(1, 0, 0)) == 1
-    assert dist_to_span((-3, 0, 0, 1, 0, 0), LinearForm(2, 1, 0)) <= Fraction(1, 4)
-    assert dist_to_span((1, 0, 0, 0, 0, 0), LinearForm(1, 0, 0)) == 0
-    assert dist_to_span((2, 1, 0, 0, 0, 0), LinearForm(2, 1, 0)) == 0
+    # squared distance from x in Z^6 to the span of the product lattice:
+    # covol2_with(coset_coords(x)) / covol2_product
+    def dist2(x, f):
+        q = quotient(f)
+        return Fraction(q.covol2_with(q.coset_coords(x)), q.covol2_product)
+
+    assert dist2((0, 0, 0, 1, 0, 0), LinearForm(1, 0, 0)) == 1
+    assert dist2((-3, 0, 0, 1, 0, 0), LinearForm(2, 1, 0)) <= Fraction(1, 4)
+    assert dist2((1, 0, 0, 0, 0, 0), LinearForm(1, 0, 0)) == 0
+    assert dist2((2, 1, 0, 0, 0, 0), LinearForm(2, 1, 0)) == 0
 
 
 def test_kernel_basis_of_cached():

@@ -1,6 +1,9 @@
-"""The layer tracer names library functions by string; a rename or deletion
-in hilb2 would only surface when a traced benchmark run fails."""
+"""Structure checks.  The layer tracer names library functions by string; a
+rename or deletion in hilb2 would only surface when a traced benchmark run
+fails.  The core library modules must not import the oracles or the suites
+that check them."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -26,3 +29,25 @@ def test_layertrace_targets_resolve():
             assert callable(getattr(mod, attr)), f"{module}.{attr}"
     for name, module, fn in lt.CACHES:
         assert callable(getattr(importlib.import_module(f"hilb2.{module}"), fn).cache_info), name
+
+
+# The library modules that the program paths run; the reference
+# implementations in ``oracles`` and the suites in ``verify`` sit on top of
+# them, and stay independent only while nothing here imports them.
+_CORE = ("lattice", "hilb", "asymptotics", "heights")
+
+
+def test_core_modules_import_no_oracle_or_verify():
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    for name in _CORE:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported.add(module.split(".")[-1])
+                if module in ("", "hilb2"):  # from . import x, from hilb2 import x
+                    imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert not imported & {"oracles", "verify"}, (name, sorted(imported))
