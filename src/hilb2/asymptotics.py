@@ -28,7 +28,13 @@ import numpy as np
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .exactlin import dot, iroot
 from .heights import is_perfect_square, le_height2_gram
-from .hilb import canonical_forms, fiber_point_count, m_cutoff, positive_exponents
+from .hilb import (
+    canonical_forms,
+    fiber_point_count,
+    m_cutoff,
+    nonnegative_bound,
+    positive_exponents,
+)
 from .lattice import (
     LinearForm,
     enumerate_form_le,
@@ -57,13 +63,14 @@ class ConstantEstimate:
         return self.partial + self.tail_bound
 
 
-# Summation orbits.  n = a^2 + b^2 + c^2 and ``product_covol2_formula`` are
-# symmetric polynomials in a^2, b^2, c^2, and primitivity is invariant under
-# signed permutations, so every term is constant on an orbit of the
-# 48-element group of signed coordinate permutations.  The representatives of
+# Summation orbits, shared by ``constant_c`` and ``count_Nst``.  A summand
+# of either is constant on each orbit of the 48-element group of signed
+# coordinate permutations: n = a^2 + b^2 + c^2 and ``product_covol2_formula``
+# are symmetric polynomials in a^2, b^2, c^2, primitivity is invariant, and
+# the fiber count is invariant (see ``count_Nst``).  The representatives of
 # shell M (max |coordinate| = M) are the primitive (a, b, M) with
 # 0 <= a <= b <= M; the orbit of one has (distinct permutations: 1, 3 or 6)
-# * 2^(nonzero coordinates) elements.
+# * 2^(nonzero coordinates) elements, half of them sign-canonical.
 _PERMUTATIONS = np.array([6, 3, 1], dtype=np.int64)  # by the number of a == b, b == M
 
 # float64 unit roundoff, and a bound on the absolute error one term can pick
@@ -177,18 +184,31 @@ def count_Nst(
 ) -> int:
     """Exact number of points of height at most ``bound``.
 
-    Sums exact per-fiber counts over all forms below the rigorous cutoff;
-    parallelization (``threads``) distributes fibers and reduces exact
-    integers, so the result is independent of the thread count.
+    Sums exact per-fiber counts over the forms below the rigorous cutoff
+    ``m_cutoff``, one fiber per orbit of the signed coordinate permutations
+    (``_orbit_shells``): the count of the representative (a, b, M) is
+    weighted by w / 2, the number of sign-canonical forms in its orbit of w
+    elements.  The fiber count is constant on an orbit: a signed permutation
+    sigma of X0, X1, X2 maps the points over l bijectively to the points
+    over l o sigma (q -> q o sigma), and it sends monomials to +- monomials,
+    so it is an isometry of Z^3 and of Z^6 with the monomial-coefficient
+    inner product and keeps covol2_I1 and covol2_I2.
+
+    ``threads`` distributes the fibers; the weighted integers are reduced in
+    the parent in representative order, so the result is independent of the
+    thread count.
     """
     s, t = positive_exponents(s, t)
-    b = Fraction(bound)
-    if b < 0:
-        raise ValueError("B must be nonnegative")
+    b = nonnegative_bound(bound)
     if b < 1:
         return 0
-    forms = canonical_forms(m_cutoff(s, t, b))
-    return sum(parallel_map(fiber_point_count, forms, (s, t, b), threads, chunksize=64))
+    forms, halves = [], []
+    for m, xs, ys, w in _orbit_shells(m_cutoff(s, t, b)):
+        forms += [LinearForm(x, y, m) for x, y in zip(xs.tolist(), ys.tolist())]
+        halves += (w // 2).tolist()
+    chunksize = -(-len(forms) // (4 * max(threads, 1)))  # four chunks per worker
+    counts = parallel_map(fiber_point_count, forms, (s, t, b), threads, chunksize)
+    return sum(h * c for h, c in zip(halves, counts))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
@@ -372,7 +392,7 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     every split point on its line from one count, but the pairs through its
     point from the other.
     """
-    b = Fraction(bound)
+    b = nonnegative_bound(bound)
     out = {
         "schema_version": 1,
         "B": float(b),

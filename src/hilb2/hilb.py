@@ -24,6 +24,7 @@ from .lattice import (
     count_primitive_form,
     enumerate_form_le,
     eval_quadratic,  # re-exported: part of the point API
+    kernel_basis_of,
     min_form_value,
     product_covol2_formula,
     quotient,
@@ -118,6 +119,15 @@ def positive_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fracti
     return s, t
 
 
+def nonnegative_bound(bound: float | Fraction) -> Fraction:
+    """The height bound as a Fraction; ValueError if it is negative.  Every
+    entry point that takes B checks it here."""
+    b = Fraction(bound)
+    if b < 0:
+        raise ValueError("B must be nonnegative")
+    return b
+
+
 def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
     """Clear denominators: H^(2L) = covol2_I1^a * covol2_I2^b with b > 0."""
     big_l = lcm(s.denominator, t.denominator)
@@ -191,18 +201,34 @@ def _open_fiber(
     """(quotient, largest admissible covol2_I2) for a fiber that may hold
     points, or None when it provably holds none.
 
-    The first-minimum bound 2 n^2 * min_form_value >= covol2_product (see
-    ``m_cutoff``) rules most fibers out in closed form, before the quotient
-    is built; it is checked on every fiber that is built, raised explicitly
-    so that python -O keeps it.
+    Prune.  With (e, f) = ``kernel_basis_of(ell)``, E = e.e and G = e.f,
+    every quadric q outside l*V has covol2_I2 >= covol2_product /
+    (2 (E + |G|)^2), so the fiber is empty when 2 (E + |G|)^2 t_max <
+    covol2_product.  Proof: the monomial-coefficient norm of q is at least
+    the Frobenius norm of its symmetric matrix, whose distance to l*V is
+    the Frobenius norm of q restricted to the plane l^perp (see
+    ``m_cutoff``): dist_F^2 = tr((G^-1 Qbar)^2) for the Gram matrix G of
+    (e, f) and the symmetric matrix Qbar of qbar.  That is the squared
+    Frobenius norm of G^-1/2 Qbar G^-1/2, so dist_F^2 >= ||Qbar||_F^2 /
+    lambda_max(G)^2, and ||Qbar||_F^2 = A^2 + C^2 + B^2 / 2 >= 1/2 for
+    qbar != 0.  By Gershgorin lambda_max(G) <= E + |G|, since E >= f.f.
+    For the Lagrange-reduced basis E + |G| <= n = a^2 + b^2 + c^2 (n = E F
+    - G^2 with F = f.f, 2|G| <= F <= E), so the prune fires wherever the
+    n^2 bound of ``m_cutoff`` would.
+
+    The prune is decided in closed form, before the quotient is built; the
+    same bound on the first minimum, 2 (E + |G|)^2 * min_form_value >=
+    covol2_product, is checked on every fiber that is built, raised
+    explicitly so that python -O keeps it.
     """
-    n = ell.norm2
-    t_max = max_covol2_I2(n, s, t, bound)
-    if 2 * n * n * t_max < product_covol2_formula(*ell.triple):
+    t_max = max_covol2_I2(ell.norm2, s, t, bound)
+    (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
+    r = e0 * e0 + e1 * e1 + e2 * e2 + abs(e0 * f0 + e1 * f1 + e2 * f2)  # E + |G|
+    if 2 * r * r * t_max < product_covol2_formula(*ell.triple):
         return None
     quo = quotient(ell)
     m0 = min_form_value(quo)
-    if 2 * n * n * m0 < quo.covol2_product:
+    if 2 * r * r * m0 < quo.covol2_product:
         raise AssertionError(f"first-minimum bound violated at {ell.triple}")
     if t_max < m0:
         return None
@@ -247,10 +273,11 @@ def enumerate_points(
 
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
-    s and t must be positive (``positive_exponents``).
+    s and t must be positive (``positive_exponents``) and the bound
+    nonnegative (``nonnegative_bound``).
     """
     s, t = positive_exponents(s, t)
-    bound = Fraction(bound)
+    bound = nonnegative_bound(bound)
     if bound < 1:
         return
     m_max = m_cutoff(s, t, bound)

@@ -25,7 +25,7 @@ from hilb2.asymptotics import (
 )
 from hilb2.exactlin import iroot, sign_canonical
 from hilb2.heights import discriminant, is_perfect_square, le_height2
-from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
+from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points, fiber_point_count, m_cutoff
 from hilb2.lattice import enumerate_form_le, product_covol2_formula, quotient
 from hilb2.oracles import oracle_count_points
 
@@ -193,7 +193,45 @@ def test_count_scaling_law():
 
 
 def test_count_threads_invariant():
-    assert count_Nst(2, 1, 10, threads=2) == count_Nst(2, 1, 10, threads=1)
+    # 22 orbit representatives at B = 10 and 88 at B = 30, split into four
+    # chunks per worker, so both workers run
+    for b in (10, 30):
+        assert count_Nst(2, 1, b, threads=2) == count_Nst(2, 1, b, threads=1)
+
+
+@pytest.mark.parametrize(
+    "s, t, b",
+    [(2, 1, 100), (3, 2, 1000), (1, 1, 30), (1, 2, Fraction(61, 3)), (2, 3, 300)],
+)
+def test_fiber_count_is_constant_on_signed_permutation_orbits(s, t, b):
+    # every sign-canonical form with max |coordinate| <= 4, grouped by its
+    # orbit representative (sorted absolute values); each orbit holds w / 2
+    # sign-canonical forms, w the orbit size of ``_orbit_shells``
+    s, t, b = Fraction(s), Fraction(t), Fraction(b)
+    counts = {}
+    for f in canonical_forms(4):
+        counts.setdefault(tuple(sorted(map(abs, f.triple))), []).append(fiber_point_count(f, s, t, b))
+    halves = {
+        (a, bb, m): w // 2
+        for m, aa, bs, ws in _orbit_shells(4)
+        for a, bb, w in zip(aa.tolist(), bs.tolist(), ws.tolist())
+    }
+    assert {rep: len(c) for rep, c in counts.items()} == halves
+    for rep, c in counts.items():
+        assert len(set(c)) == 1, (rep, c)
+    assert sum(c[0] > 0 for c in counts.values()) > len(counts) // 2
+
+
+def test_count_equals_the_sum_over_every_canonical_form():
+    # the orbit sum against the full walk, in both regimes
+    grid = [
+        (2, 1, 1), (2, 1, 7), (2, 1, Fraction(31, 3)), (3, 1, 10), (5, 2, 3), (3, 2, 10),
+        (1, 1, 5), (1, 2, 4), (2, 3, 6), (Fraction(3, 2), 2, 5),
+    ]
+    for s, t, b in grid:
+        s, t, b = Fraction(s), Fraction(t), Fraction(b)
+        full = sum(fiber_point_count(f, s, t, b) for f in canonical_forms(m_cutoff(s, t, b)))
+        assert count_Nst(s, t, b) == full, (s, t, b)
 
 
 def test_bm_exponents():

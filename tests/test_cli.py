@@ -240,6 +240,21 @@ def test_le_count_cli(capsys):
     assert out["split"] == 48
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--s", "2", "--t", "1", "--B", "-1"],
+        ["count", "--s", "2", "--t", "1", "--B", "-1", "--emit-points"],
+        ["le-count", "--B", "-1"],
+    ],
+)
+def test_negative_bound_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: B must be nonnegative\n"
+
+
 def test_threads_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("HILB2_THREADS", "2")
     rc = main(["count", "--s", "2", "--t", "1", "--B", "2", "--const-M-max", "5"])

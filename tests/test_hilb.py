@@ -6,7 +6,7 @@ import pytest
 
 from conftest import seeded_forms
 from hilb2.asymptotics import count_Nst
-from hilb2.exactlin import gram_det2, sign_canonical
+from hilb2.exactlin import dot, gram_det2, sign_canonical
 from hilb2.hilb import (
     HilbPoint,
     NonPrimitiveIdealError,
@@ -23,6 +23,7 @@ from hilb2.hilb import (
 from hilb2.lattice import (
     LinearForm,
     count_primitive_form,
+    kernel_basis_of,
     min_form_value,
     product_basis,
     product_covol2_formula,
@@ -252,11 +253,23 @@ def test_max_covol2_I2_against_the_fraction_formula():
     assert below > 100
 
 
+def _kernel_radius(f):
+    """E + |G| with E = e.e, G = e.f for (e, f) = kernel_basis_of(f)."""
+    e, g = kernel_basis_of(f)
+    return dot(e, e) + abs(dot(e, g))
+
+
 def test_first_minimum_lower_bound_all_forms_m12():
-    # 2 n^2 * lambda_1^2 >= 1, the bound behind m_cutoff and the fiber prune
+    # 2 n^2 * lambda_1^2 >= 1, the bound behind m_cutoff, and the sharper
+    # 2 r^2 * lambda_1^2 >= 1 with r = E + |G| <= n behind the fiber prune
+    sharper = 0
     for f in canonical_forms(12):
         q = quotient(f)
-        assert 2 * f.norm2**2 * min_form_value(q) >= q.covol2_product, f
+        r = _kernel_radius(f)
+        assert r <= f.norm2, f
+        assert 2 * r * r * min_form_value(q) >= q.covol2_product, f
+        sharper += r < f.norm2
+    assert sharper > 0
 
 
 def test_empty_fiber_prune_is_sound():
@@ -265,7 +278,8 @@ def test_empty_fiber_prune_is_sound():
         fired = 0
         for f in canonical_forms(_distance_lemma_cutoff(s, t, b)):
             unpruned = _unpruned_count(f, s, t, b)
-            if 2 * f.norm2**2 * max_covol2_I2(f.norm2, s, t, b) < product_covol2_formula(*f.triple):
+            r = _kernel_radius(f)
+            if 2 * r * r * max_covol2_I2(f.norm2, s, t, b) < product_covol2_formula(*f.triple):
                 fired += 1
                 assert unpruned == 0, f
             assert fiber_point_count(f, s, t, b) == unpruned, f
