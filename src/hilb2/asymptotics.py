@@ -17,24 +17,19 @@ by a per-term rounding budget and rounded outward, so it is certified.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from multiprocessing import Pool
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .exactlin import dot, iroot
 from .heights import is_perfect_square, le_height2_gram
-from .hilb import (
-    canonical_forms,
-    fiber_point_count,
-    m_cutoff,
-    nonnegative_bound,
-    positive_exponents,
-)
+from .hilb import fiber_point_count, m_cutoff, nonnegative_bound, positive_exponents
 from .lattice import (
     LinearForm,
     enumerate_form_le,
@@ -42,7 +37,7 @@ from .lattice import (
     product_covol2_formula,
     quotient,
 )
-from math import floor, gcd
+from math import floor, gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -63,15 +58,24 @@ class ConstantEstimate:
         return self.partial + self.tail_bound
 
 
-# Summation orbits, shared by ``constant_c`` and ``count_Nst``.  A summand
-# of either is constant on each orbit of the 48-element group of signed
-# coordinate permutations: n = a^2 + b^2 + c^2 and ``product_covol2_formula``
-# are symmetric polynomials in a^2, b^2, c^2, primitivity is invariant, and
-# the fiber count is invariant (see ``count_Nst``).  The representatives of
-# shell M (max |coordinate| = M) are the primitive (a, b, M) with
-# 0 <= a <= b <= M; the orbit of one has (distinct permutations: 1, 3 or 6)
-# * 2^(nonzero coordinates) elements, half of them sign-canonical.
+# Summation orbits, shared by ``constant_c``, ``count_Nst`` and
+# ``le_count_detailed``.  A summand of each is constant on each orbit of the
+# 48-element group of signed coordinate permutations: n = a^2 + b^2 + c^2
+# and ``product_covol2_formula`` are symmetric polynomials in a^2, b^2, c^2,
+# primitivity is invariant, and so are the fiber count (see ``count_Nst``)
+# and the fiber scan of the anticanonical count (see
+# ``le_count_detailed``).  The representatives of shell M (max |coordinate|
+# = M) are the primitive (a, b, M) with 0 <= a <= b <= M; the orbit of one
+# has (distinct permutations: 1, 3 or 6) * 2^(nonzero coordinates)
+# elements, half of them sign-canonical.  ``_orbit_shells`` yields them as
+# arrays for the float sum of ``constant_c``; ``_orbit_representatives``
+# lists them as forms for the exact counts.
 _PERMUTATIONS = np.array([6, 3, 1], dtype=np.int64)  # by the number of a == b, b == M
+
+# The exact counts refuse a walk over more than this many triples
+# 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would take hours of
+# fiber work.  count_Nst(2, 1, 400) needs 3654.
+_MAX_REPRESENTATIVES = 10**6
 
 # float64 unit roundoff, and a bound on the absolute error one term can pick
 # up when its value underflows (see the budget in ``constant_c``)
@@ -90,6 +94,33 @@ def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
         a, b = aa[:k][keep], bb[:k][keep]
         perms = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
         yield m, a, b, perms << (1 + (a > 0) + (b > 0))
+
+
+def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[LinearForm, int]]:
+    """[(LinearForm(a, b, M), w / 2)] for the orbit representatives of
+    shells M = 1..m_max, in the order of ``_orbit_shells``, keeping only
+    those with a^2 + b^2 + M^2 <= n_max when it is given; w / 2 is the
+    number of sign-canonical forms in the orbit.  ValueError, before any
+    walking, when C(m_max + 3, 3) exceeds ``_MAX_REPRESENTATIVES``."""
+    estimate = math.comb(m_max + 3, 3)
+    if estimate > _MAX_REPRESENTATIVES:
+        raise ValueError(
+            f"B is too large: about 10^{math.log10(estimate):.1f} orbit representatives "
+            f"to walk, more than {_MAX_REPRESENTATIVES}"
+        )
+    if n_max is None:
+        n_max = 3 * m_max * m_max
+    out = []
+    for m in range(1, m_max + 1):
+        for b in range(m + 1):
+            gbm = gcd(b, m)
+            for a in range(b + 1):
+                if a * a + b * b + m * m > n_max:
+                    break
+                if gcd(a, gbm) == 1:
+                    perms = (6, 3, 1)[(a == b) + (b == m)]
+                    out.append((LinearForm(a, b, m), perms << ((a > 0) + (b > 0))))
+    return out
 
 
 def _orbit_sum(expo: float, m_max: int) -> float:
@@ -170,11 +201,16 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     return ConstantEstimate(ratio=ratio, M_max=m_max, partial=lo, tail_bound=tail_bound)
 
 
-def parallel_map(fn: Callable, items: Sequence, args: tuple, threads: int, chunksize: int) -> list:
+def parallel_map(
+    fn: Callable, items: Sequence, args: tuple, threads: int, chunksize: int | None = None
+) -> list:
     """[fn(x, *args) for x in items], in order; over a pool of ``threads``
-    worker processes when threads > 1 (``fn``, items and args must pickle)."""
-    if threads <= 1:
+    worker processes when threads > 1 and there are items (``fn``, items and
+    args must pickle).  The default chunksize gives each worker four chunks."""
+    if threads <= 1 or not items:
         return [fn(x, *args) for x in items]
+    if chunksize is None:
+        chunksize = -(-len(items) // (4 * threads))
     with Pool(threads) as pool:
         return pool.starmap(fn, [(x, *args) for x in items], chunksize=chunksize)
 
@@ -186,7 +222,7 @@ def count_Nst(
 
     Sums exact per-fiber counts over the forms below the rigorous cutoff
     ``m_cutoff``, one fiber per orbit of the signed coordinate permutations
-    (``_orbit_shells``): the count of the representative (a, b, M) is
+    (``_orbit_representatives``): the count of the representative (a, b, M) is
     weighted by w / 2, the number of sign-canonical forms in its orbit of w
     elements.  The fiber count is constant on an orbit: a signed permutation
     sigma of X0, X1, X2 maps the points over l bijectively to the points
@@ -202,13 +238,9 @@ def count_Nst(
     b = nonnegative_bound(bound)
     if b < 1:
         return 0
-    forms, halves = [], []
-    for m, xs, ys, w in _orbit_shells(m_cutoff(s, t, b)):
-        forms += [LinearForm(x, y, m) for x, y in zip(xs.tolist(), ys.tolist())]
-        halves += (w // 2).tolist()
-    chunksize = -(-len(forms) // (4 * max(threads, 1)))  # four chunks per worker
-    counts = parallel_map(fiber_point_count, forms, (s, t, b), threads, chunksize)
-    return sum(h * c for h, c in zip(halves, counts))
+    reps = _orbit_representatives(m_cutoff(s, t, b))
+    counts = parallel_map(fiber_point_count, [f for f, _ in reps], (s, t, b), threads)
+    return sum(h * c for (_, h), c in zip(reps, counts))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
@@ -297,11 +329,16 @@ def convergence_report(
 # The independent split-pair count cross-checks both on the split locus.
 
 
-def _split_pair_count(norms: Sequence[int], b2: Fraction) -> int:
+def _split_pair_count(norms: Iterable[tuple[int, int]], b2: Fraction) -> int:
     """#{unordered pairs of distinct rational plane points with product of
     Euclidean heights cubed <= bound^2}, exactly, given b2 = bound^2 and the
-    squared heights ``norms`` of the points with norm^3 <= b2: the primitive
-    sign-canonical triples, which are the forms the region scan keeps.
+    squared heights of the points with norm^3 <= b2 (the primitive
+    sign-canonical triples, which are the forms the region scan keeps) as
+    (norm, multiplicity) pairs.  A norm may appear in several pairs.
+
+    With c_v the multiplicity of norm v, the count is the sum of C(c_v, 2)
+    over v^6 <= b2 and of c_u c_v over u < v with (u v)^3 <= b2: one sweep
+    over the sorted norms with prefix sums of the multiplicities.
 
     Informational: the primitive sign-canonical v with |v| <= X number
     kappa X^3 + O(X^2), kappa = 2 pi / (3 zeta(3)) (half the primitive
@@ -312,14 +349,15 @@ def _split_pair_count(norms: Sequence[int], b2: Fraction) -> int:
     """
     num, den = b2.numerator, b2.denominator
     norms = sorted(norms)
+    prefix = [0, *accumulate(c for _, c in norms)]  # prefix[k]: multiplicities of norms[:k]
     count = 0
     j = len(norms) - 1
-    for i, ni in enumerate(norms):
-        while j > i and (ni * norms[j]) ** 3 * den > num:
+    for i, (v, c) in enumerate(norms):
+        while j >= i and (v * norms[j][0]) ** 3 * den > num:
             j -= 1
-        if j <= i:
+        if j < i:
             break
-        count += j - i
+        count += c * (c - 1) // 2 + c * (prefix[j + 1] - prefix[i + 1])
     return count
 
 
@@ -386,39 +424,54 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     primitive integer solutions, and the region scan); a mismatch raises
     AssertionError, also under python -O.  The nonsplit side comes from the
     region scan, whose form cutoff and search region are proved (see the
-    notes above ``_split_pair_count``).  Both counts read the one list of
-    primitive triples with n^3 <= B^2, as lines in the region scan and as
-    points in the pair count, so a lost triple does not cancel out: it drops
-    every split point on its line from one count, but the pairs through its
-    point from the other.
+    notes above ``_split_pair_count``).
+
+    One fiber is scanned per orbit of the signed coordinate permutations:
+    the representatives (a, b, M), 0 <= a <= b <= M, primitive with
+    n^3 <= B^2 (``_orbit_representatives``), each weighted by h = w / 2, the
+    number of sign-canonical forms in its orbit.  The scan is constant on an
+    orbit.  A signed permutation sigma is an orthogonal map of Z^3, so
+    q -> q o sigma maps the points over l bijectively to the points over
+    l o sigma, carries the kernel lattice of l isometrically onto that of
+    l o sigma, and keeps the restricted binary form against the transported
+    kernel basis.  L (the apolar pairing with the kernel Gram form) and D
+    do not change under a unimodular change of kernel basis, so H^2 =
+    L^2 + n D (or L^2), the split/nonsplit/nonreduced class and primitivity
+    are kept.  sigma permutes the monomials up to sign, an isometry of Z^6
+    with the monomial-coefficient inner product, so covol2_I2, H_{0,3} and
+    the ratio H^3 / H_{0,3} are kept too.  The minimum ratio is taken over
+    the representatives.
+
+    The pair count reads the same triples as points: the multiset of their
+    norms, norm n with multiplicity the sum of h over the representatives
+    of norm n.  So a lost or wrongly weighted representative does not
+    cancel out: it changes the region count by h times the split points on
+    its line, but the pair count by h times the pairs through its point.
     """
     b = nonnegative_bound(bound)
-    out = {
-        "schema_version": 1,
-        "B": float(b),
-        "split": 0,
-        "nonsplit": 0,
-        "total": 0,
-        "min_ratio": None,
-    }
-    if b < 1:
-        return out
     b2 = b * b
-    kept = [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
-    split_pairs = _split_pair_count([f.norm2 for f in kept], b2)
-    results = parallel_map(_le_region_worker, kept, (b,), threads, chunksize=16)
-    n_split = sum(r[0] for r in results)
-    n_nonsplit = sum(r[1] for r in results)
+    n_max = iroot(floor(b2), 3)  # the forms with n^3 <= B^2
+    reps = _orbit_representatives(isqrt(n_max), n_max)
+    norms = Counter()
+    for f, h in reps:
+        norms[f.norm2] += h
+    split_pairs = _split_pair_count(norms.items(), b2)
+    results = parallel_map(_le_region_worker, [f for f, _ in reps], (b,), threads)
+    n_split = sum(h * r[0] for (_, h), r in zip(reps, results))
+    n_nonsplit = sum(h * r[1] for (_, h), r in zip(reps, results))
     ratios = [r[2] for r in results if r[2] is not None]
     if n_split != split_pairs:
         raise AssertionError(
             f"independent split counts disagree: pairs={split_pairs} region={n_split}"
         )
-    out["split"] = n_split
-    out["nonsplit"] = n_nonsplit
-    out["total"] = n_split + n_nonsplit
-    out["min_ratio"] = float(min(ratios)) ** 0.5 if ratios else None
-    return out
+    return {
+        "schema_version": 1,
+        "B": float(b),
+        "split": n_split,
+        "nonsplit": n_nonsplit,
+        "total": n_split + n_nonsplit,
+        "min_ratio": float(min(ratios)) ** 0.5 if ratios else None,
+    }
 
 
 def le_count(bound: float | Fraction, *, threads: int = 1) -> int:

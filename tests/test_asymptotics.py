@@ -12,6 +12,7 @@ import pytest
 import hilb2
 from hilb2.asymptotics import (
     _le_region_worker,
+    _orbit_representatives,
     _orbit_shells,
     _orbit_sum,
     _split_pair_count,
@@ -85,6 +86,33 @@ def test_orbit_weights_count_each_shell():
     shells = {m: int(w.sum()) for m, _, _, w in _orbit_shells(15)}
     assert shells == dict(brute)
     assert shells[1] == 26
+
+
+def test_python_orbit_walk_matches_the_array_walk():
+    for m_max in range(41):
+        arrays = [
+            (a, b, m, w // 2)
+            for m, aa, bs, ws in _orbit_shells(m_max)
+            for a, b, w in zip(aa.tolist(), bs.tolist(), ws.tolist())
+        ]
+        reps = [(*f.triple, h) for f, h in _orbit_representatives(m_max)]
+        assert reps == arrays, m_max
+        # the norm bound keeps exactly the representatives within it
+        for n_max in (0, 1, 3, m_max * m_max, 2 * m_max * m_max + 5):
+            kept = [(*f.triple, h) for f, h in _orbit_representatives(m_max, n_max)]
+            assert kept == [r for r in arrays if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 <= n_max], (m_max, n_max)
+
+
+def test_orbit_walk_refuses_oversized_bounds():
+    # C(m_max + 3, 3) is far above the cap at both bounds, so nothing is walked
+    for call in (
+        lambda b: count_Nst(2, 1, b),
+        lambda b: count_Nst(1, 2, b),
+        lambda b: le_count_detailed(b),
+    ):
+        for b in (Fraction(10**30), Fraction(10**400)):
+            with pytest.raises(ValueError, match="B is too large: about 10\\^"):
+                call(b)
 
 
 @pytest.mark.parametrize("ratio", [1.5, 2.0, 3.0])
@@ -363,7 +391,59 @@ def test_le_count_north_star_fixed_point():
 
 
 def test_le_count_threads_invariant():
-    assert le_count_detailed(300, threads=2) == le_count_detailed(300, threads=1)
+    # 36 orbit representatives at B = 300 and 102 at B = 1000, split into
+    # four chunks per worker, so both workers run
+    for b in (300, 1000):
+        assert le_count_detailed(b, threads=2) == le_count_detailed(b, threads=1)
+
+
+def _kept_forms(bound: Fraction) -> list:
+    """Every sign-canonical form with n^3 <= B^2: the full walk."""
+    b2 = bound * bound
+    return [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
+
+
+def _orbit_representative(f) -> tuple[int, int, int]:
+    return tuple(sorted(map(abs, f.triple)))
+
+
+def test_le_region_worker_is_constant_on_orbits():
+    # every kept form at B = 1000 scans to its representative's exact triple
+    bound = Fraction(1000)
+    kept = _kept_forms(bound)
+    reps = {f.triple: (f, h) for f, h in _orbit_representatives(10, 100)}
+    assert len(kept) == 1729 and len(reps) == 102
+    assert Counter(_orbit_representative(f) for f in kept) == {t: h for t, (_, h) in reps.items()}
+    want = {t: _le_region_worker(f, bound) for t, (f, _) in reps.items()}
+    for f in kept:
+        assert _le_region_worker(f, bound) == want[_orbit_representative(f)], f
+
+
+def _full_walk_le_count(bound: Fraction) -> dict:
+    """``le_count_detailed`` as it was before the orbit walk: a region scan
+    per kept form and the pair count over their norms, one per form."""
+    b2 = bound * bound
+    kept = _kept_forms(bound)
+    split_pairs = _split_pair_count([(f.norm2, 1) for f in kept], b2)
+    results = [_le_region_worker(f, bound) for f in kept]
+    n_split = sum(r[0] for r in results)
+    n_nonsplit = sum(r[1] for r in results)
+    ratios = [r[2] for r in results if r[2] is not None]
+    assert n_split == split_pairs
+    return {
+        "schema_version": 1,
+        "B": float(bound),
+        "split": n_split,
+        "nonsplit": n_nonsplit,
+        "total": n_split + n_nonsplit,
+        "min_ratio": float(min(ratios)) ** 0.5 if ratios else None,
+    }
+
+
+@pytest.mark.parametrize("b", [1, Fraction(7, 3), 8, 27, 100, Fraction(1000, 7), 300, 1000])
+def test_le_count_equals_the_full_walk(b):
+    b = Fraction(b)
+    assert le_count_detailed(b) == _full_walk_le_count(b)
 
 
 def _reference_split_pair_count(bound: Fraction) -> int:
@@ -398,20 +478,40 @@ def _reference_split_pair_count(bound: Fraction) -> int:
     return count
 
 
-def _kept_pair_count(bound: Fraction) -> int:
-    """``_split_pair_count`` over the forms ``le_count_detailed`` keeps."""
+def _orbit_pair_count(bound: Fraction) -> int:
+    """``_split_pair_count`` over the norm multiplicities that
+    ``le_count_detailed`` reads off the orbit representatives."""
     b2 = bound * bound
-    kept = [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
-    return _split_pair_count([f.norm2 for f in kept], b2)
+    n_max = iroot(floor(b2), 3)
+    norms = Counter()
+    for f, h in _orbit_representatives(isqrt(n_max), n_max):
+        norms[f.norm2] += h
+    return _split_pair_count(norms.items(), b2)
 
 
 def test_split_pair_count_over_the_kept_forms_matches_the_box_walk():
     bounds = [Fraction(b) for b in range(1, 301)]
     bounds += [Fraction(7, 3), Fraction(27, 2), Fraction(1000, 7), Fraction(3**6 + 1, 3), Fraction(4097, 64)]
     for b in bounds:
-        assert _kept_pair_count(b) == _reference_split_pair_count(b), b
-    assert _kept_pair_count(Fraction(10**3)) == _reference_split_pair_count(Fraction(10**3)) == 13194
-    assert _kept_pair_count(Fraction(10**4)) == 168438
+        want = _reference_split_pair_count(b)
+        b2 = b * b
+        kept = Counter(f.norm2 for f in _kept_forms(b))
+        assert _split_pair_count(kept.items(), b2) == want, b
+        assert _orbit_pair_count(b) == want, b
+    assert _orbit_pair_count(Fraction(10**3)) == _reference_split_pair_count(Fraction(10**3)) == 13194
+
+
+def test_split_pair_count_out_to_a_million():
+    # ROADMAP item 2(a): the local slope d(N / B) / d log B of the pair count
+    # tends to kappa^2 / 2 = 2 pi^2 / (9 zeta(3)^2), about 1.518 (derivation
+    # in the ``_split_pair_count`` docstring)
+    counts = [_orbit_pair_count(Fraction(10**k)) for k in range(3, 7)]
+    assert counts == [13194, 168438, 2023422, 23723856]
+    per_b = [n / 10**k for n, k in zip(counts, range(3, 7))]
+    slopes = [(y - x) / math.log(10) for x, y in zip(per_b, per_b[1:])]
+    half_kappa2 = 2 * math.pi**2 / (9 * 1.2020569031595942**2)
+    assert abs(half_kappa2 - 1.518) < 1e-3
+    assert all(abs(slope - half_kappa2) < 0.08 for slope in slopes), slopes
 
 
 def _reference_le_region_worker(ell, bound):

@@ -255,6 +255,42 @@ def test_negative_bound_exits_1(argv, capsys):
     assert captured.err == "error: B must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--s", "2", "--t", "1", "--B", "1e30"],
+        ["count", "--s", "2", "--t", "1", "--B", "1e400"],
+        ["le-count", "--B", "1e30"],
+        ["le-count", "--B", "1e400"],
+    ],
+)
+def test_oversized_bound_exits_1_at_once(argv, capsys):
+    # the representative walk refuses both bounds before walking anything
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: B is too large: about 10^")
+    assert captured.err.count("\n") == 1
+
+
+def test_oversized_le_count_prints_no_traceback():
+    r = run_cli(["le-count", "--B", "1e400"])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: B is too large") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_le_count_byte_identical_across_threads(fmt):
+    a = run_cli(["le-count", "--B", "1000", "--format", fmt, "--threads", "1"])
+    b = run_cli(["le-count", "--B", "1000", "--format", fmt, "--threads", "2"])
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert "20677" in a.stdout
+
+
 def test_threads_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("HILB2_THREADS", "2")
     rc = main(["count", "--s", "2", "--t", "1", "--B", "2", "--const-M-max", "5"])
