@@ -8,10 +8,11 @@ integer triples (both signs) of
 
 scaled by pi / (3 zeta(3)).  The partial sum over the shells
 max |coordinate| <= M_max takes one term per orbit of the signed coordinate
-permutations, weighted by the orbit size, in one ``math.fsum``.  The tail is
-bounded termwise using the lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a
-26 M^2 shell count.  The bracket [partial, partial + tail_bound] is widened
-by a per-term rounding budget and rounded outward, so it is certified.
+permutations, weighted by the orbit size, added exactly in exponent bins
+and rounded once (``_exact_sum``).  The tail is bounded termwise using the
+lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a 26 M^2 shell count.  The
+bracket [partial, partial + tail_bound] is widened by a per-term rounding
+budget and rounded outward, so it is certified.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, repeat
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -88,12 +89,15 @@ def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
     (a, b, M) of the primitive triples of shell M and their orbit sizes w."""
     bb, aa = np.tril_indices(m_max + 1)  # pairs a <= b, ordered by b
     gab = np.gcd(aa, bb)
+    ks = np.arange(m_max + 1)
     for m in range(1, m_max + 1):
         k = (m + 1) * (m + 2) // 2  # the pairs with b <= m come first
-        keep = np.gcd(gab[:k], m) == 1
+        # gcd(a, b) <= m there, so coprimality to m is a lookup
+        keep = (np.gcd(ks[: m + 1], m) == 1)[gab[:k]]
         a, b = aa[:k][keep], bb[:k][keep]
-        perms = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
-        yield m, a, b, perms << (1 + (a > 0) + (b > 0))
+        w = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
+        w <<= 1 + (a > 0) + (b > 0)
+        yield m, a, b, w
 
 
 def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[LinearForm, int]]:
@@ -123,20 +127,67 @@ def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[L
     return out
 
 
+# ``np.frexp`` exponents of finite floats run from -1073 to 1024;
+# ``_exact_sum`` keeps exponent e in bin e - _MIN_EXPONENT
+_MIN_EXPONENT = -1073
+_EXPONENT_BINS = 1024 - _MIN_EXPONENT + 1
+
+
+def _exact_sum(arrays: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of all entries of the float64 arrays, so
+    bit-identical to ``math.fsum`` over them in any order.  The entries must
+    be nonnegative and finite, and each array shorter than 2^26.
+
+    Exponent-binned exact accumulation (Demmel and Hida, SIAM J. Sci.
+    Comput. 25(4), 2003): ``np.frexp`` splits x = f 2^e with an integer
+    f 2^53 < 2^53, cut into limbs hi = floor(f 2^27) < 2^27 and lo =
+    (f 2^27 - hi) 2^26 < 2^26; each step is exact (a power-of-two scaling or
+    ``floor``).  ``np.bincount`` sums each limb per exponent in floats, which
+    stays exact below 2^53, and int64 totals carry the bins across arrays.
+    The bins are added as Python ints and rounded once by the correctly
+    rounded int division."""
+    hi_bins = np.zeros(_EXPONENT_BINS, dtype=np.int64)
+    lo_bins = np.zeros(_EXPONENT_BINS, dtype=np.int64)
+    for x in arrays:
+        frac, expo = np.frexp(x)
+        expo -= _MIN_EXPONENT
+        frac *= 2.0**27
+        hi = np.floor(frac)
+        frac -= hi
+        frac *= 2.0**26
+        k = int(expo.max(initial=0)) + 1
+        hi_bins[:k] += np.bincount(expo, weights=hi, minlength=k).astype(np.int64)
+        lo_bins[:k] += np.bincount(expo, weights=frac, minlength=k).astype(np.int64)
+        del x, frac, expo, hi  # free this array before the next one is made
+    total = sum(
+        ((int(hi_bins[i]) << 26) + int(lo_bins[i])) << int(i)
+        for i in np.flatnonzero(hi_bins | lo_bins)
+    )
+    # bin i counts units of 2^(i + _MIN_EXPONENT - 53)
+    return total / (1 << (53 - _MIN_EXPONENT))
+
+
+def _orbit_terms(
+    powers: np.ndarray, m: int, a: np.ndarray, b: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """w * n^expo / covol2_product for the representatives (a, b, m) of one
+    shell, given powers[n - 1] = n^expo.  A function of its own, so that its
+    temporaries are freed before the next shell is built."""
+    covol2 = product_covol2_formula(a, b, np.int64(m))
+    terms = powers[a * a + b * b + (m * m - 1)]
+    terms /= covol2
+    terms *= w
+    return terms
+
+
 def _orbit_sum(expo: float, m_max: int) -> float:
-    """math.fsum of w * n^expo / covol2_product over the orbit
-    representatives of shells 1..m_max: the correctly rounded sum of the
-    computed terms, whatever their order.  n^expo comes from a table of
-    ``math.pow`` over the 3 m_max^2 possible norms."""
-    powers = np.fromiter(
-        (math.pow(k, expo) if k else 0.0 for k in range(3 * m_max * m_max + 1)),
-        dtype=np.float64,
-    )
-    shells = (
-        (powers[a * a + b * b + m * m] / product_covol2_formula(a, b, np.int64(m)) * w).tolist()
-        for m, a, b, w in _orbit_shells(m_max)
-    )
-    return math.fsum(chain.from_iterable(shells))
+    """The correctly rounded sum (``_exact_sum``) of w * n^expo /
+    covol2_product over the orbit representatives of shells 1..m_max: equal
+    to ``math.fsum`` of the computed terms, whatever their order.  n^expo
+    comes from a table of ``math.pow`` over the 3 m_max^2 possible norms."""
+    n_max = 3 * m_max * m_max
+    powers = np.fromiter(map(math.pow, range(1, n_max + 1), repeat(expo)), np.float64, n_max)
+    return _exact_sum(_orbit_terms(powers, *shell) for shell in _orbit_shells(m_max))
 
 
 def _to_float(x: Fraction, toward: float) -> float:
@@ -168,7 +219,8 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
         below 1e-8;
       * the division and the product with w cost u each (w <= 48 is exact);
       * a term that underflows picks up at most 2^-1067 in absolute value.
-    ``math.fsum`` is correctly rounded, within u of the sum of the terms.
+    ``_exact_sum`` adds the terms exactly and rounds once, correctly, so
+    the float sum is within u of the sum of the terms.
     The bracket is widened by all of these, in exact rational arithmetic,
     and converted to floats with outward rounding.  It is certified for the
     float value of ``ratio``.
@@ -180,7 +232,7 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
         raise ValueError("M_max out of supported range")
     expo = 1.5 - 1.5 * ratio
     total = Fraction(_orbit_sum(expo, m_max))
-    # relative budget per term (docstring), and the fsum step
+    # relative budget per term (docstring), and the one rounding of the sum
     de = abs(Fraction(expo) - Fraction(3, 2) * (1 - Fraction(ratio)))
     rel = (1 + 2 * _U) * (1 + _U) ** 2 * (1 + 2 * de * Fraction(math.log(3 * m_max * m_max)))
     if 20 * m_max**6 >= 2**53:

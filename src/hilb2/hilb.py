@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm
+from math import floor, gcd, lcm, log10
 from typing import Iterator, Sequence
 
 from .exactlin import iroot, sign_canonical
@@ -177,6 +177,14 @@ def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(2 * big_l * s))
 
 
+# ``enumerate_points`` refuses a walk over more than this many sign-canonical
+# forms, about (2 m_max + 1)^3 / 2 of them: ``canonical_forms`` builds them
+# all (about 120 bytes each) before the first fiber.  The largest cutoff it
+# admits is m_max = 62, B = 2291 at (s, t) = (2, 1), where the listing would
+# hold about 7 10^10 points.
+_MAX_FORMS = 10**6
+
+
 def canonical_forms(m_max: int) -> list[LinearForm]:
     """All primitive sign-canonical forms with max |coordinate| <= m_max, in
     lexicographic order of (a, b, c)."""
@@ -274,12 +282,19 @@ def enumerate_points(
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
     s and t must be positive (``positive_exponents``) and the bound
-    nonnegative (``nonnegative_bound``).
+    nonnegative (``nonnegative_bound``).  ValueError, before any walking,
+    when the walk would cover more than ``_MAX_FORMS`` forms.
     """
     s, t = positive_exponents(s, t)
     bound = nonnegative_bound(bound)
     if bound < 1:
         return
     m_max = m_cutoff(s, t, bound)
+    estimate = (2 * m_max + 1) ** 3 // 2
+    if estimate > _MAX_FORMS:
+        raise ValueError(
+            f"B is too large: about 10^{log10(estimate):.1f} forms to walk, "
+            f"more than {_MAX_FORMS}"
+        )
     for ell in canonical_forms(m_max):
         yield from fiber_points(ell, s, t, bound)

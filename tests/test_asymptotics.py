@@ -4,13 +4,18 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import floor, gcd, isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilb2
 from hilb2.asymptotics import (
+    _exact_sum,
     _le_region_worker,
     _orbit_representatives,
     _orbit_shells,
@@ -73,6 +78,53 @@ def test_orbit_sum_matches_full_cube(ratio):
     for m in range(1, 9):
         want = math.fsum(n**expo / p for n, p in _cube_terms(m))
         assert abs(_orbit_sum(expo, m) - want) <= 4 * math.ulp(want), m
+
+
+def _orbit_sum_by_fsum(expo, m_max):
+    """The orbit sum as one math.fsum over every shell's terms turned into
+    Python floats: the reference the exact binned sum must equal."""
+    powers = np.fromiter(
+        (math.pow(k, expo) if k else 0.0 for k in range(3 * m_max * m_max + 1)),
+        dtype=np.float64,
+    )
+    shells = (
+        (powers[a * a + b * b + m * m] / product_covol2_formula(a, b, np.int64(m)) * w).tolist()
+        for m, a, b, w in _orbit_shells(m_max)
+    )
+    return math.fsum(chain.from_iterable(shells))
+
+
+@pytest.mark.parametrize("ratio", [0.001, 0.5, 1, 1.5, 2, 3, 5, 400, 1e6])
+def test_orbit_sum_is_bit_identical_to_fsum(ratio):
+    # at 1e6 every term but the one of (0, 0, 1) underflows to 0
+    expo = 1.5 - 1.5 * ratio
+    for m in [*range(1, 41), 120]:
+        assert _orbit_sum(expo, m) == _orbit_sum_by_fsum(expo, m), m
+
+
+# nonnegative finite floats from subnormal to 2^1017, so that 64 of them
+# still add to a finite float
+_summands = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0**1017, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=2.0**-1000, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1.0, 1.0 - 2.0**-53, 2.0**1017]),
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(_summands, max_size=64), st.lists(st.integers(0, 64), max_size=3))
+def test_exact_sum_equals_fsum(xs, cuts):
+    # the list is cut into up to four arrays, so the bins also carry across arrays
+    arrays = np.split(np.array(xs, dtype=np.float64), sorted(min(c, len(xs)) for c in cuts))
+    assert _exact_sum(arrays).hex() == math.fsum(xs).hex()
+
+
+def test_exact_sum_of_many_equal_terms():
+    # 2^20 mantissas of 53 ones in one bin, and a tie that rounds to even
+    x = 1.0 - 2.0**-53
+    assert _exact_sum([np.full(2**20, x)]) == math.fsum([x] * 2**20)
+    assert _exact_sum([np.array([1.0, 2.0**-53])]) == 1.0 == math.fsum([1.0, 2.0**-53])
+    assert _exact_sum([np.zeros(3), np.array([])]) == 0.0
 
 
 def test_orbit_weights_count_each_shell():

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,6 +11,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilb2 import verify
 from hilb2.asymptotics import constant_c, count_Nst
@@ -95,6 +98,15 @@ def test_constant_json(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["c_low"] < out["c_high"]
+
+
+def test_constant_at_benchmark_scale_is_pinned(capsys):
+    assert main(["constant", "--ratio", "2", "--M-max", "200"]) == 0
+    assert capsys.readouterr().out == (
+        '{"M_max":200,"c_high":5.940037494756884,"c_low":5.940037494756788,'
+        '"partial":5.940037494756788,"ratio":2.0,"schema_version":1,'
+        '"tail_bound":9.592326932761353e-14}\n'
+    )
 
 
 def test_inspect_golden(capsys):
@@ -207,22 +219,43 @@ def test_run_suite_passes_only_what_a_suite_takes(capsys):
     assert [r["B"] for r in rows] == ["1", "3/2"] * 3
 
 
-def test_point_csv_roundtrip(capsys):
-    rc = main(["count", "--s", "2", "--t", "1", "--B", "4", "--emit-points", "--format", "csv"])
-    assert rc == 0
-    text = capsys.readouterr().out
+def _check_point_csv(s, t, b, text):
+    """Every row of ``count --emit-points --format csv`` parses back to the
+    point ``enumerate_points`` yields there, and recomputing the row from
+    the parsed point reproduces every column."""
     rows = list(csv.DictReader(io.StringIO(text)))
-    pts = list(enumerate_points(2, 1, 4))
+    pts = list(enumerate_points(s, t, b))
     assert len(rows) == len(pts)
-    s, t = Fraction(2), Fraction(1)
-    for row in rows:
+    s, t = Fraction(s), Fraction(t)
+    for row, pt in zip(rows, pts):
         ell = LinearForm(int(row["ell_a"]), int(row["ell_b"]), int(row["ell_c"]))
         qbar = (int(row["qbar_1"]), int(row["qbar_2"]), int(row["qbar_3"]))
         z = HilbPoint(ell=ell, qbar=qbar, covol2_I2=int(row["covol2_I2"]))
-        # recomputing from the parsed point reproduces every emitted column
+        assert z == pt
         rebuilt = point_row(z, s, t)
         assert {k: str(v) for k, v in rebuilt.items()} == dict(row)
         assert z.covol2_I1 == int(row["covol2_I1"])
+
+
+def test_point_csv_roundtrip(capsys):
+    rc = main(["count", "--s", "2", "--t", "1", "--B", "4", "--emit-points", "--format", "csv"])
+    assert rc == 0
+    _check_point_csv(2, 1, 4, capsys.readouterr().out)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (1, 1), (3, 2)]),
+    st.fractions(min_value=0, max_value=6, max_denominator=7),
+)
+def test_point_csv_roundtrip_property(exponents, b):
+    s, t = exponents
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["count", "--s", str(s), "--t", str(t), "--B", str(b),
+                   "--emit-points", "--format", "csv"])
+    assert rc == 0
+    _check_point_csv(s, t, b, out.getvalue())
 
 
 def test_height_field_formats():
@@ -260,12 +293,15 @@ def test_negative_bound_exits_1(argv, capsys):
     [
         ["count", "--s", "2", "--t", "1", "--B", "1e30"],
         ["count", "--s", "2", "--t", "1", "--B", "1e400"],
+        ["count", "--s", "2", "--t", "1", "--B", "1e30", "--emit-points"],
+        ["count", "--s", "2", "--t", "1", "--B", "1e400", "--emit-points"],
         ["le-count", "--B", "1e30"],
         ["le-count", "--B", "1e400"],
     ],
 )
 def test_oversized_bound_exits_1_at_once(argv, capsys):
-    # the representative walk refuses both bounds before walking anything
+    # the representative walk, and the form walk of --emit-points, refuse
+    # these bounds before walking anything
     start = time.perf_counter()
     assert main(argv) == 1
     assert time.perf_counter() - start < 1.0

@@ -124,6 +124,14 @@ def test_enumerate_points_rejects_bad_exponents():
         list(enumerate_points(2, -1, 10))
 
 
+def test_enumerate_points_refuses_oversized_bounds():
+    # m_cutoff(2, 1, 2292) = 63 is the first cutoff with more than 10^6
+    # forms, (2 * 63 + 1)^3 / 2; every bound here is refused before walking
+    for b in (2292, 10**30, 10**400):
+        with pytest.raises(ValueError, match="B is too large: about 10\\^"):
+            next(enumerate_points(2, 1, Fraction(b)))
+
+
 def test_fiber_points_axis_example():
     pts = fiber_points(LinearForm(1, 0, 0), Fraction(2), Fraction(1), Fraction(2))
     assert len(pts) == 13

@@ -1,12 +1,16 @@
 """Structure checks.  The layer tracer names library functions by string; a
 rename or deletion in hilb2 would only surface when a traced benchmark run
 fails.  The core library modules must not import the oracles or the suites
-that check them."""
+that check them.  The orbit sum behind the benchmark's ``constant`` workload
+has a memory ceiling."""
 
 import ast
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
+
+from hilb2.asymptotics import _orbit_sum
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -51,3 +55,16 @@ def test_core_modules_import_no_oracle_or_verify():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[-1] for alias in node.names)
         assert not imported & {"oracles", "verify"}, (name, sorted(imported))
+
+
+def test_orbit_sum_peak_memory():
+    # _orbit_sum(-1.5, 200) is the sum of constant_c(2, 200), the benchmark's
+    # constant workload; a per-term Python float list peaked at 3.09 MiB here
+    _orbit_sum(-1.5, 20)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        _orbit_sum(-1.5, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.09 * 2**20, peak / 2**20
