@@ -23,22 +23,17 @@ from .heights import (
     BinaryQuadraticForm,
     NonsplitParams,
     PointClass,
-    SplitSolutions,
     classify,
-    disc_nonsplit,
     disc_ratio,
-    disc_split_gcd,
     discriminant,
     height2_e,
     height2_st,
     height_e,
     height_st,
-    ideal_norm,
     le_height,
     le_height2,
     nonsplit_params,
     restrict_to_line,
-    split_solutions,
 )
 from .hilb import (
     HilbPoint,

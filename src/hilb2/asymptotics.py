@@ -28,12 +28,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
-from .exactlin import dot, iroot
 from .heights import is_perfect_square, le_height2_gram
-from .hilb import fiber_point_count, m_cutoff, nonnegative_bound, positive_exponents
+from .hilb import fiber_point_count, height_query, m_cutoff, nonnegative_bound, positive_exponents
 from .lattice import (
     LinearForm,
+    dot,
     enumerate_form_le,
+    iroot,
     kernel_basis_of,
     product_covol2_formula,
     quotient,
@@ -286,8 +287,7 @@ def count_Nst(
     the parent in representative order, so the result is independent of the
     thread count.
     """
-    s, t = positive_exponents(s, t)
-    b = nonnegative_bound(bound)
+    s, t, b = height_query(s, t, bound)
     if b < 1:
         return 0
     reps = _orbit_representatives(m_cutoff(s, t, b))

@@ -1,13 +1,16 @@
-"""Exact integer linear algebra primitives.
+"""Generic exact integer linear algebra: the reference routines.
 
-Everything in this module is exact: matrices are plain tuples/lists of Python
-ints (arbitrary precision), determinants are computed fraction-free (Bareiss),
-and lattice operations never touch floating point.  One routine eliminates:
-the row Hermite normal form ``hnf``.  Kernels, saturation and basis
-completion are read off the HNF of an augmented matrix [M^T | I]; the
-library builds the kernel basis of a linear form in closed form
-(``lattice.kernel_basis_of``), and these generic routines are the references
-the tests check such closed forms against.
+The program paths build every lattice they use in closed form (the kernel
+basis, quotient and product lattices of ``lattice``, the ideal lattices of
+``heights``), and no core module imports this one.  Its generic routines are
+the independent references that ``oracles``, ``verify`` and the tests check
+those closed forms against.
+
+Everything here is exact: matrices are plain tuples/lists of Python ints
+(arbitrary precision), determinants are computed fraction-free (Bareiss),
+and no routine touches floating point.  One routine eliminates: the row
+Hermite normal form ``hnf``.  Kernels, saturation and basis completion are
+read off the HNF of an augmented matrix [M^T | I].
 
 Matrices are row-major sequences of equal-length integer rows.  A lattice is
 always the row span of such a matrix.
@@ -19,8 +22,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-Row = tuple[int, ...]
-Matrix = tuple[Row, ...]
+from .lattice import Matrix, dot
 
 
 class RankDeficientError(ValueError):
@@ -36,36 +38,6 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> Matrix:
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise ValueError("ragged matrix")
     return mat
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def iroot(x: int, k: int) -> int:
-    """Largest r >= 0 with r^k <= x, for integers x >= 0 and k >= 1.
-
-    Integer Newton iteration from 2^ceil(bitlen(x)/k), which is above the
-    root; the iterates decrease strictly until they reach it.
-    """
-    if x < 0 or k < 1:
-        raise ValueError("iroot needs x >= 0 and k >= 1")
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // k)
-    while True:
-        y = ((k - 1) * r + x // r ** (k - 1)) // k
-        if y >= r:
-            return r
-        r = y
-
-
-def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
-    """``vec`` or ``-vec``, whichever has its first nonzero entry positive."""
-    for v in vec:
-        if v:
-            return tuple(vec) if v > 0 else tuple(-x for x in vec)
-    return tuple(vec)
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -123,21 +95,6 @@ def gram_det2(rows: Sequence[Sequence[int]]) -> int:
         raise RankDeficientError("rank deficient")
     assert d > 0
     return d
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def hnf(rows: Iterable[Sequence[int]]) -> Matrix:
@@ -279,13 +236,3 @@ def smith_minor_gcd(mat: Iterable[Sequence[int]], n: int) -> int:
     if g == 0:
         raise NotFiniteIndexError("not finite index")
     return g
-
-
-def cross(v: Sequence[int], w: Sequence[int]) -> tuple[int, int, int]:
-    """Cross product v x w of two integer triples."""
-    return (
-        v[1] * w[2] - v[2] * w[1],
-        v[2] * w[0] - v[0] * w[2],
-        v[0] * w[1] - v[1] * w[0],
-    )
-

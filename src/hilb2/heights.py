@@ -3,12 +3,13 @@
 Restricting a point's quadric to the projective line cut out by its linear
 form produces a primitive integer binary quadratic form, which is the point's
 ``qbar`` read in the reduced kernel basis of the form; its discriminant is
-the discriminant of the point's coordinate ring, computed here by three
-independent routes (direct, split GCD-of-cross-product, nonsplit parameter
-formula) that the test suite checks against each other.  The Le Rudulier
-height is exact at the squared level through one closed form in qbar and the
-Gram matrix of the kernel basis; the class-wise solutions and ideal norms
-here make up its independent reference in ``verify``.
+the discriminant of the point's coordinate ring.  The Le Rudulier height is
+exact at the squared level through one closed form in qbar and the Gram
+matrix of the kernel basis, and the ideal lattice of every degree has a
+closed-form covolume.  The class-wise solutions, the two other discriminant
+routes (split GCD of the cross product, nonsplit parameter formula) and the
+ideal norms are the independent references in ``verify``; of them only the
+nonsplit parameters ``nonsplit_params`` are defined here.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Sequence
 
-from .exactlin import _xgcd, cross, dot, sign_canonical, smith_minor_gcd
 from .hilb import HilbPoint, monomials
-from .lattice import eval_quadratic, kernel_basis_of
+from .lattice import _xgcd, dot, eval_quadratic, kernel_basis_of
 
 
 class InternalCheckError(AssertionError):
@@ -51,14 +51,6 @@ class PointClass(enum.Enum):
     NONREDUCED = "nonreduced"
     SPLIT = "split"
     NONSPLIT = "nonsplit"
-
-
-@dataclass(frozen=True)
-class SplitSolutions:
-    """Independent primitive integer solutions of the defining system."""
-
-    v: tuple[int, int, int]
-    w: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -117,71 +109,6 @@ def classify(z: HilbPoint) -> PointClass:
     return PointClass.NONSPLIT
 
 
-def _root_directions(qbar: Sequence[int], d: int) -> list[tuple[int, int]]:
-    """Primitive integer (S, T) root directions of a split form qbar of
-    discriminant d, in canonical order (the +sqrt root first; for A = 0 the
-    T = 0 root first)."""
-    a, b, c = qbar
-    k = isqrt(d)
-    assert k * k == d and d > 0
-    if a == 0:
-        roots = [(1, 0), (-c, b)]
-    else:
-        roots = [(-b + k, 2 * a), (-b - k, 2 * a)]
-    out = []
-    for s, t in roots:
-        g = gcd(s, t)
-        s, t = s // g, t // g
-        if t < 0 or (t == 0 and s < 0):
-            s, t = -s, -t
-        out.append((s, t))
-    return out
-
-
-def split_solutions(z: HilbPoint) -> SplitSolutions:
-    """Factor the restricted form and map the two root directions back to
-    primitive integer solution vectors."""
-    d = discriminant(z)
-    if not (d > 0 and is_perfect_square(d)):
-        raise ValueError("point is not split")
-    e, f = kernel_basis_of(z.ell)
-    vecs = []
-    for s, t in _root_directions(z.qbar, d):
-        vec = tuple(s * x + t * y for x, y in zip(e, f))
-        assert gcd(gcd(vec[0], vec[1]), vec[2]) == 1
-        vecs.append(sign_canonical(vec))
-    v, w = vecs
-    return SplitSolutions(v=v, w=w)  # type: ignore[arg-type]
-
-
-def disc_split_gcd(sol: SplitSolutions) -> int:
-    """Discriminant from the squared GCD of the cross product of the solutions."""
-    cx = cross(sol.v, sol.w)
-    g = gcd(gcd(cx[0], cx[1]), cx[2])
-    return g * g
-
-
-def nonreduced_solution(z: HilbPoint) -> tuple[int, int, int]:
-    """The unique primitive integer solution of a nonreduced point's system."""
-    if discriminant(z) != 0:
-        raise ValueError("point is not nonreduced")
-    a, b, c = z.qbar
-    # sign-normalized primitive form with zero discriminant is (u S + w T)^2
-    if a != 0:
-        u = isqrt(a)
-        w = b // (2 * u)
-        assert u * u == a and w * w == c and 2 * u * w == b
-    else:
-        assert b == 0 and c > 0
-        u = 0
-        w = isqrt(c)
-        assert w * w == c
-    assert gcd(u, w) == 1
-    e, f = kernel_basis_of(z.ell)
-    vec = tuple(w * x - u * y for x, y in zip(e, f))
-    return sign_canonical(vec)  # type: ignore[return-value]
-
-
 def nonsplit_params(z: HilbPoint) -> NonsplitParams:
     """Canonical (g, alpha, beta) decomposition of a quadratic-ring solution.
 
@@ -221,83 +148,6 @@ def nonsplit_params(z: HilbPoint) -> NonsplitParams:
     if eval_quadratic(qv, r) + d * eval_quadratic(qv, s2) != 0 or polar != 0:
         raise InternalCheckError("solution does not annihilate the quadric")
     return params
-
-
-def disc_nonsplit(p: NonsplitParams) -> int:
-    """Discriminant from the nonsplit parameter formula."""
-    d = p.disc
-    g2 = gcd(gcd(p.beta**2 * d, 2 * p.alpha * p.beta * d), p.g**2 - p.alpha**2 * d)
-    if g2 == 0:
-        raise InternalCheckError("degenerate nonsplit parameters")
-    num = 4 * p.beta**2 * p.g**2 * d
-    assert num % (g2 * g2) == 0
-    return num // (g2 * g2)
-
-
-def ideal_norm(p: NonsplitParams) -> int:
-    """Index of the solution ideal inside Z[sqrt(D)], via Smith minors.
-
-    Computed from the 2x4 column matrix of the two generators and their
-    sqrt(D)-multiples over the basis {1, sqrt(D)}, and asserted equal to the
-    closed-form GCD.
-    """
-    d = p.disc
-    cols = [
-        [p.g, p.alpha * d, 0, p.beta * d],
-        [p.alpha, p.g, p.beta, 0],
-    ]
-    n = smith_minor_gcd(cols, 2)
-    closed = abs(gcd(gcd(p.beta**2 * d, p.alpha * p.beta * d), gcd(p.g**2 - p.alpha**2 * d, p.beta * p.g)))
-    assert n == closed
-    return n
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = m^2 * d0 with d0 squarefree (carrying the sign); returns (d0, m)."""
-    if n == 0:
-        raise ValueError("zero has no squarefree part")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    m = 1
-    d0 = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            m *= p ** (e // 2)
-            if e % 2:
-                d0 *= p
-        p += 1 if p == 2 else 2
-    d0 *= n
-    return sign * d0, m
-
-
-def _maximal_order_norm(disc: int, r: Sequence[int], s: Sequence[int]) -> int:
-    """Norm of the ideal generated by the coordinates of r + sqrt(disc)*s in
-    the maximal order of Q(sqrt(disc)), via Smith minors over the basis
-    {1, omega}."""
-    d0, m = squarefree_decompose(disc)
-    cols: list[list[int]] = [[], []]
-
-    def add(x: int, y: int) -> None:
-        cols[0].append(x)
-        cols[1].append(y)
-
-    for rj, sj in zip(r, s, strict=True):
-        if d0 % 4 == 1:
-            # omega = (1 + sqrt(d0))/2, sqrt(d0) = 2*omega - 1
-            x, y = rj - sj * m, 2 * sj * m
-        else:
-            x, y = rj, sj * m
-        add(x, y)
-        if d0 % 4 == 1:
-            add(y * (d0 - 1) // 4, x + y)
-        else:
-            add(y * d0, x)
-    return smith_minor_gcd(cols, 2)
 
 
 # ---------------------------------------------------------------------------

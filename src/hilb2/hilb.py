@@ -14,20 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, lcm, log10
+from math import ceil, floor, gcd, lcm, log10
 from typing import Iterator, Sequence
 
-from .exactlin import iroot, sign_canonical
 from .lattice import (
     LinearForm,
     QuotientLattice,
     count_primitive_form,
     enumerate_form_le,
     eval_quadratic,  # re-exported: part of the point API
+    iroot,
     kernel_basis_of,
     min_form_value,
     product_covol2_formula,
     quotient,
+    sign_canonical,
 )
 
 
@@ -128,6 +129,40 @@ def nonnegative_bound(bound: float | Fraction) -> Fraction:
     return b
 
 
+# ``height_query`` refuses a query whose exact comparisons would need
+# integers of more than this many bits.  Every integer B that the orbit walk
+# admits at (s, t) = (2, 1) needs fewer than 100.
+_MAX_EXACT_BITS = 1 << 14
+
+
+def height_query(
+    s: float | Fraction, t: float | Fraction, bound: float | Fraction
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(s, t, B) as Fractions, checked by ``positive_exponents`` and
+    ``nonnegative_bound``: the one check of every entry point that takes
+    all three.  ValueError, before any power is taken, when the exact
+    comparisons would need integers of more than ``_MAX_EXACT_BITS`` bits.
+
+    Estimate.  Let L = lcm of the denominators of s and t and beta the bits
+    of the numerator and the denominator of B.  ``m_cutoff`` takes a root of
+    3^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms below
+    it have n = a^2 + b^2 + c^2 < 2^(2 + (2t + 2 beta) / s).
+    ``max_covol2_I2`` multiplies B^(2L) by n^(L |s - t|).  The estimate is
+    L (2t + 2 beta + |s - t| (2 + (2t + 2 beta) / s)), above both.
+    """
+    s, t = positive_exponents(s, t)
+    b = nonnegative_bound(bound)
+    beta = max(b.numerator.bit_length(), b.denominator.bit_length())
+    per_l = 2 * t + 2 * beta + abs(s - t) * (2 + (2 * t + 2 * beta) / s)
+    bits = ceil(lcm(s.denominator, t.denominator) * per_l)
+    if bits > _MAX_EXACT_BITS:
+        raise ValueError(
+            f"the exact height comparison needs integers of about "
+            f"10^{log10(bits):.1f} bits, more than {_MAX_EXACT_BITS}"
+        )
+    return s, t, b
+
+
 def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
     """Clear denominators: H^(2L) = covol2_I1^a * covol2_I2^b with b > 0."""
     big_l = lcm(s.denominator, t.denominator)
@@ -177,12 +212,23 @@ def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(2 * big_l * s))
 
 
-# ``enumerate_points`` refuses a walk over more than this many sign-canonical
+# ``check_form_walk`` refuses a walk over more than this many sign-canonical
 # forms, about (2 m_max + 1)^3 / 2 of them: ``canonical_forms`` builds them
 # all (about 120 bytes each) before the first fiber.  The largest cutoff it
 # admits is m_max = 62, B = 2291 at (s, t) = (2, 1), where the listing would
 # hold about 7 10^10 points.
 _MAX_FORMS = 10**6
+
+
+def check_form_walk(m_max: int, name: str) -> None:
+    """ValueError, naming the size parameter ``name``, when
+    ``canonical_forms(m_max)`` would hold more than ``_MAX_FORMS`` forms."""
+    estimate = (2 * m_max + 1) ** 3 // 2
+    if estimate > _MAX_FORMS:
+        raise ValueError(
+            f"{name} is too large: about 10^{log10(estimate):.1f} forms to walk, "
+            f"more than {_MAX_FORMS}"
+        )
 
 
 def canonical_forms(m_max: int) -> list[LinearForm]:
@@ -281,20 +327,13 @@ def enumerate_points(
 
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
-    s and t must be positive (``positive_exponents``) and the bound
-    nonnegative (``nonnegative_bound``).  ValueError, before any walking,
+    (s, t, B) must pass ``height_query``.  ValueError, before any walking,
     when the walk would cover more than ``_MAX_FORMS`` forms.
     """
-    s, t = positive_exponents(s, t)
-    bound = nonnegative_bound(bound)
+    s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
     m_max = m_cutoff(s, t, bound)
-    estimate = (2 * m_max + 1) ** 3 // 2
-    if estimate > _MAX_FORMS:
-        raise ValueError(
-            f"B is too large: about 10^{log10(estimate):.1f} forms to walk, "
-            f"more than {_MAX_FORMS}"
-        )
+    check_form_walk(m_max, "B")
     for ell in canonical_forms(m_max):
         yield from fiber_points(ell, s, t, bound)

@@ -24,7 +24,10 @@ the kernel, with coset coordinates (A, B, C).  This module computes
     in an ellipsoid from those counts by Moebius inversion, on the reduced
     Gram matrix whose first minimum bounds the sieve.
 
-All lattice arithmetic is exact; floats appear only in gon_main_term.
+As the lowest core module it also holds the small exact helpers the core
+shares: ``dot``, ``iroot``, ``sign_canonical``, the extended gcd ``_xgcd``
+and ``cross``.  All lattice arithmetic is exact; floats appear only in
+gon_main_term.
 """
 
 from __future__ import annotations
@@ -37,14 +40,63 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .constants import PI, ZETA3
-from .exactlin import (
-    Matrix,
-    Row,
-    as_matrix,
-    _xgcd,
-    cross,
-    sign_canonical,
-)
+
+Row = tuple[int, ...]
+Matrix = tuple[Row, ...]
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def iroot(x: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= x, for integers x >= 0 and k >= 1.
+
+    Integer Newton iteration from 2^ceil(bitlen(x)/k), which is above the
+    root; the iterates decrease strictly until they reach it.
+    """
+    if x < 0 or k < 1:
+        raise ValueError("iroot needs x >= 0 and k >= 1")
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
+    """``vec`` or ``-vec``, whichever has its first nonzero entry positive."""
+    for v in vec:
+        if v:
+            return tuple(vec) if v > 0 else tuple(-x for x in vec)
+    return tuple(vec)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def cross(v: Sequence[int], w: Sequence[int]) -> tuple[int, int, int]:
+    """Cross product v x w of two integer triples."""
+    return (
+        v[1] * w[2] - v[2] * w[1],
+        v[2] * w[0] - v[0] * w[2],
+        v[0] * w[1] - v[1] * w[0],
+    )
 
 
 @dataclass(frozen=True)
@@ -105,11 +157,11 @@ def product_covol2_formula(a: int, b: int, c: int) -> int:
 
 def product_basis(ell: LinearForm) -> Matrix:
     a, b, c = ell.triple
-    return as_matrix([
+    return (
         (a, b, c, 0, 0, 0),
         (0, a, 0, b, c, 0),
         (0, 0, a, 0, b, c),
-    ])
+    )
 
 
 def _det3(m: Sequence[Sequence[int]]) -> int:

@@ -11,38 +11,40 @@ from __future__ import annotations
 
 import inspect
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log
 from typing import Sequence
 
 from .asymptotics import count_Nst, parallel_map
 from .constants import PI, PI_BRACKET, ZETA3
+from .exactlin import det_bareiss, gram_det2, smith_minor_gcd
 from .heights import (
+    InternalCheckError,
+    NonsplitParams,
     PointClass,
-    _maximal_order_norm,
     classify,
-    disc_nonsplit,
     disc_ratio,
-    disc_split_gcd,
     discriminant,
-    ideal_norm,
+    is_perfect_square,
     le_height2,
-    nonreduced_solution,
     nonsplit_params,
-    split_solutions,
 )
-from .hilb import HilbPoint, canonical_forms, canonicalize, enumerate_points
+from .hilb import HilbPoint, canonical_forms, canonicalize, check_form_walk, enumerate_points
 from .lattice import (
     LinearForm,
     _moebius_upto,
     count_form_le,
     count_primitive_form,
+    cross,
+    iroot,
+    kernel_basis_of,
     product_basis,
     product_covol2_formula,
     quotient,
+    sign_canonical,
     successive_minima,
 )
-from .exactlin import det_bareiss, gram_det2, iroot
 from .oracles import count_primitive_gram_boxscan, distance_lemma_violations, oracle_count_points
 
 
@@ -50,8 +52,30 @@ def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
     checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
 
+def _at_least_one(**sizes: int) -> None:
+    """ValueError for a size parameter below 1: the suite would check
+    nothing and still report a pass."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _nonempty(total: int, height_bound: float) -> None:
+    """ValueError when a point sample is empty, for the same reason."""
+    if total == 0:
+        raise ValueError(f"no points of height at most {height_bound} to check")
+
+
+# ``suite_minima`` refuses a box of more than this many points, (2 box + 1)^6;
+# the oracle holds several int64 arrays of that length.  box = 4 is the
+# largest admitted (531441 points), the spec box 3 has 117649.
+_MAX_GRID = 10**6
+
+
 def suite_sl_formula(m_max: int = 30, threads: int = 1) -> dict:
     """Covolume polynomial vs Gram determinant, plus the sandwich bounds."""
+    _at_least_one(m_max=m_max)
+    check_form_walk(m_max, "m_max")
     forms = canonical_forms(m_max)
     bad = parallel_map(_sl_worker, forms, (), threads, chunksize=2048)
     failures = [b for b in bad if b is not None]
@@ -159,6 +183,8 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
     plus the first-minimum bound 2 n^2 lambda_1^2 >= 1 (n = a^2 + b^2 + c^2)
     behind the count's cutoff and empty-fiber prune, and an exact counting
     certificate of the minima read off the reduced Gram matrix."""
+    _at_least_one(m_max=m_max)
+    check_form_walk(m_max, "m_max")
     forms = canonical_forms(m_max)
     results = parallel_map(_mink_worker, forms, (), threads, chunksize=512)
     own_checks = {"lam1-n2", "minima-count-certificate"}
@@ -181,6 +207,11 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
 def suite_minima(m_max: int = 4, box: int = 3) -> dict:
     """Exhaustive distance lower bounds outside the span: dist^2 >= 1/(49 M^4)
     and the first-minimum bound dist^2 >= 1/(2 n^2), n = a^2 + b^2 + c^2."""
+    _at_least_one(m_max=m_max, box=box)
+    check_form_walk(m_max, "m_max")
+    grid = (2 * box + 1) ** 6
+    if grid > _MAX_GRID:
+        raise ValueError(f"box is too large: {grid} points, more than {_MAX_GRID}")
     bad = distance_lemma_violations(m_max, box)
     bad_m4 = [v for v in bad if v[2] == "49M^4"]
     bad_n2 = [v for v in bad if v[2] == "2n^2"]
@@ -316,6 +347,157 @@ def suite_gon(
     return rep
 
 
+@dataclass(frozen=True)
+class SplitSolutions:
+    """Independent primitive integer solutions of the defining system."""
+
+    v: tuple[int, int, int]
+    w: tuple[int, int, int]
+
+
+def _root_directions(qbar: Sequence[int], d: int) -> list[tuple[int, int]]:
+    """Primitive integer (S, T) root directions of a split form qbar of
+    discriminant d, in canonical order (the +sqrt root first; for A = 0 the
+    T = 0 root first)."""
+    a, b, c = qbar
+    k = isqrt(d)
+    assert k * k == d and d > 0
+    if a == 0:
+        roots = [(1, 0), (-c, b)]
+    else:
+        roots = [(-b + k, 2 * a), (-b - k, 2 * a)]
+    out = []
+    for s, t in roots:
+        g = gcd(s, t)
+        s, t = s // g, t // g
+        if t < 0 or (t == 0 and s < 0):
+            s, t = -s, -t
+        out.append((s, t))
+    return out
+
+
+def split_solutions(z: HilbPoint) -> SplitSolutions:
+    """Factor the restricted form and map the two root directions back to
+    primitive integer solution vectors."""
+    d = discriminant(z)
+    if not (d > 0 and is_perfect_square(d)):
+        raise ValueError("point is not split")
+    e, f = kernel_basis_of(z.ell)
+    vecs = []
+    for s, t in _root_directions(z.qbar, d):
+        vec = tuple(s * x + t * y for x, y in zip(e, f))
+        assert gcd(gcd(vec[0], vec[1]), vec[2]) == 1
+        vecs.append(sign_canonical(vec))
+    v, w = vecs
+    return SplitSolutions(v=v, w=w)  # type: ignore[arg-type]
+
+
+def disc_split_gcd(sol: SplitSolutions) -> int:
+    """Discriminant from the squared GCD of the cross product of the solutions."""
+    cx = cross(sol.v, sol.w)
+    g = gcd(gcd(cx[0], cx[1]), cx[2])
+    return g * g
+
+
+def nonreduced_solution(z: HilbPoint) -> tuple[int, int, int]:
+    """The unique primitive integer solution of a nonreduced point's system."""
+    if discriminant(z) != 0:
+        raise ValueError("point is not nonreduced")
+    a, b, c = z.qbar
+    # sign-normalized primitive form with zero discriminant is (u S + w T)^2
+    if a != 0:
+        u = isqrt(a)
+        w = b // (2 * u)
+        assert u * u == a and w * w == c and 2 * u * w == b
+    else:
+        assert b == 0 and c > 0
+        u = 0
+        w = isqrt(c)
+        assert w * w == c
+    assert gcd(u, w) == 1
+    e, f = kernel_basis_of(z.ell)
+    vec = tuple(w * x - u * y for x, y in zip(e, f))
+    return sign_canonical(vec)  # type: ignore[return-value]
+
+
+def disc_nonsplit(p: NonsplitParams) -> int:
+    """Discriminant from the nonsplit parameter formula."""
+    d = p.disc
+    g2 = gcd(gcd(p.beta**2 * d, 2 * p.alpha * p.beta * d), p.g**2 - p.alpha**2 * d)
+    if g2 == 0:
+        raise InternalCheckError("degenerate nonsplit parameters")
+    num = 4 * p.beta**2 * p.g**2 * d
+    assert num % (g2 * g2) == 0
+    return num // (g2 * g2)
+
+
+def ideal_norm(p: NonsplitParams) -> int:
+    """Index of the solution ideal inside Z[sqrt(D)], via Smith minors.
+
+    Computed from the 2x4 column matrix of the two generators and their
+    sqrt(D)-multiples over the basis {1, sqrt(D)}, and asserted equal to the
+    closed-form GCD.
+    """
+    d = p.disc
+    cols = [
+        [p.g, p.alpha * d, 0, p.beta * d],
+        [p.alpha, p.g, p.beta, 0],
+    ]
+    n = smith_minor_gcd(cols, 2)
+    closed = abs(gcd(gcd(p.beta**2 * d, p.alpha * p.beta * d), gcd(p.g**2 - p.alpha**2 * d, p.beta * p.g)))
+    if n != closed:
+        raise InternalCheckError(f"Smith-minor ideal norm {n} != closed form {closed}")
+    return n
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n = m^2 * d0 with d0 squarefree (carrying the sign); returns (d0, m)."""
+    if n == 0:
+        raise ValueError("zero has no squarefree part")
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    m = 1
+    d0 = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            m *= p ** (e // 2)
+            if e % 2:
+                d0 *= p
+        p += 1 if p == 2 else 2
+    d0 *= n
+    return sign * d0, m
+
+
+def _maximal_order_norm(disc: int, r: Sequence[int], s: Sequence[int]) -> int:
+    """Norm of the ideal generated by the coordinates of r + sqrt(disc)*s in
+    the maximal order of Q(sqrt(disc)), via Smith minors over the basis
+    {1, omega}."""
+    d0, m = squarefree_decompose(disc)
+    cols: list[list[int]] = [[], []]
+
+    def add(x: int, y: int) -> None:
+        cols[0].append(x)
+        cols[1].append(y)
+
+    for rj, sj in zip(r, s, strict=True):
+        if d0 % 4 == 1:
+            # omega = (1 + sqrt(d0))/2, sqrt(d0) = 2*omega - 1
+            x, y = rj - sj * m, 2 * sj * m
+        else:
+            x, y = rj, sj * m
+        add(x, y)
+        if d0 % 4 == 1:
+            add(y * (d0 - 1) // 4, x + y)
+        else:
+            add(y * d0, x)
+    return smith_minor_gcd(cols, 2)
+
+
 def _le_height2_classwise(z: HilbPoint) -> Fraction:
     """Le Rudulier height squared from the solutions, class by class: the
     independent reference for the closed form ``heights.le_height2``.
@@ -374,6 +556,7 @@ def suite_disc_agreement(height_bound: float = 15.0) -> dict:
             ideal_norm(p)  # asserts Smith-minor norm == closed form
         if le_height2(z) != _le_height2_classwise(z):
             bad_le += 1
+    _nonempty(total, height_bound)
     checks: list = []
     _check(checks, "congruence-mod-4", bad_mod == 0, f"{total} points")
     _check(checks, "split-gcd-formula", bad_split == 0, f"{n['split']} split points")
@@ -395,6 +578,7 @@ def za_point(a: int):
 
 def suite_za_family(a_max: int = 20) -> dict:
     """Exact identities along the worked pencil of nonreduced points."""
+    _at_least_one(a_max=a_max)
     bad_cv1 = []
     bad_cv2 = []
     bad_le = []
@@ -447,6 +631,7 @@ def suite_oracle_count(
 
 def suite_disc_bound(height_bound: float = 15.0, k_max: int = 30) -> dict:
     """Discriminant-to-height ratio bounded by 4; exact family values 4k^2/(k^4+1)."""
+    _at_least_one(k_max=k_max)
     worst = Fraction(0)
     bad = 0
     total = 0
@@ -457,6 +642,7 @@ def suite_disc_bound(height_bound: float = 15.0, k_max: int = 30) -> dict:
             worst = r
         if r > 4:
             bad += 1
+    _nonempty(total, height_bound)
     fam_bad = []
     for k in range(1, k_max + 1):
         z = canonicalize((0, 0, 1), (1, 0, 0, -k * k, 0, 0))

@@ -29,10 +29,9 @@ from hilb2.asymptotics import (
     le_count_detailed,
     le_rudulier_prediction,
 )
-from hilb2.exactlin import iroot, sign_canonical
 from hilb2.heights import discriminant, is_perfect_square, le_height2
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points, fiber_point_count, m_cutoff
-from hilb2.lattice import enumerate_form_le, product_covol2_formula, quotient
+from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
 from hilb2.oracles import oracle_count_points
 
 
@@ -219,6 +218,18 @@ def test_count_rejects_a_negative_bound():
         count_Nst(2, 1, -1)
 
 
+@pytest.mark.parametrize(
+    "s, t, b",
+    [(2, Fraction(1, 10**9 + 7), 2), (Fraction(1, 10**12), 1, 2), (2, 1, 1 + Fraction(1, 2**20000))],
+)
+def test_too_fine_queries_are_refused_before_any_power(s, t, b):
+    # m_cutoff would take 3^(L t) B^(2L) with L = 10^9 + 7 or 10^12, and
+    # B^(2L) has 40000 bits in the last query
+    for call in (lambda: count_Nst(s, t, b), lambda: list(enumerate_points(s, t, b))):
+        with pytest.raises(ValueError, match="exact height comparison needs integers of about 10"):
+            call()
+
+
 def test_count_below_floor():
     assert count_Nst(2, 1, Fraction(99, 100)) == 0
 
@@ -371,7 +382,7 @@ def test_le_count_nonreduced_excluded():
     assert le_height2(za) ** 3 <= b * b
     n_split, n_nonsplit, _ = _le_region_worker(za.ell, b)
     # recount the same fiber including nonreduced points
-    from hilb2.exactlin import iroot
+    from hilb2.lattice import iroot
     from hilb2.lattice import enumerate_form_le, quotient
     from hilb2.hilb import HilbPoint
     from math import floor, gcd, isqrt
@@ -402,7 +413,7 @@ def test_le_count_cutoff_and_region_are_sound(b):
     # H_{0,3} <= 4B that the count used before both were proved
     from math import gcd
 
-    from hilb2.exactlin import iroot, sign_canonical
+    from hilb2.lattice import iroot, sign_canonical
     from hilb2.heights import discriminant, is_perfect_square, le_height2
     from hilb2.hilb import HilbPoint, canonical_forms
     from hilb2.lattice import enumerate_form_le, quotient

@@ -318,6 +318,53 @@ def test_oversized_le_count_prints_no_traceback():
     assert r.stderr.startswith("error: B is too large") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--s", "1e-12", "--t", "1", "--B", "2", "--const-M-max", "5"],
+        ["count", "--s", "1/1000000007", "--t", "1/1000000009", "--B", "2"],
+        ["count", "--s", "1e-12", "--t", "1", "--B", "2", "--emit-points"],
+    ],
+)
+def test_too_fine_exponents_exit_1_at_once(argv, capsys):
+    # the exact comparison would need 3^(10^12)-sized integers; the shared
+    # (s, t, B) check refuses the query before taking any power
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the exact height comparison needs integers of about 10^")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "sl-formula", "--m-max", "0"], "m_max must be at least 1"),
+        (["--suite", "minkowski", "--m-max", "-5"], "m_max must be at least 1"),
+        (["--suite", "minima", "--box", "0"], "box must be at least 1"),
+        (["--suite", "za-family", "--a-max", "0"], "a_max must be at least 1"),
+        (["--suite", "disc-bound", "--height-bound", "0.5", "--k-max", "0"], "k_max must be at least 1"),
+        (["--suite", "disc-bound", "--height-bound", "0.5"], "no points of height at most 0.5"),
+        (["--suite", "disc-agreement", "--height-bound", "0.5"], "no points of height at most 0.5"),
+        (["--suite", "sl-formula", "--m-max", "100000"], "m_max is too large: about 10^15.6 forms"),
+        (["--suite", "minkowski", "--m-max", "100000"], "m_max is too large: about 10^15.6 forms"),
+        (["--suite", "minima", "--m-max", "100"], "m_max is too large: about 10^6.6 forms"),
+        (["--suite", "minima", "--m-max", "2", "--box", "40"], "box is too large: 282429536481 points"),
+    ],
+)
+def test_verify_refuses_empty_and_oversized_runs(argv, message, capsys):
+    # a suite that would check nothing, or build more forms or grid points
+    # than it can hold, exits 1 with one error line instead of passing or
+    # running out of memory
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_le_count_byte_identical_across_threads(fmt):
     a = run_cli(["le-count", "--B", "1000", "--format", fmt, "--threads", "1"])

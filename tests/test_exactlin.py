@@ -8,19 +8,15 @@ from hilb2.exactlin import (
     NotFiniteIndexError,
     RankDeficientError,
     complement_basis,
-    cross,
     det_bareiss,
-    dot,
     gram_det2,
     hnf,
-    iroot,
     kernel,
     mat_mul,
     saturate,
-    sign_canonical,
     smith_minor_gcd,
 )
-from hilb2.lattice import LinearForm, kernel_basis_of, product_basis
+from hilb2.lattice import LinearForm, cross, dot, iroot, kernel_basis_of, product_basis, sign_canonical
 
 
 def test_gram_det2_orthonormal_rows():

@@ -8,27 +8,29 @@ from hilb2.heights import (
     NonsplitParams,
     PointClass,
     classify,
-    disc_nonsplit,
     disc_ratio,
-    disc_split_gcd,
     discriminant,
     height2_e,
     height2_st,
     height_e,
     height_st,
-    ideal_norm,
     le_height,
     le_height2,
-    nonreduced_solution,
     nonsplit_params,
     restrict_to_line,
-    split_solutions,
-    squarefree_decompose,
-    _maximal_order_norm,
 )
 from hilb2.hilb import HilbPoint, canonicalize, enumerate_points, eval_quadratic
 from hilb2.lattice import LinearForm, kernel_basis_of, quotient
-from hilb2.verify import za_point
+from hilb2.verify import (
+    _maximal_order_norm,
+    disc_nonsplit,
+    disc_split_gcd,
+    ideal_norm,
+    nonreduced_solution,
+    split_solutions,
+    squarefree_decompose,
+    za_point,
+)
 
 
 def test_restrict_examples():

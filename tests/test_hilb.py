@@ -6,7 +6,7 @@ import pytest
 
 from conftest import seeded_forms
 from hilb2.asymptotics import count_Nst
-from hilb2.exactlin import dot, gram_det2, sign_canonical
+from hilb2.exactlin import gram_det2
 from hilb2.hilb import (
     HilbPoint,
     NonPrimitiveIdealError,
@@ -23,11 +23,13 @@ from hilb2.hilb import (
 from hilb2.lattice import (
     LinearForm,
     count_primitive_form,
+    dot,
     kernel_basis_of,
     min_form_value,
     product_basis,
     product_covol2_formula,
     quotient,
+    sign_canonical,
 )
 from hilb2.oracles import (
     _distance_lemma_cutoff,
@@ -244,7 +246,7 @@ def test_max_covol2_I2_against_the_fraction_formula():
     import random
     from math import floor, lcm
 
-    from hilb2.exactlin import iroot
+    from hilb2.lattice import iroot
 
     rng = random.Random(8)
     below = 0

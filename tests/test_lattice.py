@@ -15,18 +15,18 @@ from conftest import seeded_forms
 from hilb2 import lattice
 from hilb2.exactlin import (
     complement_basis,
-    cross,
     det_bareiss,
-    dot,
     gram_det2,
     gram_matrix,
     mat_mul,
-    Row,
 )
 from hilb2.hilb import canonical_forms, enumerate_points
 from hilb2.lattice import (
     LinearForm,
+    Row,
     count_form_le,
+    cross,
+    dot,
     eval_quadratic,
     gon_main_term,
     kernel_basis_of,

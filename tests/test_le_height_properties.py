@@ -1,17 +1,24 @@
-"""Property tests of the closed-form Le Rudulier height on large random points:
-agreement with the class-wise reference, and the two bounds the anticanonical
-count rests on (its form cutoff and its search region)."""
+"""Property tests on large random points: the closed-form Le Rudulier height
+against the class-wise reference, the two bounds the anticanonical count
+rests on (its form cutoff and its search region), and the agreement of the
+class-wise discriminant routes of ``verify`` with the direct discriminant."""
 
 from math import gcd, isqrt
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hilb2.exactlin import dot, sign_canonical
-from hilb2.heights import discriminant, le_height2, le_height2_gram
+from hilb2.heights import PointClass, classify, discriminant, le_height2, le_height2_gram, nonsplit_params
 from hilb2.hilb import HilbPoint
-from hilb2.lattice import LinearForm, kernel_basis_of, quotient
-from hilb2.verify import _le_height2_classwise
+from hilb2.lattice import LinearForm, dot, eval_quadratic, kernel_basis_of, quotient, sign_canonical
+from hilb2.verify import (
+    _le_height2_classwise,
+    disc_nonsplit,
+    disc_split_gcd,
+    ideal_norm,
+    nonreduced_solution,
+    split_solutions,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=300,
@@ -82,3 +89,25 @@ def test_height_lower_bound_and_covolume_sandwich(ell_raw, qbar_raw):
         assert h2 >= n
     assert n * h2 <= 3 * z.covol2_I2
     assert z.covol2_I2 <= 2 * n * h2
+
+
+@PROPERTY_SETTINGS
+@given(_ell, st.one_of(_qbar, _branch_qbar))
+@example((2, 5, -7), (4, -12, 9))  # nonreduced
+@example((5, 0, 2), (1, -5, 6))  # split, D = 1
+@example((3, -1, 4), (2, 7, 0))  # split, C = 0
+@example((1, 1, 1), (3, 1, 5))  # nonsplit, D < 0
+@example((1, 2, 3), (1, 0, -2))  # nonsplit, D > 0
+def test_discriminant_routes_agree(ell_raw, qbar_raw):
+    z = _point(ell_raw, qbar_raw)
+    d = discriminant(z)
+    cls = classify(z)
+    if cls is PointClass.SPLIT:
+        assert disc_split_gcd(split_solutions(z)) == d
+    elif cls is PointClass.NONSPLIT:
+        p = nonsplit_params(z)
+        assert disc_nonsplit(p) == d == p.disc
+        ideal_norm(p)  # raises unless its Smith-minor index equals the closed form
+    else:
+        v = nonreduced_solution(z)
+        assert dot(z.ell.triple, v) == 0 and eval_quadratic(z.q_lift(), v) == 0

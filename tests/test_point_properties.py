@@ -8,10 +8,10 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb2.exactlin import gram_det2, sign_canonical
+from hilb2.exactlin import gram_det2
 from hilb2.heights import height2_e
 from hilb2.hilb import HilbPoint, canonicalize
-from hilb2.lattice import LinearForm, quotient
+from hilb2.lattice import LinearForm, quotient, sign_canonical
 from hilb2.oracles import oracle_ideal_basis, poly_mul
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -1,12 +1,15 @@
 """Structure checks.  The layer tracer names library functions by string; a
 rename or deletion in hilb2 would only surface when a traced benchmark run
-fails.  The core library modules must not import the oracles or the suites
-that check them.  The orbit sum behind the benchmark's ``constant`` workload
-has a memory ceiling."""
+fails.  The core library modules must not import the reference linear
+algebra, the oracles or the suites that check them.  The orbit sum behind
+the benchmark's ``constant`` workload has a memory ceiling."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -35,9 +38,28 @@ def test_layertrace_targets_resolve():
         assert callable(getattr(importlib.import_module(f"hilb2.{module}"), fn).cache_info), name
 
 
-# The library modules that the program paths run; the reference
-# implementations in ``oracles`` and the suites in ``verify`` sit on top of
-# them, and stay independent only while nothing here imports them.
+def test_import_hilb2_loads_the_traced_modules_and_no_reference_suite():
+    # the tracer reads sys.modules["hilb2.<module>"] after a bare import, so
+    # every module it names must be loaded by ``import hilb2`` alone; the
+    # suites and the oracles must not be
+    lt = _load_layertrace()
+    src = Path(importlib.util.find_spec("hilb2").origin).parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hilb2; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    loaded = {m.removeprefix("hilb2.") for m in out if m.startswith("hilb2.")}
+    traced = {module for module, _, _ in lt.TARGETS} | {module for _, module, _ in lt.CACHES}
+    assert traced <= loaded, sorted(traced - loaded)
+    assert not loaded & {"verify", "oracles"}, sorted(loaded)
+
+
+# The library modules that the program paths run; the generic linear algebra
+# in ``exactlin``, the reference implementations in ``oracles`` and the
+# suites in ``verify`` sit on top of them, and stay independent only while
+# nothing here imports them.
 _CORE = ("lattice", "hilb", "asymptotics", "heights")
 
 
@@ -54,7 +76,7 @@ def test_core_modules_import_no_oracle_or_verify():
                     imported.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[-1] for alias in node.names)
-        assert not imported & {"oracles", "verify"}, (name, sorted(imported))
+        assert not imported & {"exactlin", "oracles", "verify"}, (name, sorted(imported))
 
 
 def test_orbit_sum_peak_memory():
