@@ -29,7 +29,14 @@ import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .heights import is_perfect_square, le_height2_gram
-from .hilb import fiber_point_count, height_query, m_cutoff, nonnegative_bound, positive_exponents
+from .hilb import (
+    _orbit_representatives,
+    fiber_point_count,
+    height_query,
+    m_cutoff,
+    nonnegative_bound,
+    positive_exponents,
+)
 from .lattice import (
     LinearForm,
     dot,
@@ -60,24 +67,12 @@ class ConstantEstimate:
         return self.partial + self.tail_bound
 
 
-# Summation orbits, shared by ``constant_c``, ``count_Nst`` and
-# ``le_count_detailed``.  A summand of each is constant on each orbit of the
-# 48-element group of signed coordinate permutations: n = a^2 + b^2 + c^2
-# and ``product_covol2_formula`` are symmetric polynomials in a^2, b^2, c^2,
-# primitivity is invariant, and so are the fiber count (see ``count_Nst``)
-# and the fiber scan of the anticanonical count (see
-# ``le_count_detailed``).  The representatives of shell M (max |coordinate|
-# = M) are the primitive (a, b, M) with 0 <= a <= b <= M; the orbit of one
-# has (distinct permutations: 1, 3 or 6) * 2^(nonzero coordinates)
-# elements, half of them sign-canonical.  ``_orbit_shells`` yields them as
-# arrays for the float sum of ``constant_c``; ``_orbit_representatives``
-# lists them as forms for the exact counts.
+# ``constant_c`` sums one term per orbit of the 48 signed coordinate
+# permutations, weighted by the orbit size, since n = a^2 + b^2 + c^2 and
+# ``product_covol2_formula`` are symmetric in a^2, b^2, c^2.
+# ``_orbit_shells`` yields the representatives of
+# ``hilb._orbit_representatives``, the walk of the exact counts, as arrays.
 _PERMUTATIONS = np.array([6, 3, 1], dtype=np.int64)  # by the number of a == b, b == M
-
-# The exact counts refuse a walk over more than this many triples
-# 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would take hours of
-# fiber work.  count_Nst(2, 1, 400) needs 3654.
-_MAX_REPRESENTATIVES = 10**6
 
 # float64 unit roundoff, and a bound on the absolute error one term can pick
 # up when its value underflows (see the budget in ``constant_c``)
@@ -99,33 +94,6 @@ def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
         w = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
         w <<= 1 + (a > 0) + (b > 0)
         yield m, a, b, w
-
-
-def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[LinearForm, int]]:
-    """[(LinearForm(a, b, M), w / 2)] for the orbit representatives of
-    shells M = 1..m_max, in the order of ``_orbit_shells``, keeping only
-    those with a^2 + b^2 + M^2 <= n_max when it is given; w / 2 is the
-    number of sign-canonical forms in the orbit.  ValueError, before any
-    walking, when C(m_max + 3, 3) exceeds ``_MAX_REPRESENTATIVES``."""
-    estimate = math.comb(m_max + 3, 3)
-    if estimate > _MAX_REPRESENTATIVES:
-        raise ValueError(
-            f"B is too large: about 10^{math.log10(estimate):.1f} orbit representatives "
-            f"to walk, more than {_MAX_REPRESENTATIVES}"
-        )
-    if n_max is None:
-        n_max = 3 * m_max * m_max
-    out = []
-    for m in range(1, m_max + 1):
-        for b in range(m + 1):
-            gbm = gcd(b, m)
-            for a in range(b + 1):
-                if a * a + b * b + m * m > n_max:
-                    break
-                if gcd(a, gbm) == 1:
-                    perms = (6, 3, 1)[(a == b) + (b == m)]
-                    out.append((LinearForm(a, b, m), perms << ((a > 0) + (b > 0))))
-    return out
 
 
 # ``np.frexp`` exponents of finite floats run from -1073 to 1024;
@@ -275,13 +243,9 @@ def count_Nst(
 
     Sums exact per-fiber counts over the forms below the rigorous cutoff
     ``m_cutoff``, one fiber per orbit of the signed coordinate permutations
-    (``_orbit_representatives``): the count of the representative (a, b, M) is
-    weighted by w / 2, the number of sign-canonical forms in its orbit of w
-    elements.  The fiber count is constant on an orbit: a signed permutation
-    sigma of X0, X1, X2 maps the points over l bijectively to the points
-    over l o sigma (q -> q o sigma), and it sends monomials to +- monomials,
-    so it is an isometry of Z^3 and of Z^6 with the monomial-coefficient
-    inner product and keeps covol2_I1 and covol2_I2.
+    (``_orbit_representatives``, which proves the fiber count constant on an
+    orbit): the count of the representative (a, b, M) is weighted by h, the
+    number of sign-canonical forms in its orbit.
 
     ``threads`` distributes the fibers; the weighted integers are reduced in
     the parent in representative order, so the result is independent of the
@@ -480,19 +444,11 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
 
     One fiber is scanned per orbit of the signed coordinate permutations:
     the representatives (a, b, M), 0 <= a <= b <= M, primitive with
-    n^3 <= B^2 (``_orbit_representatives``), each weighted by h = w / 2, the
-    number of sign-canonical forms in its orbit.  The scan is constant on an
-    orbit.  A signed permutation sigma is an orthogonal map of Z^3, so
-    q -> q o sigma maps the points over l bijectively to the points over
-    l o sigma, carries the kernel lattice of l isometrically onto that of
-    l o sigma, and keeps the restricted binary form against the transported
-    kernel basis.  L (the apolar pairing with the kernel Gram form) and D
-    do not change under a unimodular change of kernel basis, so H^2 =
-    L^2 + n D (or L^2), the split/nonsplit/nonreduced class and primitivity
-    are kept.  sigma permutes the monomials up to sign, an isometry of Z^6
-    with the monomial-coefficient inner product, so covol2_I2, H_{0,3} and
-    the ratio H^3 / H_{0,3} are kept too.  The minimum ratio is taken over
-    the representatives.
+    n^3 <= B^2 (``_orbit_representatives``), each weighted by h, the number
+    of sign-canonical forms in its orbit.  The scan is constant on an orbit,
+    since the orbit keeps primitivity, the class, H, H_{0,3} and the ratio
+    H^3 / H_{0,3} (the proof is on ``_orbit_representatives``).  The minimum
+    ratio is taken over the representatives.
 
     The pair count reads the same triples as points: the multiset of their
     norms, norm n with multiplicity the sum of h over the representatives

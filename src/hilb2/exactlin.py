@@ -93,7 +93,8 @@ def gram_det2(rows: Sequence[Sequence[int]]) -> int:
     d = det_bareiss(gram_matrix(rows))
     if d == 0:
         raise RankDeficientError("rank deficient")
-    assert d > 0
+    if d < 0:
+        raise AssertionError(f"negative Gram determinant {d}")
     return d
 
 

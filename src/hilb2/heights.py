@@ -122,7 +122,8 @@ def nonsplit_params(z: HilbPoint) -> NonsplitParams:
     if is_perfect_square(d):
         raise ValueError("point is not nonsplit")
     a, b, _ = z.qbar
-    assert a != 0  # a vanishing leading coefficient forces a rational root
+    if a == 0:  # a vanishing leading coefficient forces a rational root
+        raise InternalCheckError(f"nonsplit point with leading coefficient 0: {z.qbar}")
     e0, f0 = kernel_basis_of(z.ell)
     # rational part has kernel coordinates (-B, 2A), irrational part (1, 0)
     x, y = -b, 2 * a

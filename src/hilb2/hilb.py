@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, lcm, log10
+from itertools import permutations, product
+from math import ceil, comb, floor, gcd, lcm, log10
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -212,28 +213,73 @@ def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(2 * big_l * s))
 
 
-# ``check_form_walk`` refuses a walk over more than this many sign-canonical
-# forms, about (2 m_max + 1)^3 / 2 of them: ``canonical_forms`` builds them
-# all (about 120 bytes each) before the first fiber.  The largest cutoff it
-# admits is m_max = 62, B = 2291 at (s, t) = (2, 1), where the listing would
-# hold about 7 10^10 points.
-_MAX_FORMS = 10**6
+# The exact counts and the point listing refuse a walk over more than this
+# many triples 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would
+# take hours of fiber work.  count_Nst(2, 1, 400) needs 3654.
+_MAX_REPRESENTATIVES = 10**6
 
 
-def check_form_walk(m_max: int, name: str) -> None:
-    """ValueError, naming the size parameter ``name``, when
-    ``canonical_forms(m_max)`` would hold more than ``_MAX_FORMS`` forms."""
-    estimate = (2 * m_max + 1) ** 3 // 2
-    if estimate > _MAX_FORMS:
+def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[LinearForm, int]]:
+    """[(LinearForm(a, b, M), h)] for the primitive (a, b, M), 0 <= a <= b
+    <= M, of the shells M = 1..m_max, in shell order and lexicographic in
+    (b, a), keeping those with a^2 + b^2 + M^2 <= n_max when it is given.
+    ValueError, before any walking, when C(m_max + 3, 3) exceeds
+    ``_MAX_REPRESENTATIVES``.
+
+    The one walk of ``count_Nst``, ``le_count_detailed`` and
+    ``enumerate_points``: each orbit of the 48 signed coordinate
+    permutations holds one (a, b, M), and h of its (1, 3 or 6 distinct
+    permutations) * 2^(nonzero coordinates) elements are sign-canonical
+    (``_orbit_forms``).  Every fiber quantity they read is constant on an
+    orbit.  A signed permutation sigma of X0, X1, X2 is an orthogonal map
+    of Z^3, so q -> q o sigma maps the points over l bijectively to those
+    over l o sigma, keeping n = a^2 + b^2 + c^2 and primitivity.  It
+    permutes the monomials up to sign, an isometry of Z^6 with the
+    monomial-coefficient inner product, so it keeps covol2_I1, covol2_I2
+    and every height built from them.  It carries the kernel lattice of l
+    isometrically onto that of l o sigma and keeps the restricted binary
+    form; L (the apolar pairing with the kernel Gram form) and D do not
+    change under a unimodular change of kernel basis, so neither do the Le
+    Rudulier height H^2 = L^2 + n D (or L^2) and the
+    split/nonsplit/nonreduced class.
+    """
+    estimate = comb(m_max + 3, 3)
+    if estimate > _MAX_REPRESENTATIVES:
         raise ValueError(
-            f"{name} is too large: about 10^{log10(estimate):.1f} forms to walk, "
-            f"more than {_MAX_FORMS}"
+            f"B is too large: about 10^{log10(estimate):.1f} orbit representatives "
+            f"to walk, more than {_MAX_REPRESENTATIVES}"
         )
+    if n_max is None:
+        n_max = 3 * m_max * m_max
+    out = []
+    for m in range(1, m_max + 1):
+        for b in range(m + 1):
+            gbm = gcd(b, m)
+            for a in range(b + 1):
+                if a * a + b * b + m * m > n_max:
+                    break
+                if gcd(a, gbm) == 1:
+                    perms = (6, 3, 1)[(a == b) + (b == m)]
+                    out.append((LinearForm(a, b, m), perms << ((a > 0) + (b > 0))))
+    return out
+
+
+def _orbit_forms(rep: LinearForm) -> set[LinearForm]:
+    """The sign-canonical forms in the orbit of ``rep`` under the signed
+    coordinate permutations.  Negating all three coordinates keeps the
+    sign-canonical form, so the first coordinate keeps its sign."""
+    return {
+        LinearForm(*sign_canonical((x, sy * y, sz * z)))
+        for x, y, z in permutations(rep.triple)
+        for sy, sz in product((1, -1), repeat=2)
+    }
 
 
 def canonical_forms(m_max: int) -> list[LinearForm]:
     """All primitive sign-canonical forms with max |coordinate| <= m_max, in
-    lexicographic order of (a, b, c)."""
+    lexicographic order of (a, b, c): the full walk, kept as the reference
+    for the orbit walk of ``_orbit_representatives``.  The library paths do
+    not call it."""
     out = []
     rng = range(-m_max, m_max + 1)
     for a in range(0, m_max + 1):
@@ -328,12 +374,23 @@ def enumerate_points(
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
     (s, t, B) must pass ``height_query``.  ValueError, before any walking,
-    when the walk would cover more than ``_MAX_FORMS`` forms.
+    when the walk would cover more than ``_MAX_REPRESENTATIVES`` orbit
+    representatives.
+
+    One fiber is opened per orbit (``_orbit_representatives``).
+    ``_open_fiber`` returns None exactly when the fiber is empty: a fiber
+    it opens has t_max >= min_form_value, and a vector attaining the first
+    minimum is primitive, so it is a point.  Emptiness is constant on the
+    orbit, so the forms of the non-empty orbits are the forms with points.
     """
     s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
-    m_max = m_cutoff(s, t, bound)
-    check_form_walk(m_max, "B")
-    for ell in canonical_forms(m_max):
+    forms = [
+        ell
+        for rep, _ in _orbit_representatives(m_cutoff(s, t, bound))
+        if _open_fiber(rep, s, t, bound) is not None
+        for ell in _orbit_forms(rep)
+    ]
+    for ell in sorted(forms, key=lambda f: f.triple):
         yield from fiber_points(ell, s, t, bound)

@@ -233,7 +233,9 @@ def minima_boxscan(q: QuotientLattice, t: int) -> list[tuple[int, tuple[int, int
     """All (form value, x) with 0 < x^T gram_int x <= t, sorted; box-scan oracle."""
     g = q.gram_int
     bounds = _box_bounds(g, t)
-    assert (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1) <= 30_000_000
+    points = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
+    if points > 30_000_000:
+        raise ValueError(f"the box scan would visit {points} points, more than 30000000")
     out = []
     for x0 in range(-bounds[0], bounds[0] + 1):
         for x1 in range(-bounds[1], bounds[1] + 1):
@@ -316,7 +318,8 @@ def oracle_fiber_qbars(
             continue
         lift = quo.lift(x)
         cv2 = gram_det2(p_rows + [list(lift)])
-        assert cv2 == quo.covol2_with(x)  # independent route must agree
+        if cv2 != quo.covol2_with(x):  # the independent route must agree
+            raise AssertionError(f"covol2_I2 routes disagree at {ell.triple}, {x}")
         if height_ok(cv2):
             found.add(tuple(x))
     return found
@@ -442,6 +445,21 @@ def oracle_ideal_basis(ell: Sequence[int], q: Sequence[int], e: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _distance_audit_bound(m_max: int, box: int) -> int:
+    """196 m_max^10 (30 box^2 + 52 (box + 1)^2): a closed-form bound on the
+    overflow audit of ``distance_lemma_violations`` over every form with
+    max coordinate M <= m_max.
+
+    The audit is m4 det (||x||^2_max + S (box + 1)^2) with m4 = 49 M^4,
+    det = covol2_product and S the sum of |A_ij|.  ||x||^2 <= 6 box^2.
+    covol2_product is a polynomial in a^2, b^2, c^2 with nonnegative
+    coefficients, so det <= covol2_product(M, M, M) = 20 M^6.  A = P^T adj(G)
+    P = det Pi for the orthogonal projector Pi onto the rows of P, of rank
+    3, so by Cauchy-Schwarz S <= 6 det ||Pi||_F = 6 sqrt(3) det < 10.4 det.
+    The product is 49 * 20 / 5 = 196 times the bracket."""
+    return 196 * m_max**10 * (30 * box * box + 52 * (box + 1) ** 2)
+
+
 def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
     """Exhaustively check dist^2(x, span) >= 1/(49 M^4) and the sharper
     dist^2(x, span) >= 1/(2 n^2), n = a^2 + b^2 + c^2, for all primitive
@@ -451,10 +469,18 @@ def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
     "2n^2" (empty when both hold).  Vectorized: for each form,
     K (||x||^2 det - x^T A x) >= det is tested over the whole box at once for
     K = 49 M^4 and K = 2 n^2 <= 18 M^4, after an exact overflow audit.
+    ValueError, before any form is scanned, when the closed-form bound of
+    the audit (``_distance_audit_bound``) reaches 2^62.
     """
     from .lattice import product_basis
     from .exactlin import gram_matrix
 
+    audit_bound = _distance_audit_bound(m_max, box)
+    if audit_bound >= 2**62:
+        raise ValueError(
+            f"m_max and box are too large: the int64 distance check needs integers "
+            f"up to about 2^{audit_bound.bit_length()}, 2^62 at most"
+        )
     axes = [np.arange(-box, box + 1, dtype=np.int64)] * 6
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)  # (n, 6)
@@ -470,10 +496,12 @@ def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
         a_mat = pt.T @ np.array(adj, dtype=np.int64) @ pt
         m4 = 49 * ell.M**4
         n2 = 2 * ell.norm2**2
-        # overflow audit for the int64 expressions below; it covers both
-        # bounds because n2 <= 18 M^4 < m4
+        # overflow audit for the int64 expressions below, against the
+        # closed-form bound checked above; it covers both bounds because
+        # n2 <= 18 M^4 < m4
         worst = int(norm2.max()) * det * m4 + int(np.abs(a_mat).sum()) * (box + 1) ** 2 * m4
-        assert worst < 2**62
+        if worst > audit_bound:
+            raise AssertionError(f"overflow audit {worst} above its bound {audit_bound} at {ell.triple}")
         quad = np.einsum("ni,ij,nj->n", pts, a_mat, pts)
         dist_scaled = norm2 * det - quad  # det * dist^2, exact integers
         in_span = dist_scaled == 0

@@ -13,7 +13,7 @@ import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import gcd, isqrt, log, log10
 from typing import Sequence
 
 from .asymptotics import count_Nst, parallel_map
@@ -30,7 +30,7 @@ from .heights import (
     le_height2,
     nonsplit_params,
 )
-from .hilb import HilbPoint, canonical_forms, canonicalize, check_form_walk, enumerate_points
+from .hilb import HilbPoint, canonical_forms, canonicalize, enumerate_points
 from .lattice import (
     LinearForm,
     _moebius_upto,
@@ -64,6 +64,24 @@ def _nonempty(total: int, height_bound: float) -> None:
     """ValueError when a point sample is empty, for the same reason."""
     if total == 0:
         raise ValueError(f"no points of height at most {height_bound} to check")
+
+
+# ``check_form_walk`` refuses a walk over more than this many sign-canonical
+# forms, about (2 m_max + 1)^3 / 2 of them: ``canonical_forms`` builds them
+# all (about 120 bytes each) before the first one is checked.  The largest
+# m_max it admits is 62.
+_MAX_FORMS = 10**6
+
+
+def check_form_walk(m_max: int, name: str) -> None:
+    """ValueError, naming the size parameter ``name``, when
+    ``canonical_forms(m_max)`` would hold more than ``_MAX_FORMS`` forms."""
+    estimate = (2 * m_max + 1) ** 3 // 2
+    if estimate > _MAX_FORMS:
+        raise ValueError(
+            f"{name} is too large: about 10^{log10(estimate):.1f} forms to walk, "
+            f"more than {_MAX_FORMS}"
+        )
 
 
 # ``suite_minima`` refuses a box of more than this many points, (2 box + 1)^6;
@@ -361,7 +379,8 @@ def _root_directions(qbar: Sequence[int], d: int) -> list[tuple[int, int]]:
     T = 0 root first)."""
     a, b, c = qbar
     k = isqrt(d)
-    assert k * k == d and d > 0
+    if not (d > 0 and k * k == d):
+        raise InternalCheckError(f"{d} is not a positive square")
     if a == 0:
         roots = [(1, 0), (-c, b)]
     else:
@@ -386,7 +405,8 @@ def split_solutions(z: HilbPoint) -> SplitSolutions:
     vecs = []
     for s, t in _root_directions(z.qbar, d):
         vec = tuple(s * x + t * y for x, y in zip(e, f))
-        assert gcd(gcd(vec[0], vec[1]), vec[2]) == 1
+        if gcd(gcd(vec[0], vec[1]), vec[2]) != 1:
+            raise InternalCheckError(f"split solution {vec} is not primitive")
         vecs.append(sign_canonical(vec))
     v, w = vecs
     return SplitSolutions(v=v, w=w)  # type: ignore[arg-type]
@@ -408,13 +428,11 @@ def nonreduced_solution(z: HilbPoint) -> tuple[int, int, int]:
     if a != 0:
         u = isqrt(a)
         w = b // (2 * u)
-        assert u * u == a and w * w == c and 2 * u * w == b
     else:
-        assert b == 0 and c > 0
         u = 0
         w = isqrt(c)
-        assert w * w == c
-    assert gcd(u, w) == 1
+    if (u * u, 2 * u * w, w * w) != (a, b, c) or gcd(u, w) != 1:
+        raise InternalCheckError(f"{z.qbar} is not the square of a primitive linear form")
     e, f = kernel_basis_of(z.ell)
     vec = tuple(w * x - u * y for x, y in zip(e, f))
     return sign_canonical(vec)  # type: ignore[return-value]
@@ -427,7 +445,8 @@ def disc_nonsplit(p: NonsplitParams) -> int:
     if g2 == 0:
         raise InternalCheckError("degenerate nonsplit parameters")
     num = 4 * p.beta**2 * p.g**2 * d
-    assert num % (g2 * g2) == 0
+    if num % (g2 * g2):
+        raise InternalCheckError("nonsplit discriminant is not an integer")
     return num // (g2 * g2)
 
 

@@ -17,7 +17,6 @@ import hilb2
 from hilb2.asymptotics import (
     _exact_sum,
     _le_region_worker,
-    _orbit_representatives,
     _orbit_shells,
     _orbit_sum,
     _split_pair_count,
@@ -30,7 +29,14 @@ from hilb2.asymptotics import (
     le_rudulier_prediction,
 )
 from hilb2.heights import discriminant, is_perfect_square, le_height2
-from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points, fiber_point_count, m_cutoff
+from hilb2.hilb import (
+    HilbPoint,
+    _orbit_representatives,
+    canonical_forms,
+    enumerate_points,
+    fiber_point_count,
+    m_cutoff,
+)
 from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
 from hilb2.oracles import oracle_count_points
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb2 import verify
+from hilb2 import oracles, verify
 from hilb2.asymptotics import constant_c, count_Nst
 from hilb2.cli import _threads, height_field, main, point_row
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
@@ -311,6 +311,19 @@ def test_oversized_bound_exits_1_at_once(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("b", ["18707", "1e30"])
+def test_count_and_emit_points_refuse_the_same_bound(b, capsys):
+    # both walk the orbit representatives, behind one guard
+    errors = []
+    for extra in ([], ["--emit-points"]):
+        assert main(["count", "--s", "2", "--t", "1", "--B", b, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: B is too large: about 10^") and errors[0].count("\n") == 1
+
+
 def test_oversized_le_count_prints_no_traceback():
     r = run_cli(["le-count", "--B", "1e400"])
     assert r.returncode == 1
@@ -363,6 +376,31 @@ def test_verify_refuses_empty_and_oversized_runs(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m_max, box", [(22, 4), (21, 4), (22, 3)])
+def test_minima_refuses_an_int64_overflow_before_scanning(m_max, box):
+    # the forms (m_max, m_max, m_max - 1) overflow the int64 distance check
+    # here; the suite used to scan forms until the first one failed the
+    # overflow audit, then exit 2
+    start = time.perf_counter()
+    r = run_cli(["verify", "--suite", "minima", "--m-max", str(m_max), "--box", str(box)], timeout=30)
+    assert time.perf_counter() - start < 10.0
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: m_max and box are too large: the int64 distance check")
+    assert r.stderr.count("\n") == 1, r.stderr
+
+
+def test_minima_overflow_bound_is_sharp(monkeypatch):
+    # the closed-form audit bound admits (20, 4) and (21, 3), where the worst
+    # forms (M, M, M - 1) pass the per-form audit, and refuses one step up,
+    # where they fail it
+    assert oracles._distance_audit_bound(20, 4) < 2**62 <= oracles._distance_audit_bound(21, 4)
+    assert oracles._distance_audit_bound(21, 3) < 2**62 <= oracles._distance_audit_bound(22, 3)
+    top = [LinearForm(21, 21, 20), LinearForm(21, 20, 19), LinearForm(21, 1, 0)]
+    monkeypatch.setattr(oracles, "canonical_forms", lambda m: top)
+    assert oracles.distance_lemma_violations(21, 3) == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -11,6 +11,8 @@ from hilb2.hilb import (
     HilbPoint,
     NonPrimitiveIdealError,
     QInSpanError,
+    _orbit_forms,
+    _orbit_representatives,
     canonicalize,
     canonical_forms,
     enumerate_points,
@@ -127,11 +129,45 @@ def test_enumerate_points_rejects_bad_exponents():
 
 
 def test_enumerate_points_refuses_oversized_bounds():
-    # m_cutoff(2, 1, 2292) = 63 is the first cutoff with more than 10^6
-    # forms, (2 * 63 + 1)^3 / 2; every bound here is refused before walking
-    for b in (2292, 10**30, 10**400):
+    # m_cutoff(2, 1, 18707) = 180 is the first cutoff with more than 10^6
+    # orbit representatives, C(183, 3); every bound here is refused before
+    # walking
+    assert m_cutoff(Fraction(2), Fraction(1), Fraction(18706)) == 179
+    assert m_cutoff(Fraction(2), Fraction(1), Fraction(18707)) == 180
+    for b in (18707, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
+
+
+@pytest.mark.parametrize(
+    "s, t, b",
+    [
+        (2, 1, 10),
+        (2, 1, Fraction(31, 3)),
+        (1, 1, 5),
+        (1, 2, 8),
+        (2, 3, 6),
+        (Fraction(3, 2), 2, 5),
+        (3, 2, 20),
+    ],
+)
+def test_enumerate_points_equals_the_full_form_walk(s, t, b):
+    # the orbit walk lists what the walk over every sign-canonical form
+    # lists, in the same order
+    s, t, b = Fraction(s), Fraction(t), Fraction(b)
+    full = [z for f in canonical_forms(m_cutoff(s, t, b)) for z in fiber_points(f, s, t, b)]
+    assert full
+    assert list(enumerate_points(s, t, b)) == full
+
+
+def test_orbit_expansion_partitions_the_canonical_forms():
+    seen = []
+    for rep, h in _orbit_representatives(12):
+        forms = _orbit_forms(rep)
+        assert len(forms) == h, rep
+        assert rep in forms
+        seen.extend(forms)
+    assert sorted(f.triple for f in seen) == [f.triple for f in canonical_forms(12)]
 
 
 def test_fiber_points_axis_example():

@@ -1,8 +1,10 @@
 """Structure checks.  The layer tracer names library functions by string; a
 rename or deletion in hilb2 would only surface when a traced benchmark run
 fails.  The core library modules must not import the reference linear
-algebra, the oracles or the suites that check them.  The orbit sum behind
-the benchmark's ``constant`` workload has a memory ceiling."""
+algebra, the oracles or the suites that check them, nor walk the full list
+of forms.  No check in the package is a bare assert, which python -O
+drops.  The orbit sum behind the benchmark's ``constant`` workload has a
+memory ceiling."""
 
 import ast
 import importlib
@@ -77,6 +79,31 @@ def test_core_modules_import_no_oracle_or_verify():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[-1] for alias in node.names)
         assert not imported & {"exactlin", "oracles", "verify"}, (name, sorted(imported))
+
+
+def test_core_modules_walk_only_the_orbit_representatives():
+    # ``canonical_forms`` is the full walk that the orbit walk is checked
+    # against; no core module reads it, and its size guard belongs to the
+    # suites
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    for name in _CORE:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        used = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert "canonical_forms" not in used, name
+    hilb = importlib.import_module("hilb2.hilb")
+    assert not hasattr(hilb, "check_form_walk") and not hasattr(hilb, "_MAX_FORMS")
+
+
+def test_no_bare_asserts_in_the_package():
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
 
 
 def test_orbit_sum_peak_memory():
