@@ -47,7 +47,6 @@ from .lattice import (
     LinearForm,
     QuotientLattice,
     SuccessiveMinima,
-    gon_main_term,
     product_covol2_formula,
     quotient,
     successive_minima,

@@ -30,6 +30,7 @@ import numpy as np
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .heights import is_perfect_square, le_height2_gram
 from .hilb import (
+    _canonical_orbit_size,
     _orbit_representatives,
     fiber_point_count,
     height_query,
@@ -72,7 +73,6 @@ class ConstantEstimate:
 # ``product_covol2_formula`` are symmetric in a^2, b^2, c^2.
 # ``_orbit_shells`` yields the representatives of
 # ``hilb._orbit_representatives``, the walk of the exact counts, as arrays.
-_PERMUTATIONS = np.array([6, 3, 1], dtype=np.int64)  # by the number of a == b, b == M
 
 # float64 unit roundoff, and a bound on the absolute error one term can pick
 # up when its value underflows (see the budget in ``constant_c``)
@@ -82,7 +82,8 @@ _UNDERFLOW = Fraction(1, 2**1067)
 
 def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (M, a, b, w) for M = 1..m_max: the orbit representatives
-    (a, b, M) of the primitive triples of shell M and their orbit sizes w."""
+    (a, b, M) of the primitive triples of shell M and their orbit sizes w = 2h
+    (``hilb._canonical_orbit_size``: both signs of each canonical form)."""
     bb, aa = np.tril_indices(m_max + 1)  # pairs a <= b, ordered by b
     gab = np.gcd(aa, bb)
     ks = np.arange(m_max + 1)
@@ -91,9 +92,7 @@ def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
         # gcd(a, b) <= m there, so coprimality to m is a lookup
         keep = (np.gcd(ks[: m + 1], m) == 1)[gab[:k]]
         a, b = aa[:k][keep], bb[:k][keep]
-        w = _PERMUTATIONS[(a == b).astype(np.int64) + (b == m)]
-        w <<= 1 + (a > 0) + (b > 0)
-        yield m, a, b, w
+        yield m, a, b, _canonical_orbit_size(a, b, m) << 1
 
 
 # ``np.frexp`` exponents of finite floats run from -1073 to 1024;
@@ -192,13 +191,22 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     the float sum is within u of the sum of the terms.
     The bracket is widened by all of these, in exact rational arithmetic,
     and converted to floats with outward rounding.  It is certified for the
-    float value of ``ratio``.
+    float value of ``ratio``.  ValueError, before the sum, when the tail
+    bound exceeds the float range (ratio below about 7.2e-308).
     """
     ratio = float(ratio)
     if not 0 < ratio <= 1e6:
         raise ValueError("ratio must lie in (0, 1e6]")
     if not 1 <= m_max <= 500:
         raise ValueError("M_max out of supported range")
+    (pi_lo, pi_hi), (z_lo, z_hi) = PI_BRACKET, ZETA3_BRACKET
+    k_lo, k_hi = pi_lo / (3 * z_hi), pi_hi / (3 * z_lo)
+    # the 1e-9 covers the float rounding of the tail's factors, 2^-1020 their underflow
+    tail = _to_float(k_hi, math.inf) * (13.0 / ratio) * m_max ** (-3.0 * ratio)
+    tail = tail * (1.0 + 1e-9) + 2.0**-1020
+    # only 13 / ratio overflows; a finite tail is < 0.9 float max, so hi is finite
+    if tail == math.inf:
+        raise ValueError(f"the tail bound at ratio {ratio!r} exceeds the float range")
     expo = 1.5 - 1.5 * ratio
     total = Fraction(_orbit_sum(expo, m_max))
     # relative budget per term (docstring), and the one rounding of the sum
@@ -210,11 +218,6 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     terms_abs = (m_max + 1) ** 3 * _UNDERFLOW  # more than the number of terms
     part_lo = (total / (1 + _U) - terms_abs) / (1 + eps)
     part_hi = (total / (1 - _U) + terms_abs) / (1 - eps)
-    (pi_lo, pi_hi), (z_lo, z_hi) = PI_BRACKET, ZETA3_BRACKET
-    k_lo, k_hi = pi_lo / (3 * z_hi), pi_hi / (3 * z_lo)
-    # the 1e-9 covers the float rounding of the tail's factors, 2^-1020 their underflow
-    tail = _to_float(k_hi, math.inf) * (13.0 / ratio) * m_max ** (-3.0 * ratio)
-    tail = tail * (1.0 + 1e-9) + 2.0**-1020
     lo = _to_float(k_lo * part_lo, -math.inf)
     hi = _to_float(k_hi * part_hi + Fraction(tail), math.inf)
     # lo + tail_bound rounds to a float >= hi, since hi is a float

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 
 from .asymptotics import (
     constant_c,
@@ -32,7 +32,7 @@ from .heights import (
     le_height,
     le_height2,
 )
-from .hilb import HilbPoint, PointValidationError, enumerate_points
+from .hilb import HilbPoint, PointValidationError, canonicalize, enumerate_points
 from .verify import SUITE_NAMES, run_suite
 
 # version 2: qbar is the restricted binary form on the reduced kernel basis
@@ -57,6 +57,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -97,7 +107,7 @@ def build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("constant", help="leading constant with certified bracket")
-    sp.add_argument("--ratio", type=float, required=True)
+    sp.add_argument("--ratio", type=_finite_float, required=True)
     sp.add_argument("--M-max", type=int, required=True)
     common(sp)
 
@@ -111,7 +121,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--m-max", type=int, default=None)
     sp.add_argument("--box", type=int, default=None)
     sp.add_argument("--n-lattices", type=int, default=None)
-    sp.add_argument("--height-bound", type=float, default=None)
+    sp.add_argument("--height-bound", type=_finite_float, default=None)
     sp.add_argument("--a-max", type=int, default=None)
     sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--b-values", type=_fraction_list, default=None,
@@ -248,8 +258,6 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .hilb import canonicalize
-
     z = canonicalize(args.ell, args.q)
     h_le2 = le_height2(z)
     report = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from math import ceil, comb, floor, gcd, lcm, log10
 from typing import Iterator, Sequence
@@ -57,18 +57,16 @@ def monomials(d: int) -> tuple[tuple[int, int, int], ...]:
 
 @dataclass(frozen=True)
 class HilbPoint:
-    """Canonical representative of an integral point.
+    """Canonical representative of an integral point: its two fields define it.
 
     ``qbar`` holds the coset coordinates of the quadric in ``quotient(ell)``:
     the coefficients (A, B, C) of its restriction A*S^2 + B*S*T + C*T^2 to
     the kernel basis (e, f) = ``kernel_basis_of(ell)``.  It is primitive and
-    sign-canonical, and ``covol2_I2`` caches the exact squared covolume of
-    the degree-2 ideal lattice.
+    sign-canonical.  Equality and hash are over (ell, qbar) only.
     """
 
     ell: LinearForm
     qbar: tuple[int, int, int]
-    covol2_I2: int
 
     def __post_init__(self) -> None:
         if self.qbar == (0, 0, 0):
@@ -82,12 +80,14 @@ class HilbPoint:
     def covol2_I1(self) -> int:
         return self.ell.norm2
 
-    def quotient(self) -> QuotientLattice:
-        return quotient(self.ell)
+    @cached_property
+    def covol2_I2(self) -> int:
+        """Exact squared covolume of the degree-2 ideal lattice, derived once."""
+        return quotient(self.ell).covol2_with(self.qbar)
 
     def q_lift(self) -> tuple[int, ...]:
         """Canonical monomial-coordinate lift of the quadric."""
-        return self.quotient().lift(self.qbar)
+        return quotient(self.ell).lift(self.qbar)
 
 
 def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
@@ -102,9 +102,7 @@ def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
     if len(ell_raw) != 3 or len(q) != 6:
         raise PointValidationError("expected a linear triple and six quadric coefficients")
     ell = LinearForm.from_raw(*ell_raw)
-    quo = quotient(ell)
-    qbar = sign_canonical(quo.coset_coords(q))
-    return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quo.covol2_with(qbar))
+    return HilbPoint(ell, sign_canonical(quotient(ell).coset_coords(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +257,15 @@ def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[L
                 if a * a + b * b + m * m > n_max:
                     break
                 if gcd(a, gbm) == 1:
-                    perms = (6, 3, 1)[(a == b) + (b == m)]
-                    out.append((LinearForm(a, b, m), perms << ((a > 0) + (b > 0))))
+                    out.append((LinearForm(a, b, m), _canonical_orbit_size(a, b, m)))
     return out
+
+
+def _canonical_orbit_size(a: int, b: int, m: int) -> int:
+    """The number h of sign-canonical forms in the orbit of (a, b, m), for
+    0 <= a <= b <= m and m > 0 (``_orbit_representatives``); also
+    elementwise on int64 arrays a and b."""
+    return (6 >> ((a == b) * 1 + (b == m))) << ((a > 0) * 1 + (b > 0))
 
 
 def _orbit_forms(rep: LinearForm) -> set[LinearForm]:
@@ -343,13 +347,12 @@ def fiber_points(
     if fiber is None:
         return []
     quo, t_max = fiber
-    pts = []
-    for x in enumerate_form_le(quo.gram_int, t_max):
-        if gcd(gcd(x[0], x[1]), x[2]) == 1:
-            x = sign_canonical(x)
-            pts.append(HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x)))
-    pts.sort(key=lambda p: p.qbar)
-    return pts
+    qbars = sorted(
+        sign_canonical(x)
+        for x in enumerate_form_le(quo.gram_int, t_max)
+        if gcd(gcd(x[0], x[1]), x[2]) == 1
+    )
+    return [HilbPoint(ell, x) for x in qbars]
 
 
 def fiber_point_count(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction) -> int:

@@ -26,8 +26,8 @@ the kernel, with coset coordinates (A, B, C).  This module computes
 
 As the lowest core module it also holds the small exact helpers the core
 shares: ``dot``, ``iroot``, ``sign_canonical``, the extended gcd ``_xgcd``
-and ``cross``.  All lattice arithmetic is exact; floats appear only in
-gon_main_term.
+and ``cross``.  All lattice arithmetic is exact; the module holds no float
+code.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import mul
 from typing import Iterator, Sequence
-
-from .constants import PI, ZETA3
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -538,14 +536,8 @@ def min_form_value(q: QuotientLattice) -> int:
 
 
 # ---------------------------------------------------------------------------
-# main term of the primitive count, and the kernel basis
+# the kernel basis
 # ---------------------------------------------------------------------------
-
-
-def gon_main_term(q: QuotientLattice, radius: float) -> float:
-    """Main term (4 pi / 3 zeta(3)) R^3 / covol for the primitive-vector count."""
-    covol = 1.0 / (q.covol2_product ** 0.5)
-    return (4.0 * PI / (3.0 * ZETA3)) * radius**3 / covol
 
 
 @lru_cache(maxsize=4096)

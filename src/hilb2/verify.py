@@ -285,42 +285,36 @@ def _gon_worker(ell: LinearForm, ks: tuple, literal_cap: float) -> list[dict]:
     q = quotient(ell)
     cv2p = q.covol2_product
     sm = successive_minima(q)
-    l1 = float(sm.lam1_sq) ** 0.5
-    l2 = float(sm.lam2_sq) ** 0.5
-    l3 = float(sm.lam3_sq) ** 0.5
+    l1, l2, l3 = (float(x) ** 0.5 for x in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq))
     covol = cv2p ** -0.5
     rows = []
     for k in ks:
         # volume-matched radius R = k * covol^(1/3): strict cutoff
         # x gram x < R^2  <=>  (x gram_int x)^3 < k^6 covol2p^2
-        t_int = iroot(k**6 * cv2p * cv2p - 1, 3)
-        n = count_primitive_form(q.gram_int, t_int)
-        n2 = count_primitive_gram_boxscan(q.gram_int, t_int)
-        r = k * cv2p ** (-1.0 / 6.0)
-        rows.append(_gon_row("scaled", k, r, n, n2, l1, l2, l3, covol))
-        main_lit = 4.0 * PI / (3.0 * ZETA3) * k**3 * cv2p**0.5
-        if main_lit <= literal_cap:
-            t_lit = k * k * cv2p - 1  # strict: x gram_int x <= R^2 covol2p - 1
-            n = count_primitive_form(q.gram_int, t_lit)
-            n2 = count_primitive_gram_boxscan(q.gram_int, t_lit)
-            rows.append(_gon_row("literal", k, float(k), n, n2, l1, l2, l3, covol))
+        radii = [("scaled", k * cv2p ** (-1.0 / 6.0), iroot(k**6 * cv2p * cv2p - 1, 3))]
+        if _gon_main_term(float(k), covol) <= literal_cap:
+            # strict: x gram_int x <= R^2 covol2p - 1
+            radii.append(("literal", float(k), k * k * cv2p - 1))
+        for kind, r, t in radii:
+            n = count_primitive_form(q.gram_int, t)
+            main = _gon_main_term(r, covol)
+            logstar = max(1.0, log(r / l1)) if r > 0 else 1.0
+            allow = (l2 * l3 * r * logstar + l3 * r * r) / covol
+            rows.append({
+                "kind": kind,
+                "k": k,
+                "R": r,
+                "count": n,
+                "count_boxscan": count_primitive_gram_boxscan(q.gram_int, t),
+                "main_term": main,
+                "c_required": abs(n - main) / allow if allow > 0 else float("inf"),
+            })
     return rows
 
 
-def _gon_row(kind, k, r, n, n2, l1, l2, l3, covol):
-    main = 4.0 * PI / (3.0 * ZETA3) * r**3 / covol
-    logstar = max(1.0, log(r / l1)) if r > 0 else 1.0
-    allow = (l2 * l3 * r * logstar + l3 * r * r) / covol
-    c_req = abs(n - main) / allow if allow > 0 else float("inf")
-    return {
-        "kind": kind,
-        "k": k,
-        "R": r,
-        "count": n,
-        "count_boxscan": n2,
-        "main_term": main,
-        "c_required": c_req,
-    }
+def _gon_main_term(r: float, covol: float) -> float:
+    """Main term (4 pi / 3 zeta(3)) R^3 / covol of the primitive count."""
+    return 4.0 * PI / (3.0 * ZETA3) * r**3 / covol
 
 
 def suite_gon(

@@ -66,6 +66,19 @@ def test_constant_validation():
         constant_c(2.0, 0)
 
 
+@pytest.mark.parametrize("ratio", [1e-308, 5e-324])
+def test_constant_refuses_a_tail_bound_beyond_the_float_range(ratio):
+    # 13 / ratio overflows below ratio = 7.2e-308
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        constant_c(ratio, 5)
+
+
+def test_constant_tail_bound_near_the_float_range():
+    est = constant_c(1e-307, 5)
+    assert 0 < est.lo <= est.hi < float("inf")
+    assert est.tail_bound > 1e308
+
+
 def _cube_terms(m_max):
     """(n, covol2_product) of every primitive vector of max-norm <= m_max,
     by a plain scan of the cube."""
@@ -404,7 +417,7 @@ def test_le_count_nonreduced_excluded():
         first = next(v for v in x if v)
         if first < 0:
             continue
-        z = HilbPoint(ell=za.ell, qbar=x, covol2_I2=quo.covol2_with(x))
+        z = HilbPoint(za.ell, x)
         if le_height2(z) ** 3 <= b * b:
             n_all += 1
             if z == za:
@@ -433,7 +446,7 @@ def test_le_count_cutoff_and_region_are_sound(b):
             x = sign_canonical(x)
             if gcd(gcd(x[0], x[1]), x[2]) != 1 or sign_canonical(x) != x:
                 continue
-            z = HilbPoint(ell=ell, qbar=x, covol2_I2=quo.covol2_with(x))
+            z = HilbPoint(ell, x)
             d = discriminant(z)
             le2 = le_height2(z)
             if d == 0 or le2**3 > b * b:
@@ -598,8 +611,8 @@ def _reference_le_region_worker(ell, bound):
         x = sign_canonical(x)
         if gcd(*x) != 1:
             continue
-        cv2 = quo.covol2_with(x)
-        z = HilbPoint(ell=ell, qbar=x, covol2_I2=cv2)
+        z = HilbPoint(ell, x)
+        cv2 = z.covol2_I2
         d = discriminant(z)
         if d == 0:
             continue

@@ -137,6 +137,32 @@ def test_malformed_flags_exit_1():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "disc-agreement"], "--height-bound"),
+        (["verify", "--suite", "disc-bound"], "--height-bound"),
+        (["constant", "--M-max", "5"], "--ratio"),
+    ],
+)
+def test_non_finite_float_flags_exit_1(argv, flag, value, capsys):
+    # the value is refused while parsing, before any suite or sum runs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hilb2 ")
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: argument {flag}: not a finite number: {value!r}"
+    ]
+
+
+def test_constant_tiny_ratio_exits_1(capsys):
+    assert main(["constant", "--ratio", "1e-320", "--M-max", "5"]) == 1
+    assert capsys.readouterr().err == "error: the tail bound at ratio 1e-320 exceeds the float range\n"
+
+
 def test_verify_minima_cli(capsys):
     rc = main(["verify", "--suite", "minima", "--seed", "0", "--m-max", "2", "--box", "2"])
     assert rc == 0
@@ -230,7 +256,7 @@ def _check_point_csv(s, t, b, text):
     for row, pt in zip(rows, pts):
         ell = LinearForm(int(row["ell_a"]), int(row["ell_b"]), int(row["ell_c"]))
         qbar = (int(row["qbar_1"]), int(row["qbar_2"]), int(row["qbar_3"]))
-        z = HilbPoint(ell=ell, qbar=qbar, covol2_I2=int(row["covol2_I2"]))
+        z = HilbPoint(ell, qbar)
         assert z == pt
         rebuilt = point_row(z, s, t)
         assert {k: str(v) for k, v in rebuilt.items()} == dict(row)
@@ -259,9 +285,9 @@ def test_point_csv_roundtrip_property(exponents, b):
 
 
 def test_height_field_formats():
-    z = HilbPoint(ell=LinearForm(1, 0, 0), qbar=(1, 2, 2), covol2_I2=9)
+    z = HilbPoint(LinearForm(1, 0, 0), (1, 2, 2))
     assert height_field(z, Fraction(2), Fraction(1)) == "3"  # exact square
-    z2 = HilbPoint(ell=LinearForm(1, 0, 0), qbar=(1, 1, 0), covol2_I2=2)
+    z2 = HilbPoint(LinearForm(1, 0, 0), (1, 1, 0))
     assert height_field(z2, Fraction(2), Fraction(1)) == format(2**0.5, ".17g")
 
 

@@ -20,7 +20,7 @@ from hilb2.heights import (
     restrict_to_line,
 )
 from hilb2.hilb import HilbPoint, canonicalize, enumerate_points, eval_quadratic
-from hilb2.lattice import LinearForm, kernel_basis_of, quotient
+from hilb2.lattice import LinearForm, kernel_basis_of
 from hilb2.verify import (
     _maximal_order_norm,
     disc_nonsplit,
@@ -127,14 +127,13 @@ def _points_of_class(cls, n, seed=31):
         if t == (0, 0, 0) or gcd(gcd(t[0], t[1]), t[2]) != 1:
             continue
         ell = LinearForm.from_raw(*t)
-        q = quotient(ell)
         x = tuple(rng.randint(-3, 3) for _ in range(3))
         if x == (0, 0, 0) or gcd(gcd(x[0], x[1]), x[2]) != 1:
             continue
         first = next(v for v in x if v)
         if first < 0:
             x = tuple(-v for v in x)
-        z = HilbPoint(ell=ell, qbar=x, covol2_I2=q.covol2_with(x))
+        z = HilbPoint(ell, x)
         if classify(z) is cls:
             out.append(z)
     return out
@@ -230,7 +229,7 @@ def _point_from(rng, qbar):
         t = tuple(rng.randint(-40, 40) for _ in range(3))
         if any(t) and gcd(gcd(t[0], t[1]), t[2]) == 1:
             ell = LinearForm.from_raw(*t)
-            return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quotient(ell).covol2_with(qbar))
+            return HilbPoint(ell, qbar)
 
 
 def test_height_st_examples():

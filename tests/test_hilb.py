@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -95,14 +96,13 @@ def test_ideal_lattice_rank_law_random():
 def _sample_points(n):
     out = []
     for f in seeded_forms(21, n, 5):
-        q = quotient(f)
         for x in [(1, 0, 0), (0, 1, 0), (1, 1, -2), (0, 2, 1)]:
             if gcd(gcd(x[0], x[1]), x[2]) != 1:
                 continue
             first = next(v for v in x if v)
             if first < 0:
                 continue
-            out.append(HilbPoint(ell=f, qbar=x, covol2_I2=q.covol2_with(x)))
+            out.append(HilbPoint(f, x))
             break
     return out
 
@@ -115,6 +115,20 @@ def test_multiplicativity_consistency():
         direct = gram_det2(list(product_basis(z.ell)) + [z.q_lift()])
         assert direct == z.covol2_I2
         assert z.covol2_I2 == q.covol2_with(z.qbar)
+
+
+def test_point_is_its_form_and_restricted_binary_form():
+    assert [f.name for f in dataclasses.fields(HilbPoint)] == ["ell", "qbar"]
+    ell = LinearForm(1, 2, 3)
+    with pytest.raises(TypeError):  # covol2_I2 is derived, not a field
+        HilbPoint(ell, (1, 0, 0), **{"covol2_I2": 1})
+    for z in _sample_points(30):
+        twin = HilbPoint(LinearForm(*z.ell.triple), z.qbar)
+        assert twin == z and hash(twin) == hash(z)
+        assert twin.covol2_I2 == z.covol2_I2 == quotient(z.ell).covol2_with(z.qbar)
+    assert HilbPoint(ell, (1, 0, 0)) != HilbPoint(ell, (0, 1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z.covol2_I2 = z.covol2_I2 + 1
 
 
 def test_enumerate_points_empty_below_one():

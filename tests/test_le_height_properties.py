@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hilb2.heights import PointClass, classify, discriminant, le_height2, le_height2_gram, nonsplit_params
 from hilb2.hilb import HilbPoint
-from hilb2.lattice import LinearForm, dot, eval_quadratic, kernel_basis_of, quotient, sign_canonical
+from hilb2.lattice import LinearForm, dot, eval_quadratic, kernel_basis_of, sign_canonical
 from hilb2.verify import (
     _le_height2_classwise,
     disc_nonsplit,
@@ -60,7 +60,7 @@ _branch_qbar = st.one_of(
 def _point(ell_raw, qbar_raw):
     ell = LinearForm.from_raw(*ell_raw)
     qbar = sign_canonical(qbar_raw)
-    return HilbPoint(ell=ell, qbar=qbar, covol2_I2=quotient(ell).covol2_with(qbar))
+    return HilbPoint(ell, qbar)
 
 
 @PROPERTY_SETTINGS

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hilb2.exactlin import gram_det2
 from hilb2.heights import height2_e
 from hilb2.hilb import HilbPoint, canonicalize
-from hilb2.lattice import LinearForm, quotient, sign_canonical
+from hilb2.lattice import LinearForm, sign_canonical
 from hilb2.oracles import oracle_ideal_basis, poly_mul
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -32,7 +32,7 @@ _linear = st.tuples(*[st.integers(-20, 20)] * 3)
 def test_canonicalize_and_height_invariant_under_the_defining_system(ell_raw, qbar_raw, k, m):
     ell = LinearForm.from_raw(*ell_raw)
     qbar = sign_canonical(qbar_raw)
-    z = HilbPoint(ell=ell, qbar=qbar, covol2_I2=quotient(ell).covol2_with(qbar))
+    z = HilbPoint(ell, qbar)
     q = z.q_lift()
     assert canonicalize(ell_raw, q) == z
     # scale or negate the form, and add (form) * (linear form) to the quadric
