@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from math import isfinite, isqrt
+from typing import Callable
 
 from .asymptotics import (
     constant_c,
@@ -190,22 +191,38 @@ def _flatten(obj, prefix="") -> dict:
     return out
 
 
+def _sqrt_field(h2: int | Fraction) -> str:
+    """sqrt(h2): the exact integer when h2 is a perfect square, else 17
+    significant digits."""
+    if h2.denominator == 1:
+        r = isqrt(h2.numerator)
+        if r * r == h2.numerator:
+            return str(r)
+    return format(float(h2) ** 0.5, ".17g")
+
+
+def height_formatter(s: Fraction, t: Fraction) -> Callable[[HilbPoint], str]:
+    """The height field of a point at exponents (s, t), with the exponent case
+    decided once per listing.  For integers s - t >= 0 and t >= 0 the
+    squared height is the integer covol2_I1^(s-t) * covol2_I2^t, built
+    without a Fraction; other integer exponents go through ``height2_st``,
+    and fractional ones are floating point throughout."""
+    if (s - t).denominator != 1 or t.denominator != 1:
+        return lambda z: format(height_st(z, s, t), ".17g")
+    e1, e2 = int(s - t), int(t)
+    if e1 < 0 or e2 < 0:
+        return lambda z: _sqrt_field(height2_st(z, s, t))
+    return lambda z: _sqrt_field(z.covol2_I1 ** e1 * z.covol2_I2 ** e2)
+
+
 def height_field(z: HilbPoint, s: Fraction, t: Fraction) -> str:
     """Exact integer when the squared height is a perfect square, else 17
     significant digits."""
-    if (s - t).denominator == 1 and t.denominator == 1:
-        h2 = height2_st(z, s, t)
-        if h2.denominator == 1:
-            r = isqrt(h2.numerator)
-            if r * r == h2.numerator:
-                return str(r)
-        val = float(h2) ** 0.5
-    else:
-        val = height_st(z, s, t)
-    return format(val, ".17g")
+    return height_formatter(s, t)(z)
 
 
-def point_row(z: HilbPoint, s: Fraction, t: Fraction) -> dict:
+def point_row(z: HilbPoint, height: Callable[[HilbPoint], str]) -> dict:
+    """One row of the point table; ``height`` is ``height_formatter(s, t)``."""
     d = discriminant(z)
     lift = z.q_lift()
     return {
@@ -214,7 +231,7 @@ def point_row(z: HilbPoint, s: Fraction, t: Fraction) -> dict:
         **{f"q_lift_{i}": lift[i] for i in range(6)},
         "covol2_I1": z.covol2_I1,
         "covol2_I2": z.covol2_I2,
-        "height": height_field(z, s, t),
+        "height": height(z),
         "class": classify(z).value,
         "disc": d,
     }
@@ -223,7 +240,8 @@ def point_row(z: HilbPoint, s: Fraction, t: Fraction) -> dict:
 def _cmd_count(args) -> int:
     threads = _threads(args)
     if args.emit_points:
-        rows = [point_row(z, args.s, args.t) for z in enumerate_points(args.s, args.t, args.B)]
+        height = height_formatter(args.s, args.t)
+        rows = [point_row(z, height) for z in enumerate_points(args.s, args.t, args.B)]
         if args.format == "csv":
             _emit(args, _csv_text(rows, POINT_FIELDS))
         else:

@@ -19,10 +19,11 @@ the kernel, with coset coordinates (A, B, C).  This module computes
   * exact successive minima and witnesses, read off a Gram matrix that is
     checked to be Minkowski-reduced (which in dimension 3 proves them),
   * exact counts and enumeration of the vectors in an ellipsoid, both from
-    one walk over the rows of the half-space whose last nonzero coordinate
-    is positive (``_half_rows``), and exact counts of the primitive vectors
-    in an ellipsoid from those counts by Moebius inversion, on the reduced
-    Gram matrix whose first minimum bounds the sieve.
+    one walk over the x3 slices of the half-space whose last nonzero
+    coordinate is positive (``_half_slices``), row by row with incremental
+    differences, and exact counts of the primitive vectors in an ellipsoid
+    from those counts by Moebius inversion, on the reduced Gram matrix whose
+    first minimum bounds the sieve.
 
 As the lowest core module it also holds the small exact helpers the core
 shares: ``dot``, ``iroot``, ``sign_canonical``, the extended gcd ``_xgcd``
@@ -375,22 +376,43 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
     return g_red, ((u00, u01, u02), (u10, u11, u12), (u20, u21, u22))
 
 
-def _half_rows(g: Sequence[Sequence[int]], t: int) -> Iterator[tuple[int, int, int, int]]:
-    """Rows (x2, x3, lo1, hi1) of {x : x^T g x <= t} in the half-space of
-    vectors whose last nonzero coordinate is positive: x = (x1, x2, x3) is in
-    it exactly when lo1 <= x1 <= hi1 on one of the rows.
+def _half_slices(g: Sequence[Sequence[int]], t: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The x3 slices of {x : x^T g x <= t}, for t >= 0, in the half-space of
+    vectors whose last nonzero coordinate is positive, as
+    (x3, lo2, hi2, beta, d, dd).
 
-    The walk takes x3 >= 0, x2 >= 0 on the slice x3 = 0, and x1 >= 1 on the
-    row x2 = x3 = 0, so it meets one vector of each +-x pair and never 0.
-    The x3 and x2 ranges hold the integer points of the projections of the
-    ellipsoid onto the x3 axis and the (x2, x3) plane, so no isqrt argument
-    is negative.  Rows may be empty (hi1 = lo1 - 1).
+    The slice holds the rows x2 = lo2, ..., hi2; the row (x2, x3) holds the
+    x1 with lo1 <= x1 <= hi1, lo1 = -((beta + isqrt(d)) // a) and
+    hi1 = (isqrt(d) - beta) // a, where a = g00 and, with
+    a2 = g00 g11 - g01^2, b2 = g00 g12 - g01 g02, c2 = g00 g22 - g02^2,
+
+        beta(x2) = g01 x2 + g02 x3,
+        d(x2)    = a t - a (g11 x2^2 + 2 g12 x2 x3 + g22 x3^2) + beta^2
+                 = a t - c2 x3^2 - a2 x2^2 - 2 b2 x2 x3,
+
+    the isqrt argument of the row (a * x^T g x = (a x1 + beta)^2 - d + a t).
+    The slice gives beta and d at its first row x2 = lo2, and dd =
+    d(lo2 + 1) - d(lo2).  From row to row
+
+        beta(x2 + 1) - beta(x2) = g01,
+        d(x2 + 1) - d(x2)       = -a2 (2 x2 + 1) - 2 b2 x3,
+        and that difference steps by -2 a2,
+
+    so a caller walks a slice with three additions per row.  Rows may be
+    empty (hi1 = lo1 - 1).
+
+    The walk takes x3 >= 0, x2 >= 0 on the slice x3 = 0, and the caller
+    takes x1 >= 1 on the row x2 = x3 = 0, so it meets one vector of each +-x
+    pair and never 0.  No isqrt argument is negative: a2 d(x2) =
+    D2 - (a2 x2 + b2 x3)^2 with D2 = a2 a t - x3^2 a det(g), since
+    a2 c2 - b2^2 = a det(g).  The x3 range is x3^2 det(g) <= t a2, so
+    D2 >= 0, and the x2 range is |a2 x2 + b2 x3| <= isqrt(D2), so d >= 0
+    on every row walked.
     """
-    if t < 0:
-        return
     (a, g01, g02), (_, g11, g12), (_, _, g22) = g
     a2 = a * g11 - g01 * g01
     b2 = a * g12 - g01 * g02
+    c2 = a * g22 - g02 * g02
     detg = _det3(g)
     at = a * t
     adet = a * detg
@@ -398,18 +420,33 @@ def _half_rows(g: Sequence[Sequence[int]], t: int) -> Iterator[tuple[int, int, i
     for x3 in range(isqrt((t * a2) // detg) + 1):
         s2 = isqrt(a2 * at - x3 * x3 * adet)
         bb = b2 * x3
-        for x2 in range(-((bb + s2) // a2) if x3 else 0, (s2 - bb) // a2 + 1):
-            beta = g01 * x2 + g02 * x3
-            s1 = isqrt(at - a * (g11 * x2 * x2 + 2 * g12 * x2 * x3 + g22 * x3 * x3) + beta * beta)
-            yield x2, x3, (-((beta + s1) // a) if x2 or x3 else 1), (s1 - beta) // a
+        lo2 = -((bb + s2) // a2) if x3 else 0
+        d = at - c2 * x3 * x3 - (a2 * lo2 + 2 * bb) * lo2
+        yield x3, lo2, (s2 - bb) // a2, g01 * lo2 + g02 * x3, d, -a2 * (2 * lo2 + 1) - 2 * bb
 
 
 def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
     """#{x in Z^3 : x^T g x <= t}, including x = 0, by exact interval
-    counting over the rows of ``_half_rows``: 0, and each +-x pair twice."""
+    counting over the rows of ``_half_slices``: 0, and each +-x pair twice.
+
+    Each slice is summed in one loop with one isqrt per row.  The loop
+    counts the origin row x2 = x3 = 0 in full, x1 in [-k, k] with
+    k = isqrt(a t) // a, where the half-space holds only x1 in [1, k]; the
+    return value takes the k + 1 extra vectors out once."""
     if t < 0:
         return 0
-    return 1 + 2 * sum(hi1 - lo1 + 1 for _, _, lo1, hi1 in _half_rows(g, t))
+    (a, g01, _), (_, g11, _), _ = g
+    step2 = 2 * (a * g11 - g01 * g01)
+    total = 0
+    for _, lo2, hi2, beta, d, dd in _half_slices(g, t):
+        total += hi2 - lo2 + 1
+        for _ in range(lo2, hi2 + 1):
+            s1 = isqrt(d)
+            total += (s1 - beta) // a + (s1 + beta) // a
+            beta += g01
+            d += dd
+            dd -= step2
+    return 2 * (total - isqrt(a * t) // a) - 1
 
 
 def count_primitive_form(g: Sequence[Sequence[int]], t: int) -> int:
@@ -457,11 +494,21 @@ def _moebius_upto(n: int) -> list[int]:
 def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
     """Yield one vector of each pair +-x of nonzero x in Z^3 with
     x^T g x <= t: the one whose last nonzero coordinate is positive (the rows
-    of ``_half_rows``).  Callers that need another representative, such as
+    of ``_half_slices``, walked with the same differences as
+    ``count_form_le``).  Callers that need another representative, such as
     the first-nonzero-positive one of ``sign_canonical``, flip the sign."""
-    for x2, x3, lo1, hi1 in _half_rows(g, t):
-        for x1 in range(lo1, hi1 + 1):
-            yield (x1, x2, x3)
+    if t < 0:
+        return
+    (a, g01, _), (_, g11, _), _ = g
+    step2 = 2 * (a * g11 - g01 * g01)
+    for x3, lo2, hi2, beta, d, dd in _half_slices(g, t):
+        for x2 in range(lo2, hi2 + 1):
+            s1 = isqrt(d)
+            for x1 in range(-((beta + s1) // a) if x2 or x3 else 1, (s1 - beta) // a + 1):
+                yield (x1, x2, x3)
+            beta += g01
+            d += dd
+            dd -= step2
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,15 @@ def test_count_golden_values():
         assert count_Nst(s, t, b) == n, (s, t, b)
 
 
+def test_count_regression_pins_at_larger_bounds():
+    # regression pins, not an independent check: the values are the ones
+    # the code has printed since the ROADMAP baseline, and at these bounds
+    # the (0, 0, 1) fiber's long slice walks dominate; an independent count
+    # at this scale is still open (ROADMAP item 9)
+    assert count_Nst(2, 1, 100) == 5939677
+    assert count_Nst(2, 1, 400) == 380159569
+
+
 def test_count_scaling_law():
     assert count_Nst(2, 1, 7) == count_Nst(4, 2, 49)
     assert count_Nst(3, 2, 4) == count_Nst(6, 4, 16)

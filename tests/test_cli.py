@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from hilb2 import oracles, verify
 from hilb2.asymptotics import constant_c, count_Nst
-from hilb2.cli import _threads, height_field, main, point_row
+from hilb2.cli import _threads, height_field, height_formatter, main, point_row
+from hilb2.heights import height2_st, height_st
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
 from hilb2.lattice import LinearForm
 
@@ -258,7 +260,7 @@ def _check_point_csv(s, t, b, text):
         qbar = (int(row["qbar_1"]), int(row["qbar_2"]), int(row["qbar_3"]))
         z = HilbPoint(ell, qbar)
         assert z == pt
-        rebuilt = point_row(z, s, t)
+        rebuilt = point_row(z, height_formatter(s, t))
         assert {k: str(v) for k, v in rebuilt.items()} == dict(row)
         assert z.covol2_I1 == int(row["covol2_I1"])
 
@@ -289,6 +291,29 @@ def test_height_field_formats():
     assert height_field(z, Fraction(2), Fraction(1)) == "3"  # exact square
     z2 = HilbPoint(LinearForm(1, 0, 0), (1, 1, 0))
     assert height_field(z2, Fraction(2), Fraction(1)) == format(2**0.5, ".17g")
+
+
+def _reference_height_field(z, s, t):
+    # the per-point formula of the listing before the exponent case was
+    # decided once per listing: every squared height a Fraction
+    if (s - t).denominator == 1 and t.denominator == 1:
+        h2 = height2_st(z, s, t)
+        if h2.denominator == 1:
+            r = isqrt(h2.numerator)
+            if r * r == h2.numerator:
+                return str(r)
+        return format(float(h2) ** 0.5, ".17g")
+    return format(height_st(z, s, t), ".17g")
+
+
+@pytest.mark.parametrize("s, t, b", [(2, 1, 6), (3, 1, 4), (5, 2, 3), (1, 2, 8), (Fraction(3, 2), 1, 4)])
+def test_height_formatter_matches_the_per_point_fractions(s, t, b):
+    # the integer product (s - t, t >= 0), the Fraction route (s < t) and
+    # the float route (fractional exponents)
+    s, t = Fraction(s), Fraction(t)
+    height = height_formatter(s, t)
+    for z in enumerate_points(s, t, b):
+        assert height(z) == _reference_height_field(z, s, t), z
 
 
 def test_le_count_cli(capsys):

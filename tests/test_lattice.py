@@ -28,6 +28,7 @@ from hilb2.lattice import (
     cross,
     dot,
     eval_quadratic,
+    iroot,
     kernel_basis_of,
     product_basis,
     product_covol2_formula,
@@ -37,7 +38,7 @@ from hilb2.lattice import (
     restriction_map,
     successive_minima,
 )
-from hilb2.verify import _certify_minima, _gon_main_term
+from hilb2.verify import _certify_minima, _gon_main_term, _gon_sample
 from hilb2 import oracles
 from hilb2.lattice import count_primitive_form
 from hilb2.oracles import count_primitive_gram_boxscan, count_primitive_rows, minima_boxscan
@@ -713,10 +714,66 @@ def test_half_space_walk_against_the_two_full_walks(g, k):
     assert set(half) | {(-a, -b, -c) for a, b, c in half} == set(_reference_enumerate_form_le(g, t))
 
 
+def _slice_rows(g, t):
+    """The rows (x2, x3, lo1, hi1) of ``lattice._half_slices``, walked with
+    its three difference identities and checked row by row against beta
+    and d computed from scratch."""
+    (a, g01, g02), (_, g11, g12), (_, _, g22) = g
+    for x3, lo2, hi2, beta, d, dd in lattice._half_slices(g, t):
+        for x2 in range(lo2, hi2 + 1):
+            assert beta == g01 * x2 + g02 * x3
+            assert d == a * t - a * (g11 * x2 * x2 + 2 * g12 * x2 * x3 + g22 * x3 * x3) + beta * beta >= 0
+            s1 = isqrt(d)
+            yield x2, x3, (-((beta + s1) // a) if x2 or x3 else 1), (s1 - beta) // a
+            beta += g01
+            d += dd
+            dd -= 2 * (a * g11 - g01 * g01)
+
+
 def test_half_space_walk_meets_empty_rows():
-    # the second example above has rows whose x1 interval holds no integer
-    rows = list(lattice._half_rows(((100, 30, 0), (30, 10, 0), (0, 0, 1)), 24))
+    # the second example of the half-space test has rows whose x1 interval
+    # holds no integer
+    rows = list(_slice_rows(((100, 30, 0), (30, 10, 0), (0, 0, 1)), 24))
     assert any(hi1 < lo1 for x2, x3, lo1, hi1 in rows if x2 or x3)
+
+
+def _skewed_gram(args):
+    # U^T diag(1, p, q) U: first minimum 1, so t = 10^4 gives rows of about
+    # 200 vectors and, for small p, slices of up to 200 rows
+    p, q, u = args
+    return tuple(map(tuple, mat_mul(list(zip(*u)), mat_mul(((1, 0, 0), (0, p, 0), (0, 0, q)), u))))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(_gram, st.tuples(st.integers(1, 50), st.integers(1, 10**4), _unimodular).map(_skewed_gram)),
+    st.integers(0, 100),
+)
+@example(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 100)
+@example(((1, 0, 0), (0, 1, 0), (0, 0, 10**6)), 100)
+def test_slice_walk_on_long_rows(g, k):
+    # the differences are summed along each slice, so an error in them grows
+    # with its length: t runs up to 10^4 times the first minimum, capped so
+    # that the reference walks at most about 3 * 10^4 rows (pi t sqrt(g00 /
+    # det g) of them); the enumeration is compared where it is small
+    t = min(k * k * reduce_gram(g)[0][0][0], isqrt(10**8 * det3(g) // g[0][0]))
+    n = count_form_le(g, t)
+    assert n == _reference_count_form_le(g, t)
+    if n <= 20_001:
+        half = list(lattice.enumerate_form_le(g, t))
+        assert 2 * len(half) + 1 == n
+        assert set(half) | {(-a, -b, -c) for a, b, c in half} == set(_reference_enumerate_form_le(g, t))
+
+
+@pytest.mark.parametrize("ell", _gon_sample(0, 100, 50)[:6], ids=lambda ell: str(ell.triple))
+def test_slice_walk_on_the_gon_sample(ell):
+    # the ellipsoids criterion 05b counts: the literal radius R = 5 and the
+    # volume-matched radius k = 20, on the quotient Gram and its reduction
+    q = quotient(ell)
+    cv2p = q.covol2_product
+    for t in (25 * cv2p - 1, iroot(20**6 * cv2p * cv2p - 1, 3)):
+        for g in (q.gram_int, reduce_gram(q.gram_int)[0]):
+            assert count_form_le(g, t) == _reference_count_form_le(g, t), (g, t)
 
 
 def test_dist_to_span_examples():

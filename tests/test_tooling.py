@@ -9,6 +9,7 @@ memory ceiling."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -34,6 +35,9 @@ def test_layertrace_targets_resolve():
         if kind == "method":
             cls_name, meth = attr.split(".")
             assert callable(getattr(mod, cls_name).__dict__[meth]), attr
+        elif kind == "gen":
+            # the tracer's wrapper drives the generator and calls its close()
+            assert inspect.isgeneratorfunction(getattr(mod, attr)), f"{module}.{attr}"
         else:
             assert callable(getattr(mod, attr)), f"{module}.{attr}"
     for name, module, fn in lt.CACHES:
