@@ -34,8 +34,8 @@ from .hilb import (
     _orbit_representatives,
     fiber_point_count,
     height_query,
-    m_cutoff,
     nonnegative_bound,
+    norm_cutoff,
     positive_exponents,
 )
 from .lattice import (
@@ -244,11 +244,13 @@ def count_Nst(
 ) -> int:
     """Exact number of points of height at most ``bound``.
 
-    Sums exact per-fiber counts over the forms below the rigorous cutoff
-    ``m_cutoff``, one fiber per orbit of the signed coordinate permutations
-    (``_orbit_representatives``, which proves the fiber count constant on an
-    orbit): the count of the representative (a, b, M) is weighted by h, the
-    number of sign-canonical forms in its orbit.
+    Sums exact per-fiber counts over the forms with n = a^2 + b^2 + c^2 at
+    most the rigorous cutoff ``norm_cutoff`` (every point has H^2 >= n^s /
+    3^t, so the forms past it hold none), one fiber per orbit of the signed
+    coordinate permutations (``_orbit_representatives``, which proves the
+    fiber count constant on an orbit): the count of the representative
+    (a, b, M) is weighted by h, the number of sign-canonical forms in its
+    orbit.
 
     ``threads`` distributes the fibers; the weighted integers are reduced in
     the parent in representative order, so the result is independent of the
@@ -257,7 +259,8 @@ def count_Nst(
     s, t, b = height_query(s, t, bound)
     if b < 1:
         return 0
-    reps = _orbit_representatives(m_cutoff(s, t, b))
+    n_max = norm_cutoff(s, t, b)
+    reps = _orbit_representatives(isqrt(n_max), n_max)
     counts = parallel_map(fiber_point_count, [f for f, _ in reps], (s, t, b), threads)
     return sum(h * c for (_, h), c in zip(reps, counts))
 
@@ -336,7 +339,7 @@ def convergence_report(
 #   coefficient norm.  That norm lies between 1 and sqrt(2) times the
 #   Frobenius norm of the symmetric matrix, so dist^2 lies between dist_F^2
 #   and 2 dist_F^2.  The Frobenius distance is the Frobenius norm of the
-#   restriction of q to the plane l^perp (see ``hilb.m_cutoff``), whose
+#   restriction of q to the plane l^perp (see ``hilb.norm_cutoff``), whose
 #   squared eigenvalues sum to dist_F^2.  They are the eigenvalues of
 #   G^-1 Qbar (G = Gram(e, f), det G = n), with trace L / n and determinant
 #   -D / 4n, so 2 n^2 dist_F^2 = 2 L^2 + n D.  That lies in [H^2, 2 H^2]:

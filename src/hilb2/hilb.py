@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import ceil, comb, floor, gcd, lcm, log10
+from math import ceil, comb, floor, gcd, isqrt, lcm, log10
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -143,8 +143,8 @@ def height_query(
     comparisons would need integers of more than ``_MAX_EXACT_BITS`` bits.
 
     Estimate.  Let L = lcm of the denominators of s and t and beta the bits
-    of the numerator and the denominator of B.  ``m_cutoff`` takes a root of
-    3^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms below
+    of the numerator and the denominator of B.  ``norm_cutoff`` takes a root
+    of 3^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms below
     it have n = a^2 + b^2 + c^2 < 2^(2 + (2t + 2 beta) / s).
     ``max_covol2_I2`` multiplies B^(2L) by n^(L |s - t|).  The estimate is
     L (2t + 2 beta + |s - t| (2 + (2t + 2 beta) / s)), above both.
@@ -182,13 +182,15 @@ def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int
     return iroot(num // den, b)
 
 
-def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Rigorous cutoff: forms with max-coordinate beyond this bound have
-    every point of height > bound.
+def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
+    """Rigorous cutoff on the norm: a form with n = a^2 + b^2 + c^2 beyond
+    this bound has every point of height > bound.  It is the largest n with
+    n^(sL) <= floor(3^(tL) bound^(2L)), one integer root, where L is the lcm
+    of the denominators of s and t (``_height_exponents``).
 
-    Lemma: with n = a^2 + b^2 + c^2, every quadric q outside the span l*V of
-    the degree-1 multiples of the form has dist^2(q, l*V) >= 1/(2 n^2), i.e.
-    2 n^2 * min_form_value(quotient(l)) >= covol2_product.  Proof:
+    Lemma: every quadric q outside the span l*V of the degree-1 multiples of
+    the form has dist^2(q, l*V) >= 1/(2 n^2), i.e. 2 n^2 *
+    min_form_value(quotient(l)) >= covol2_product.  Proof:
 
     * the monomial-coefficient norm of q is at least the Frobenius norm of
       its symmetric matrix Q, so a Frobenius distance bound suffices;
@@ -204,11 +206,19 @@ def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
 
     With covol2_product >= (2/3) n^3 (equivalent to sum a^6 + 3 a^2 b^2 c^2
     >= 0) this gives covol2_I2 >= n/3 for every point, so
-    H^2 = n^(s-t) covol2_I2^t >= n^s / 3^t >= M^(2s) / 3^t, and the cutoff is
-    the largest M with M^(2s) <= 3^t bound^2.
+    H^2 = n^(s-t) covol2_I2^t >= n^s / 3^t.  A point of height <= bound
+    thus has n^(sL) <= 3^(tL) bound^(2L), and n^(sL) is an integer.
     """
     big_l, _, b = _height_exponents(s, t)
-    return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(2 * big_l * s))
+    return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(big_l * s))
+
+
+def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
+    """Rigorous cutoff on the max-coordinate M: isqrt of ``norm_cutoff``,
+    since M^2 <= n.  It equals the largest M with M^(2sL) <= floor(3^(tL)
+    bound^(2L)), as iroot(x, 2k) = isqrt(iroot(x, k)).  The walk guard
+    counts the triples up to this M."""
+    return isqrt(norm_cutoff(s, t, bound))
 
 
 # The exact counts and the point listing refuse a walk over more than this
@@ -222,7 +232,13 @@ def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[L
     <= M, of the shells M = 1..m_max, in shell order and lexicographic in
     (b, a), keeping those with a^2 + b^2 + M^2 <= n_max when it is given.
     ValueError, before any walking, when C(m_max + 3, 3) exceeds
-    ``_MAX_REPRESENTATIVES``.
+    ``_MAX_REPRESENTATIVES``: the guard counts the whole cube, not the
+    forms the norm bound keeps.
+
+    ``count_Nst`` and ``enumerate_points`` pass n_max = ``norm_cutoff`` and
+    m_max = isqrt(n_max) = ``m_cutoff``: a point of height <= B has
+    n^s / 3^t <= H^2 <= B^2, so the forms past n_max hold none.
+    ``le_count_detailed`` passes its own bound, n^3 <= B^2.
 
     The one walk of ``count_Nst``, ``le_count_detailed`` and
     ``enumerate_points``: each orbit of the 48 signed coordinate
@@ -311,14 +327,14 @@ def _open_fiber(
     covol2_product.  Proof: the monomial-coefficient norm of q is at least
     the Frobenius norm of its symmetric matrix, whose distance to l*V is
     the Frobenius norm of q restricted to the plane l^perp (see
-    ``m_cutoff``): dist_F^2 = tr((G^-1 Qbar)^2) for the Gram matrix G of
+    ``norm_cutoff``): dist_F^2 = tr((G^-1 Qbar)^2) for the Gram matrix G of
     (e, f) and the symmetric matrix Qbar of qbar.  That is the squared
     Frobenius norm of G^-1/2 Qbar G^-1/2, so dist_F^2 >= ||Qbar||_F^2 /
     lambda_max(G)^2, and ||Qbar||_F^2 = A^2 + C^2 + B^2 / 2 >= 1/2 for
     qbar != 0.  By Gershgorin lambda_max(G) <= E + |G|, since E >= f.f.
     For the Lagrange-reduced basis E + |G| <= n = a^2 + b^2 + c^2 (n = E F
     - G^2 with F = f.f, 2|G| <= F <= E), so the prune fires wherever the
-    n^2 bound of ``m_cutoff`` would.
+    n^2 bound of ``norm_cutoff`` would.
 
     The prune is decided in closed form, before the quotient is built; the
     same bound on the first minimum, 2 (E + |G|)^2 * min_form_value >=
@@ -380,18 +396,21 @@ def enumerate_points(
     when the walk would cover more than ``_MAX_REPRESENTATIVES`` orbit
     representatives.
 
-    One fiber is opened per orbit (``_orbit_representatives``).
-    ``_open_fiber`` returns None exactly when the fiber is empty: a fiber
-    it opens has t_max >= min_form_value, and a vector attaining the first
-    minimum is primitive, so it is a point.  Emptiness is constant on the
-    orbit, so the forms of the non-empty orbits are the forms with points.
+    One fiber is opened per orbit (``_orbit_representatives``) of the forms
+    with n <= ``norm_cutoff``: every point has H^2 >= n^s / 3^t, so the
+    forms past it hold none.  ``_open_fiber`` returns None exactly when the
+    fiber is empty: a fiber it opens has t_max >= min_form_value, and a
+    vector attaining the first minimum is primitive, so it is a point.
+    Emptiness is constant on the orbit, so the forms of the non-empty orbits
+    are the forms with points.
     """
     s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
+    n_max = norm_cutoff(s, t, bound)
     forms = [
         ell
-        for rep, _ in _orbit_representatives(m_cutoff(s, t, bound))
+        for rep, _ in _orbit_representatives(isqrt(n_max), n_max)
         if _open_fiber(rep, s, t, bound) is not None
         for ell in _orbit_forms(rep)
     ]

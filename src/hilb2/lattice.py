@@ -21,9 +21,11 @@ the kernel, with coset coordinates (A, B, C).  This module computes
   * exact counts and enumeration of the vectors in an ellipsoid, both from
     one walk over the x3 slices of the half-space whose last nonzero
     coordinate is positive (``_half_slices``), row by row with incremental
-    differences, and exact counts of the primitive vectors in an ellipsoid
-    from those counts by Moebius inversion, on the reduced Gram matrix whose
-    first minimum bounds the sieve.
+    differences, except that the count of a diagonal Gram matrix walks only
+    the octant x2, x3 >= 0 and weights each row by its sign pattern
+    (``_octant_count``), and exact counts of the primitive vectors in an
+    ellipsoid from those counts by Moebius inversion, on the reduced Gram
+    matrix whose first minimum bounds the sieve.
 
 As the lowest core module it also holds the small exact helpers the core
 shares: ``dot``, ``iroot``, ``sign_canonical``, the extended gcd ``_xgcd``
@@ -427,15 +429,20 @@ def _half_slices(g: Sequence[Sequence[int]], t: int) -> Iterator[tuple[int, int,
 
 def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
     """#{x in Z^3 : x^T g x <= t}, including x = 0, by exact interval
-    counting over the rows of ``_half_slices``: 0, and each +-x pair twice.
+    counting over rows.
 
-    Each slice is summed in one loop with one isqrt per row.  The loop
-    counts the origin row x2 = x3 = 0 in full, x1 in [-k, k] with
-    k = isqrt(a t) // a, where the half-space holds only x1 in [1, k]; the
-    return value takes the k + 1 extra vectors out once."""
+    A diagonal g (g01 = g02 = g12 = 0) is counted by octants
+    (``_octant_count``).  Any other g is counted over the rows of
+    ``_half_slices``: 0, and each +-x pair twice.  Each slice is summed in
+    one loop with one isqrt per row.  The loop counts the origin row
+    x2 = x3 = 0 in full, x1 in [-k, k] with k = isqrt(a t) // a, where the
+    half-space holds only x1 in [1, k]; the return value takes the k + 1
+    extra vectors out once."""
     if t < 0:
         return 0
-    (a, g01, _), (_, g11, _), _ = g
+    (a, g01, g02), (_, g11, g12), (_, _, g22) = g
+    if not (g01 or g02 or g12):
+        return _octant_count(a, g11, g22, t)
     step2 = 2 * (a * g11 - g01 * g01)
     total = 0
     for _, lo2, hi2, beta, d, dd in _half_slices(g, t):
@@ -447,6 +454,33 @@ def count_form_le(g: Sequence[Sequence[int]], t: int) -> int:
             d += dd
             dd -= step2
     return 2 * (total - isqrt(a * t) // a) - 1
+
+
+def _octant_count(a: int, b: int, c: int, t: int) -> int:
+    """#{x in Z^3 : a x1^2 + b x2^2 + c x3^2 <= t} for a, b, c > 0 and
+    t >= 0: the sum over x3, x2 >= 0 of the row 2 isqrt(r // a) + 1, r =
+    t - b x2^2 - c x3^2, weighted by 2^(nonzero coordinates among x2, x3).
+
+    Along a slice r steps by -b (2 x2 + 1), and from slice to slice its
+    first value r3 = t - c x3^2 steps by -c (2 x3 + 1).  A slice holds its
+    row x2 = 0, 2 isqrt(r3 // a) + 1 vectors, and n = isqrt(r3 // b) rows
+    x2 >= 1, which count twice: 2 (2 s + n) vectors, s the sum of their
+    isqrt(r // a).  The slices x3 >= 1 count twice as well."""
+    total = 0
+    r3, dr3, weight = t, c, 1
+    step = 2 * b
+    while r3 >= 0:
+        s = 0
+        r, dr = r3 - b, 3 * b
+        while r >= 0:
+            s += isqrt(r // a)
+            r -= dr
+            dr += step
+        total += weight * (2 * isqrt(r3 // a) + 1 + 2 * (2 * s + isqrt(r3 // b)))
+        r3 -= dr3
+        dr3 += 2 * c
+        weight = 2
+    return total
 
 
 def count_primitive_form(g: Sequence[Sequence[int]], t: int) -> int:

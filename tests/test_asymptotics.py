@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hilb2
+from hilb2 import asymptotics
 from hilb2.asymptotics import (
     _exact_sum,
     _le_region_worker,
@@ -31,10 +32,12 @@ from hilb2.asymptotics import (
 from hilb2.heights import discriminant, is_perfect_square, le_height2
 from hilb2.hilb import (
     HilbPoint,
+    _orbit_forms,
     _orbit_representatives,
     canonical_forms,
     enumerate_points,
     fiber_point_count,
+    fiber_points,
     m_cutoff,
 )
 from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
@@ -298,11 +301,45 @@ def test_count_golden_values():
 
 def test_count_regression_pins_at_larger_bounds():
     # regression pins, not an independent check: the values are the ones
-    # the code has printed since the ROADMAP baseline, and at these bounds
-    # the (0, 0, 1) fiber's long slice walks dominate; an independent count
-    # at this scale is still open (ROADMAP item 9)
+    # the code has printed since the ROADMAP baseline, in both regimes; at
+    # (2, 1, B) the (0, 0, 1) fiber's long rows dominate; an independent
+    # count at this scale is still open (ROADMAP item 9)
     assert count_Nst(2, 1, 100) == 5939677
     assert count_Nst(2, 1, 400) == 380159569
+    assert count_Nst(2, 1, 1000) == 5940041605
+    assert count_Nst(1, 2, 24) == 2929
+    assert count_Nst(2, 3, 32) == 397
+    assert count_Nst(1, 1, 30) == 213853
+
+
+def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
+    # H^2 >= n^s / 3^t on every point, so at (2, 1, 30) only the 43
+    # representatives with n <= 51 are opened, of the 88 with M <= 7; the
+    # 13 non-empty fibers of the walk by M alone are all among them
+    s, t, b = Fraction(2), Fraction(1), Fraction(30)
+    opened = []
+
+    def counting(ell, *args):
+        n = fiber_point_count(ell, *args)
+        opened.append((ell, n))
+        return n
+
+    monkeypatch.setattr(asymptotics, "fiber_point_count", counting)
+    assert count_Nst(s, t, b) == 160417
+    assert len(opened) == 43
+    by_m = [(rep, fiber_point_count(rep, s, t, b)) for rep, _ in _orbit_representatives(m_cutoff(s, t, b))]
+    assert len(by_m) == 88
+    nonempty = {(rep, n) for rep, n in by_m if n}
+    assert len(nonempty) == 13
+    assert nonempty == {(rep, n) for rep, n in opened if n}
+    # the point listing walks the same forms and lists the points of the
+    # walk by M alone
+    s, t, b = Fraction(2), Fraction(1), Fraction(10)
+    forms = sorted(
+        (ell for rep, _ in _orbit_representatives(m_cutoff(s, t, b)) for ell in _orbit_forms(rep)),
+        key=lambda f: f.triple,
+    )
+    assert list(enumerate_points(s, t, b)) == [z for f in forms for z in fiber_points(f, s, t, b)]
 
 
 def test_count_scaling_law():
@@ -312,7 +349,7 @@ def test_count_scaling_law():
 
 
 def test_count_threads_invariant():
-    # 22 orbit representatives at B = 10 and 88 at B = 30, split into four
+    # 12 orbit representatives at B = 10 and 43 at B = 30, split into four
     # chunks per worker, so both workers run
     for b in (10, 30):
         assert count_Nst(2, 1, b, threads=2) == count_Nst(2, 1, b, threads=1)

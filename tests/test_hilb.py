@@ -22,6 +22,7 @@ from hilb2.hilb import (
     m_cutoff,
     max_covol2_I2,
     monomials,
+    norm_cutoff,
 )
 from hilb2.lattice import (
     LinearForm,
@@ -353,6 +354,43 @@ def test_m_cutoff_is_sound_upper_bound_regime():
         for f in canonical_forms(m + 3):
             if f.M > m:
                 assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
+
+
+@pytest.mark.parametrize("s, t, b", [(2, 1, 5), (1, 2, 3), (1, 1, 3), (Fraction(5, 2), Fraction(3, 2), Fraction(7, 3))])
+def test_norm_cutoff_is_sound(s, t, b):
+    # the forms past the norm cutoff, below M = m_cutoff + 2, hold no point
+    # even without the fiber prune
+    s, t, b = Fraction(s), Fraction(t), Fraction(b)
+    n_max = norm_cutoff(s, t, b)
+    past = [f for f in canonical_forms(m_cutoff(s, t, b) + 2) if f.norm2 > n_max]
+    assert past
+    for f in past:
+        assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
+
+
+def test_m_cutoff_is_the_root_of_the_norm_cutoff():
+    # with X = floor(3^(tL) B^(2L)) and k = sL, norm_cutoff is iroot(X, k)
+    # and m_cutoff is isqrt of it, which equals iroot(X, 2k), the largest M
+    # with M^(2s) <= 3^t B^2
+    import random
+    from math import floor, isqrt, lcm
+
+    from hilb2.lattice import iroot
+
+    rng = random.Random(21)
+    queries = [(Fraction(2), Fraction(1), Fraction(18706)), (Fraction(2), Fraction(1), Fraction(18707))]
+    for _ in range(1000):
+        s = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        queries.append((s, t, Fraction(rng.randint(1, 20000), rng.randint(1, 9))))
+    for s, t, b in queries:
+        big_l = lcm(s.denominator, t.denominator)
+        x = floor(Fraction(3) ** int(t * big_l) * b ** (2 * big_l))
+        k = int(s * big_l)
+        n = norm_cutoff(s, t, b)
+        assert n**k <= x < (n + 1) ** k, (s, t, b)
+        assert m_cutoff(s, t, b) == isqrt(n) == iroot(x, 2 * k), (s, t, b)
+    assert [m_cutoff(*q) for q in queries[:2]] == [179, 180]
 
 
 def test_upper_bound_regime_counts_match_unpruned_recount():

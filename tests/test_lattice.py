@@ -765,6 +765,22 @@ def test_slice_walk_on_long_rows(g, k):
         assert set(half) | {(-a, -b, -c) for a, b, c in half} == set(_reference_enumerate_form_le(g, t))
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.integers(-1, 400))
+@example(1, 1, 1, 4000)
+@example(2, 3, 6, 0)
+@example(5, 1, 3, 3)
+def test_octant_count_on_diagonal_grams(a, b, c, k):
+    # t < 0, t = 0, t below min(a, b, c) and up to 100 times it, in quarters
+    # of it; x1 -> x1 + x2 carries diag(a, b, c) to a Gram that is not
+    # diagonal, so the slice walk counts the same ellipsoid
+    t = k * min(a, b, c) // 4
+    g = ((a, 0, 0), (0, b, 0), (0, 0, c))
+    h = ((a, a, 0), (a, a + b, 0), (0, 0, c))
+    assert count_form_le(g, t) == count_form_le(h, t) == _reference_count_form_le(g, t)
+    assert count_primitive_form(g, t) == count_primitive_rows(g, t)
+
+
 @pytest.mark.parametrize("ell", _gon_sample(0, 100, 50)[:6], ids=lambda ell: str(ell.triple))
 def test_slice_walk_on_the_gon_sample(ell):
     # the ellipsoids criterion 05b counts: the literal radius R = 5 and the
