@@ -47,7 +47,7 @@ from .lattice import (
     product_covol2_formula,
     quotient,
 )
-from math import floor, gcd, isqrt
+from math import floor, gcd
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,7 @@ def count_Nst(
     s, t, b = height_query(s, t, bound)
     if b < 1:
         return 0
-    n_max = norm_cutoff(s, t, b)
-    reps = _orbit_representatives(isqrt(n_max), n_max)
+    reps = _orbit_representatives(norm_cutoff(s, t, b))
     counts = parallel_map(fiber_point_count, [f for f, _ in reps], (s, t, b), threads)
     return sum(h * c for (_, h), c in zip(reps, counts))
 
@@ -326,15 +325,18 @@ def convergence_report(
 # ---------------------------------------------------------------------------
 
 # The count is taken at the anticanonical scale: a point qualifies when the
-# cube of its Le Rudulier height H is at most B.  Two consequences of the
-# closed form of H (see ``heights.le_height2``) bound the search, with n =
+# cube of its Le Rudulier height H is at most B.  H^2 is an integer (see
+# ``heights.le_height2``), so every bound of the count is one integer,
+# X = iroot(floor(B^2), 3), the largest X with X^3 <= B^2.  With n =
 # covol2_I1 = a^2 + b^2 + c^2:
 #
+# * Height test.  H^6 <= B^2 <=> H^6 <= floor(B^2) <=> H^2 <= X.
 # * Form cutoff.  H^2 >= n for every point that is not nonreduced, so only
-#   forms with n^3 <= B^2 (hence M^6 <= B^2) can hold a counted point.
+#   forms with n <= X (hence M^2 <= X) can hold a counted point.
 # * Region.  covol2_I2 / n lies in [H^2 / 3, 2 H^2], so every counted point
-#   has H_{0,3}^2 = (covol2_I2 / n)^3 <= 8 H^6 <= 8 B^2, and ratio = H^3 /
-#   H_{0,3} >= 2^(-3/2), which the scan checks on every counted point.
+#   has covol2_I2 <= 2 n H^2 <= 2 n X, and ratio^2 = H^6 n^3 / covol2_I2^3
+#   >= 1/8 (8 H^6 n^3 >= covol2_I2^3 <=> 2 n H^2 >= covol2_I2), which the
+#   scan checks on every counted point.
 #   Proof: covol2_I2 = covol2_product * dist^2(q, l V) in the monomial-
 #   coefficient norm.  That norm lies between 1 and sqrt(2) times the
 #   Frobenius norm of the symmetric matrix, so dist^2 lies between dist_F^2
@@ -348,19 +350,22 @@ def convergence_report(
 #   n H^2 / 3 <= covol2_I2 <= 2 n H^2.  Since also 2 L^2 + n D >= n |D|,
 #   the same steps give criterion 8's discriminant bound with 3 for 4:
 #   |D| n^2 <= 3 covol2_I2.
+# * Pair count.  (u v)^3 <= B^2 <=> u v <= X for squared heights u, v.
 # The independent split-pair count cross-checks both on the split locus.
 
 
-def _split_pair_count(norms: Iterable[tuple[int, int]], b2: Fraction) -> int:
+def _split_pair_count(norms: Iterable[tuple[int, int]], x: int) -> int:
     """#{unordered pairs of distinct rational plane points with product of
-    Euclidean heights cubed <= bound^2}, exactly, given b2 = bound^2 and the
-    squared heights of the points with norm^3 <= b2 (the primitive
-    sign-canonical triples, which are the forms the region scan keeps) as
-    (norm, multiplicity) pairs.  A norm may appear in several pairs.
+    Euclidean heights cubed <= bound^2}, exactly, given x = iroot(floor(
+    bound^2), 3) and the squared heights of the points with norm <= x (the
+    primitive sign-canonical triples, which are the forms the region scan
+    keeps) as (norm, multiplicity) pairs.  A norm may appear in several
+    pairs.
 
     With c_v the multiplicity of norm v, the count is the sum of C(c_v, 2)
-    over v^6 <= b2 and of c_u c_v over u < v with (u v)^3 <= b2: one sweep
-    over the sorted norms with prefix sums of the multiplicities.
+    over v^2 <= x and of c_u c_v over u < v with u v <= x (the notes
+    above): one sweep over the sorted norms with prefix sums of the
+    multiplicities.
 
     Informational: the primitive sign-canonical v with |v| <= X number
     kappa X^3 + O(X^2), kappa = 2 pi / (3 zeta(3)) (half the primitive
@@ -369,13 +374,12 @@ def _split_pair_count(norms: Iterable[tuple[int, int]], b2: Fraction) -> int:
     |v| |w| <= Y.  At Y = B^(1/3) the unordered pairs number
     (kappa^2 / 2) B log B + O(B), about 1.518 B log B.
     """
-    num, den = b2.numerator, b2.denominator
     norms = sorted(norms)
     prefix = [0, *accumulate(c for _, c in norms)]  # prefix[k]: multiplicities of norms[:k]
     count = 0
     j = len(norms) - 1
     for i, (v, c) in enumerate(norms):
-        while j >= i and (v * norms[j][0]) ** 3 * den > num:
+        while j >= i and v * norms[j][0] > x:
             j -= 1
         if j < i:
             break
@@ -383,75 +387,76 @@ def _split_pair_count(norms: Iterable[tuple[int, int]], b2: Fraction) -> int:
     return count
 
 
-def _le_region_worker(ell: LinearForm, bound: Fraction) -> tuple[int, int, Fraction | None]:
-    """Scan one fiber of the anticanonical region H_{0,3}^2 <= 8 B^2.
+def _le_region_worker(ell: LinearForm, x: int) -> tuple[int, int, Fraction | None]:
+    """Scan one fiber of the anticanonical region covol2_I2 <= 2 n x, for
+    x = iroot(floor(B^2), 3) (the notes above).
 
     Returns (split_count, nonsplit_count, min ratio^2 over counted points)
-    where ratio = H_Le^3 / H_{0,3}.  Each enumerated coset vector x = qbar
-    costs integer operations only: with n = covol2_I1, covol2_I2 =
-    x^T gram_int x and B^2 = num / den, a point counts when H_Le^6 den <=
-    num, and its ratio^2 is H_Le^6 n^3 / covol2_I2^3, kept as an integer
-    pair until the fiber is done.  The two proved bounds of the notes above
-    are checked on every point, raised explicitly so that python -O keeps
-    them.
+    where ratio = H_Le^3 / H_{0,3}.  Each enumerated coset vector qbar
+    costs integer operations only: with n = covol2_I1 and covol2_I2 =
+    qbar^T gram_int qbar, a point counts when H_Le^2 <= x.  Its ratio^2 is
+    (H_Le^2 n / covol2_I2)^3; the smallest base is kept as an integer pair
+    and cubed once, when the fiber is done.  The two proved bounds of the
+    notes are checked on every point, raised explicitly so that python -O
+    keeps them.
 
-    ``enumerate_form_le`` yields one vector of each pair +-x, and the scan
-    needs no sign test: primitivity, D, covol2_I2 and H_Le^2 are all even in
-    x, so each vector stands for the point whose qbar is its sign-canonical
-    representative.
+    ``enumerate_form_le`` yields one vector of each pair +-qbar, and the
+    scan needs no sign test: primitivity, D, covol2_I2 and H_Le^2 are all
+    even in qbar, so each vector stands for the point whose qbar is its
+    sign-canonical representative.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram = quotient(ell).gram_int
     e, f = kernel_basis_of(ell)
     ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
     n = ell.norm2
-    n2, n3 = n * n, n**3
-    b2 = bound * bound
-    num, den = b2.numerator, b2.denominator
+    n2 = n * n
     n_split = 0
     n_nonsplit = 0
-    min_num, min_den = 0, 0  # min ratio^2 = min_num / min_den once min_den > 0
-    for x in enumerate_form_le(gram, iroot(8 * num * n3 // den, 3)):
-        a, b, c = x
+    min_num, min_den = 0, 0  # min ratio = min_num / min_den once min_den > 0
+    for qbar in enumerate_form_le(gram, 2 * n * x):
+        a, b, c = qbar
         if gcd(a, b, c) != 1:
             continue
         d = b * b - 4 * a * c
         if d == 0:
             continue
-        # x^T gram_int x (``QuotientLattice.covol2_with``), inlined because it
-        # runs on every scanned vector
+        # qbar^T gram_int qbar (``QuotientLattice.covol2_with``), inlined
+        # because it runs on every scanned vector
         cv2 = g00 * a * a + g11 * b * b + g22 * c * c + 2 * (g01 * a * b + g02 * a * c + g12 * b * c)
         # criterion 8's discriminant bound (proved in the notes above)
         if abs(d) * n2 > 4 * cv2:
-            raise AssertionError(f"disc bound violated at {ell.triple}, {x}")
-        h6 = le_height2_gram(ee, ef, ff, n, x) ** 3
-        if h6 * den > num:
+            raise AssertionError(f"disc bound violated at {ell.triple}, {qbar}")
+        h2 = le_height2_gram(ee, ef, ff, n, qbar)
+        if h2 > x:
             continue
         if is_perfect_square(d):
             n_split += 1
         else:
             n_nonsplit += 1
-        r_num, r_den = h6 * n3, cv2**3
-        if 8 * r_num < r_den:
-            raise AssertionError(f"height-comparison theorem violated at {ell.triple}, {x}")
-        if min_den == 0 or r_num * min_den < min_num * r_den:
-            min_num, min_den = r_num, r_den
-    return n_split, n_nonsplit, Fraction(min_num, min_den) if min_den else None
+        r_num = h2 * n
+        if cv2 > 2 * r_num:
+            raise AssertionError(f"height-comparison theorem violated at {ell.triple}, {qbar}")
+        if min_den == 0 or r_num * min_den < min_num * cv2:
+            min_num, min_den = r_num, cv2
+    return n_split, n_nonsplit, Fraction(min_num, min_den) ** 3 if min_den else None
 
 
 def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     """Exact anticanonical-height count with diagnostics.
 
     Counts points that are not nonreduced and satisfy le_height^3 <= B.
-    Split points are counted twice independently (pair enumeration of
-    primitive integer solutions, and the region scan); a mismatch raises
+    Every stage reads the one integer X = iroot(floor(B^2), 3): a point
+    counts when H^2 <= X (the notes above ``_split_pair_count``).  Split
+    points are counted twice independently (pair enumeration of primitive
+    integer solutions, and the region scan); a mismatch raises
     AssertionError, also under python -O.  The nonsplit side comes from the
-    region scan, whose form cutoff and search region are proved (see the
-    notes above ``_split_pair_count``).
+    region scan, whose form cutoff n <= X and search region covol2_I2 <=
+    2 n X are proved in those notes.
 
     One fiber is scanned per orbit of the signed coordinate permutations:
     the representatives (a, b, M), 0 <= a <= b <= M, primitive with
-    n^3 <= B^2 (``_orbit_representatives``), each weighted by h, the number
-    of sign-canonical forms in its orbit.  The scan is constant on an orbit,
+    n <= X (``_orbit_representatives``), each weighted by h, the number of
+    sign-canonical forms in its orbit.  The scan is constant on an orbit,
     since the orbit keeps primitivity, the class, H, H_{0,3} and the ratio
     H^3 / H_{0,3} (the proof is on ``_orbit_representatives``).  The minimum
     ratio is taken over the representatives.
@@ -463,14 +468,13 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     its line, but the pair count by h times the pairs through its point.
     """
     b = nonnegative_bound(bound)
-    b2 = b * b
-    n_max = iroot(floor(b2), 3)  # the forms with n^3 <= B^2
-    reps = _orbit_representatives(isqrt(n_max), n_max)
+    x = iroot(floor(b * b), 3)
+    reps = _orbit_representatives(x)
     norms = Counter()
     for f, h in reps:
         norms[f.norm2] += h
-    split_pairs = _split_pair_count(norms.items(), b2)
-    results = parallel_map(_le_region_worker, [f for f, _ in reps], (b,), threads)
+    split_pairs = _split_pair_count(norms.items(), x)
+    results = parallel_map(_le_region_worker, [f for f, _ in reps], (x,), threads)
     n_split = sum(h * r[0] for (_, h), r in zip(reps, results))
     n_nonsplit = sum(h * r[1] for (_, h), r in zip(reps, results))
     ratios = [r[2] for r in results if r[2] is not None]

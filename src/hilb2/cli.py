@@ -215,12 +215,6 @@ def height_formatter(s: Fraction, t: Fraction) -> Callable[[HilbPoint], str]:
     return lambda z: _sqrt_field(z.covol2_I1 ** e1 * z.covol2_I2 ** e2)
 
 
-def height_field(z: HilbPoint, s: Fraction, t: Fraction) -> str:
-    """Exact integer when the squared height is a perfect square, else 17
-    significant digits."""
-    return height_formatter(s, t)(z)
-
-
 def point_row(z: HilbPoint, height: Callable[[HilbPoint], str]) -> dict:
     """One row of the point table; ``height`` is ``height_formatter(s, t)``."""
     d = discriminant(z)

@@ -213,32 +213,24 @@ def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(big_l * s))
 
 
-def m_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Rigorous cutoff on the max-coordinate M: isqrt of ``norm_cutoff``,
-    since M^2 <= n.  It equals the largest M with M^(2sL) <= floor(3^(tL)
-    bound^(2L)), as iroot(x, 2k) = isqrt(iroot(x, k)).  The walk guard
-    counts the triples up to this M."""
-    return isqrt(norm_cutoff(s, t, bound))
-
-
 # The exact counts and the point listing refuse a walk over more than this
 # many triples 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would
 # take hours of fiber work.  count_Nst(2, 1, 400) needs 3654.
 _MAX_REPRESENTATIVES = 10**6
 
 
-def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[LinearForm, int]]:
+def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
     """[(LinearForm(a, b, M), h)] for the primitive (a, b, M), 0 <= a <= b
-    <= M, of the shells M = 1..m_max, in shell order and lexicographic in
-    (b, a), keeping those with a^2 + b^2 + M^2 <= n_max when it is given.
+    <= M, with a^2 + b^2 + M^2 <= n_max, in shell order and lexicographic
+    in (b, a).  The shells run to m_max = isqrt(n_max), since M^2 <= n.
     ValueError, before any walking, when C(m_max + 3, 3) exceeds
     ``_MAX_REPRESENTATIVES``: the guard counts the whole cube, not the
     forms the norm bound keeps.
 
-    ``count_Nst`` and ``enumerate_points`` pass n_max = ``norm_cutoff`` and
-    m_max = isqrt(n_max) = ``m_cutoff``: a point of height <= B has
-    n^s / 3^t <= H^2 <= B^2, so the forms past n_max hold none.
-    ``le_count_detailed`` passes its own bound, n^3 <= B^2.
+    ``count_Nst`` and ``enumerate_points`` pass ``norm_cutoff``: a point of
+    height <= B has n^s / 3^t <= H^2 <= B^2, so the forms past it hold
+    none.  ``le_count_detailed`` passes X = iroot(floor(B^2), 3), since
+    H^2 >= n on every point it counts.
 
     The one walk of ``count_Nst``, ``le_count_detailed`` and
     ``enumerate_points``: each orbit of the 48 signed coordinate
@@ -257,14 +249,13 @@ def _orbit_representatives(m_max: int, n_max: int | None = None) -> list[tuple[L
     Rudulier height H^2 = L^2 + n D (or L^2) and the
     split/nonsplit/nonreduced class.
     """
+    m_max = isqrt(n_max)
     estimate = comb(m_max + 3, 3)
     if estimate > _MAX_REPRESENTATIVES:
         raise ValueError(
             f"B is too large: about 10^{log10(estimate):.1f} orbit representatives "
             f"to walk, more than {_MAX_REPRESENTATIVES}"
         )
-    if n_max is None:
-        n_max = 3 * m_max * m_max
     out = []
     for m in range(1, m_max + 1):
         for b in range(m + 1):
@@ -407,10 +398,9 @@ def enumerate_points(
     s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
-    n_max = norm_cutoff(s, t, bound)
     forms = [
         ell
-        for rep, _ in _orbit_representatives(isqrt(n_max), n_max)
+        for rep, _ in _orbit_representatives(norm_cutoff(s, t, bound))
         if _open_fiber(rep, s, t, bound) is not None
         for ell in _orbit_forms(rep)
     ]

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Iterator, Sequence
+from math import gcd, isqrt, lcm
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .exactlin import Matrix, det_bareiss, gram_det2, mat_mul, saturate, transpose
-from .hilb import canonical_forms, monomials
+from .exactlin import Matrix, det_bareiss, gram_det2, gram_matrix, mat_mul, saturate, transpose
+from .hilb import PointValidationError, canonical_forms, canonicalize, monomials
 from .lattice import LinearForm, QuotientLattice, product_basis, quotient, reduce_gram
 
 
@@ -260,6 +260,21 @@ def minima_boxscan(q: QuotientLattice, t: int) -> list[tuple[int, tuple[int, int
 # ---------------------------------------------------------------------------
 
 
+def _height_test(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction) -> Callable[[int], bool]:
+    """covol2_I2 -> whether the points over ``ell`` with that squared
+    covolume have height <= bound: n^(L(s-t)) covol2_I2^(Lt) <= bound^(2L)
+    by exact Fraction comparison, L the lcm of the exponent denominators."""
+    big_l = lcm(s.denominator, t.denominator)
+    b_exp = int(big_l * t)
+    rhs = bound ** (2 * big_l)
+    base = Fraction(ell.norm2) ** int(big_l * (s - t))
+
+    def height_ok(cv2: int) -> bool:
+        return base * Fraction(cv2) ** b_exp <= rhs
+
+    return height_ok
+
+
 def oracle_fiber_qbars(
     ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
 ) -> set[tuple[int, int, int]]:
@@ -270,18 +285,8 @@ def oracle_fiber_qbars(
     scratch as a 4x4 Gram determinant of the stacked basis and the height
     condition is decided by exact Fraction comparison.
     """
-    from math import lcm
-
     quo = quotient(ell)
-    big_l = lcm(s.denominator, t.denominator)
-    a_exp = int(big_l * (s - t))
-    b_exp = int(big_l * t)
-    rhs = bound ** (2 * big_l)
-    base = Fraction(ell.norm2) ** a_exp
-
-    def height_ok(cv2: int) -> bool:
-        return base * Fraction(cv2) ** b_exp <= rhs
-
+    height_ok = _height_test(ell, s, t, bound)
     # dual-diagonal box from the largest admissible squared covolume
     t_cap = 1
     while height_ok(t_cap * 2):
@@ -347,8 +352,6 @@ def _distance_lemma_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     largest M for which that lower bound is at most bound^2, compared after
     raising both sides to the power L = lcm of the exponent denominators.
     """
-    from math import lcm
-
     big_l = lcm(s.denominator, t.denominator)
     k_pow = Fraction(2, 147) ** int(big_l * t) * min(1, Fraction(3) ** int(big_l * (s - t)))
     exp = int(2 * big_l * s)
@@ -381,15 +384,7 @@ def oracle_fiber_points_monomial_box(
     push them through canonicalization; exercises the coset reduction
     end-to-end.  Only meaningful when the box provably covers the height
     ball (small bounds)."""
-    from math import lcm
-
-    from .hilb import PointValidationError, canonicalize
-
-    big_l = lcm(s.denominator, t.denominator)
-    a_exp = int(big_l * (s - t))
-    b_exp = int(big_l * t)
-    rhs = bound ** (2 * big_l)
-    base = Fraction(ell.norm2) ** a_exp
+    height_ok = _height_test(ell, s, t, bound)
     out = set()
     rng = range(-coeff_box, coeff_box + 1)
     for c0 in rng:
@@ -405,7 +400,7 @@ def oracle_fiber_points_monomial_box(
                                 continue
                             if z.ell != ell:
                                 continue
-                            if base * Fraction(z.covol2_I2) ** b_exp <= rhs:
+                            if height_ok(z.covol2_I2):
                                 out.add(z.qbar)
     return out
 
@@ -472,9 +467,6 @@ def distance_lemma_violations(m_max: int, box: int) -> list[tuple]:
     ValueError, before any form is scanned, when the closed-form bound of
     the audit (``_distance_audit_bound``) reaches 2^62.
     """
-    from .lattice import product_basis
-    from .exactlin import gram_matrix
-
     audit_bound = _distance_audit_bound(m_max, box)
     if audit_bound >= 2**62:
         raise ValueError(

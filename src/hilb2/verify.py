@@ -13,7 +13,7 @@ import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log, log10
+from math import gcd, inf, isqrt, log, log10
 from typing import Sequence
 
 from .asymptotics import count_Nst, parallel_map
@@ -251,12 +251,20 @@ def _gon_sample(seed: int, n: int, m_max: int) -> list[LinearForm]:
     coordinate at most m_max, stratified so roughly one draw in seven is
     small (the small stratum is where the literal radii are computationally
     reachable).  Raises ValueError for n < 1, and when a draw needs a new
-    form from a stratum that has none left, instead of redrawing forever."""
+    form from a stratum that has none left, instead of redrawing forever.
+
+    The pool of a stratum is counted only where that can happen: for
+    cap >= 1 the (1, b, c) with |b|, |c| <= cap are (2 cap + 1)^2 distinct
+    primitive sign-canonical forms, so when that is at least n no draw runs
+    out, and the pool is taken as unbounded.  At cap = 0 it is empty."""
     if n < 1:
         raise ValueError("n_lattices must be at least 1")
     rng = random.Random(seed)
     small = min(4, m_max)
-    pool = {small: _form_pool(small), m_max: _form_pool(m_max)}
+    pool = {
+        cap: _form_pool(cap) if cap == 0 or (2 * cap + 1) ** 2 < n else inf
+        for cap in (small, m_max)
+    }
     drawn = dict.fromkeys(pool, 0)  # the forms drawn with max <= cap, per cap
     seen: set[tuple[int, int, int]] = set()
     out = []

@@ -38,7 +38,7 @@ from hilb2.hilb import (
     enumerate_points,
     fiber_point_count,
     fiber_points,
-    m_cutoff,
+    norm_cutoff,
 )
 from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
 from hilb2.oracles import oracle_count_points
@@ -168,11 +168,12 @@ def test_python_orbit_walk_matches_the_array_walk():
             for m, aa, bs, ws in _orbit_shells(m_max)
             for a, b, w in zip(aa.tolist(), bs.tolist(), ws.tolist())
         ]
-        reps = [(*f.triple, h) for f, h in _orbit_representatives(m_max)]
-        assert reps == arrays, m_max
-        # the norm bound keeps exactly the representatives within it
-        for n_max in (0, 1, 3, m_max * m_max, 2 * m_max * m_max + 5):
-            kept = [(*f.triple, h) for f, h in _orbit_representatives(m_max, n_max)]
+        # n <= 3 M^2 holds every shell up to m_max, and the norm bound
+        # keeps exactly the representatives within it
+        reps = [(*f.triple, h) for f, h in _orbit_representatives(3 * m_max * m_max)]
+        assert [r for r in reps if r[2] <= m_max] == arrays, m_max
+        for n_max in (m_max * m_max, m_max * m_max + m_max, (m_max + 1) ** 2 - 1):
+            kept = [(*f.triple, h) for f, h in _orbit_representatives(n_max)]
             assert kept == [r for r in arrays if r[0] ** 2 + r[1] ** 2 + r[2] ** 2 <= n_max], (m_max, n_max)
 
 
@@ -245,7 +246,7 @@ def test_count_rejects_a_negative_bound():
     [(2, Fraction(1, 10**9 + 7), 2), (Fraction(1, 10**12), 1, 2), (2, 1, 1 + Fraction(1, 2**20000))],
 )
 def test_too_fine_queries_are_refused_before_any_power(s, t, b):
-    # m_cutoff would take 3^(L t) B^(2L) with L = 10^9 + 7 or 10^12, and
+    # norm_cutoff would take 3^(L t) B^(2L) with L = 10^9 + 7 or 10^12, and
     # B^(2L) has 40000 bits in the last query
     for call in (lambda: count_Nst(s, t, b), lambda: list(enumerate_points(s, t, b))):
         with pytest.raises(ValueError, match="exact height comparison needs integers of about 10"):
@@ -270,12 +271,11 @@ def test_fiber_sum_identity():
     # the global count is the sum over forms of per-fiber counts at the
     # separated threshold covol(L2) <= B^(1/t) covol(L1)^(1-s/t); for
     # (s, t) = (2, 1) that is covol2(L2) * covol2(L1) <= B^2 exactly
-    from hilb2.hilb import canonical_forms, m_cutoff
     from hilb2.lattice import count_primitive_form, quotient
 
     b = 8
     total = 0
-    for f in canonical_forms(m_cutoff(Fraction(2), Fraction(1), Fraction(b))):
+    for f in canonical_forms(isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(b)))):
         q = quotient(f)
         cv1 = f.norm2
         scaled = [[cv1 * x for x in row] for row in q.gram_int]
@@ -312,6 +312,13 @@ def test_count_regression_pins_at_larger_bounds():
     assert count_Nst(1, 1, 30) == 213853
 
 
+def _walk_by_m(s, t, b):
+    """The orbit representatives of every shell M <= isqrt(norm_cutoff):
+    the walk bounded by M alone."""
+    m = isqrt(norm_cutoff(s, t, b))
+    return [(rep, h) for rep, h in _orbit_representatives(3 * m * m) if rep.M <= m]
+
+
 def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
     # H^2 >= n^s / 3^t on every point, so at (2, 1, 30) only the 43
     # representatives with n <= 51 are opened, of the 88 with M <= 7; the
@@ -327,7 +334,7 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
     monkeypatch.setattr(asymptotics, "fiber_point_count", counting)
     assert count_Nst(s, t, b) == 160417
     assert len(opened) == 43
-    by_m = [(rep, fiber_point_count(rep, s, t, b)) for rep, _ in _orbit_representatives(m_cutoff(s, t, b))]
+    by_m = [(rep, fiber_point_count(rep, s, t, b)) for rep, _ in _walk_by_m(s, t, b)]
     assert len(by_m) == 88
     nonempty = {(rep, n) for rep, n in by_m if n}
     assert len(nonempty) == 13
@@ -336,7 +343,7 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
     # walk by M alone
     s, t, b = Fraction(2), Fraction(1), Fraction(10)
     forms = sorted(
-        (ell for rep, _ in _orbit_representatives(m_cutoff(s, t, b)) for ell in _orbit_forms(rep)),
+        (ell for rep, _ in _walk_by_m(s, t, b) for ell in _orbit_forms(rep)),
         key=lambda f: f.triple,
     )
     assert list(enumerate_points(s, t, b)) == [z for f in forms for z in fiber_points(f, s, t, b)]
@@ -386,7 +393,7 @@ def test_count_equals_the_sum_over_every_canonical_form():
     ]
     for s, t, b in grid:
         s, t, b = Fraction(s), Fraction(t), Fraction(b)
-        full = sum(fiber_point_count(f, s, t, b) for f in canonical_forms(m_cutoff(s, t, b)))
+        full = sum(fiber_point_count(f, s, t, b) for f in canonical_forms(isqrt(norm_cutoff(s, t, b))))
         assert count_Nst(s, t, b) == full, (s, t, b)
 
 
@@ -445,12 +452,10 @@ def test_le_count_nonreduced_excluded():
     assert classify(za) is PointClass.NONREDUCED
     b = F(2800)
     assert le_height2(za) ** 3 <= b * b
-    n_split, n_nonsplit, _ = _le_region_worker(za.ell, b)
+    n_split, n_nonsplit, _ = _le_region_worker(za.ell, iroot(floor(b * b), 3))
     # recount the same fiber including nonreduced points
-    from hilb2.lattice import iroot
     from hilb2.lattice import enumerate_form_le, quotient
     from hilb2.hilb import HilbPoint
-    from math import floor, gcd, isqrt
 
     quo = quotient(za.ell)
     t_f = iroot(floor(8 * b * b * za.covol2_I1**3), 3)
@@ -472,23 +477,18 @@ def test_le_count_nonreduced_excluded():
     assert n_split + n_nonsplit < n_all
 
 
-@pytest.mark.parametrize("b", [8, 27])
+@pytest.mark.parametrize("b", [8, 27, Fraction(7999, 1000), Fraction(26999, 1000)])
 def test_le_count_cutoff_and_region_are_sound(b):
     # rescan with the wider form cutoff iroot(64 (4B)^2, 6) and region
-    # H_{0,3} <= 4B that the count used before both were proved
-    from math import gcd
-
-    from hilb2.lattice import iroot, sign_canonical
-    from hilb2.heights import discriminant, is_perfect_square, le_height2
-    from hilb2.hilb import HilbPoint, canonical_forms
-    from hilb2.lattice import enumerate_form_le, quotient
-
+    # H_{0,3} <= 4B that the count used before both were proved; floor(B^2)
+    # = 63 and 728 sit one below the cubes 64 and 729
+    b = Fraction(b)
     n_split = n_nonsplit = 0
     ratios = []
-    for ell in canonical_forms(iroot(64 * (4 * b) ** 2, 6)):
+    for ell in canonical_forms(iroot(floor(64 * (4 * b) ** 2), 6)):
         quo = quotient(ell)
         cv1 = ell.norm2
-        for x in enumerate_form_le(quo.gram_int, iroot(cv1**3 * (4 * b) ** 2, 3)):
+        for x in enumerate_form_le(quo.gram_int, iroot(floor(cv1**3 * (4 * b) ** 2), 3)):
             x = sign_canonical(x)
             if gcd(gcd(x[0], x[1]), x[2]) != 1 or sign_canonical(x) != x:
                 continue
@@ -539,21 +539,22 @@ def test_le_region_worker_is_constant_on_orbits():
     # every kept form at B = 1000 scans to its representative's exact triple
     bound = Fraction(1000)
     kept = _kept_forms(bound)
-    reps = {f.triple: (f, h) for f, h in _orbit_representatives(10, 100)}
-    assert len(kept) == 1729 and len(reps) == 102
+    x = iroot(floor(bound * bound), 3)
+    reps = {f.triple: (f, h) for f, h in _orbit_representatives(x)}
+    assert x == 100 and len(kept) == 1729 and len(reps) == 102
     assert Counter(_orbit_representative(f) for f in kept) == {t: h for t, (_, h) in reps.items()}
-    want = {t: _le_region_worker(f, bound) for t, (f, _) in reps.items()}
+    want = {t: _le_region_worker(f, x) for t, (f, _) in reps.items()}
     for f in kept:
-        assert _le_region_worker(f, bound) == want[_orbit_representative(f)], f
+        assert _le_region_worker(f, x) == want[_orbit_representative(f)], f
 
 
 def _full_walk_le_count(bound: Fraction) -> dict:
     """``le_count_detailed`` as it was before the orbit walk: a region scan
     per kept form and the pair count over their norms, one per form."""
-    b2 = bound * bound
+    x = iroot(floor(bound * bound), 3)
     kept = _kept_forms(bound)
-    split_pairs = _split_pair_count([(f.norm2, 1) for f in kept], b2)
-    results = [_le_region_worker(f, bound) for f in kept]
+    split_pairs = _split_pair_count([(f.norm2, 1) for f in kept], x)
+    results = [_le_region_worker(f, x) for f in kept]
     n_split = sum(r[0] for r in results)
     n_nonsplit = sum(r[1] for r in results)
     ratios = [r[2] for r in results if r[2] is not None]
@@ -568,7 +569,9 @@ def _full_walk_le_count(bound: Fraction) -> dict:
     }
 
 
-@pytest.mark.parametrize("b", [1, Fraction(7, 3), 8, 27, 100, Fraction(1000, 7), 300, 1000])
+@pytest.mark.parametrize(
+    "b", [1, Fraction(7, 3), 8, 27, 100, Fraction(1000, 7), 300, 1000, Fraction(7999, 1000), Fraction(26999, 1000)]
+)
 def test_le_count_equals_the_full_walk(b):
     b = Fraction(b)
     assert le_count_detailed(b) == _full_walk_le_count(b)
@@ -609,28 +612,27 @@ def _reference_split_pair_count(bound: Fraction) -> int:
 def _orbit_pair_count(bound: Fraction) -> int:
     """``_split_pair_count`` over the norm multiplicities that
     ``le_count_detailed`` reads off the orbit representatives."""
-    b2 = bound * bound
-    n_max = iroot(floor(b2), 3)
+    x = iroot(floor(bound * bound), 3)
     norms = Counter()
-    for f, h in _orbit_representatives(isqrt(n_max), n_max):
+    for f, h in _orbit_representatives(x):
         norms[f.norm2] += h
-    return _split_pair_count(norms.items(), b2)
+    return _split_pair_count(norms.items(), x)
 
 
 def test_split_pair_count_over_the_kept_forms_matches_the_box_walk():
     bounds = [Fraction(b) for b in range(1, 301)]
     bounds += [Fraction(7, 3), Fraction(27, 2), Fraction(1000, 7), Fraction(3**6 + 1, 3), Fraction(4097, 64)]
+    bounds += [Fraction(7999, 1000), Fraction(26999, 1000)]
     for b in bounds:
         want = _reference_split_pair_count(b)
-        b2 = b * b
         kept = Counter(f.norm2 for f in _kept_forms(b))
-        assert _split_pair_count(kept.items(), b2) == want, b
+        assert _split_pair_count(kept.items(), iroot(floor(b * b), 3)) == want, b
         assert _orbit_pair_count(b) == want, b
     assert _orbit_pair_count(Fraction(10**3)) == _reference_split_pair_count(Fraction(10**3)) == 13194
 
 
 def test_split_pair_count_out_to_a_million():
-    # ROADMAP item 2(a): the local slope d(N / B) / d log B of the pair count
+    # ROADMAP item 7: the local slope d(N / B) / d log B of the pair count
     # tends to kappa^2 / 2 = 2 pi^2 / (9 zeta(3)^2), about 1.518 (derivation
     # in the ``_split_pair_count`` docstring)
     counts = [_orbit_pair_count(Fraction(10**k)) for k in range(3, 7)]
@@ -676,13 +678,39 @@ def _reference_le_region_worker(ell, bound):
     return n_split, n_nonsplit, min_ratio_sq
 
 
-@pytest.mark.parametrize("b", [100, 300])
+@pytest.mark.parametrize("b", [100, 300, 27, Fraction(26999, 1000)])
 def test_le_region_worker_matches_reference_scan(b):
+    # the reference scans H_{0,3}^2 <= 8 B^2 and tests H^6 <= B^2 in
+    # Fractions; the worker reads only X = iroot(floor(B^2), 3)
     bound = Fraction(b)
-    forms = [f for f in canonical_forms(iroot(b * b, 6)) if f.norm2**3 <= b * b]
+    b2 = bound * bound
+    forms = [f for f in canonical_forms(iroot(floor(b2), 6)) if f.norm2**3 <= b2]
     assert forms
+    x = iroot(floor(b2), 3)
     for ell in forms:
-        assert _le_region_worker(ell, bound) == _reference_le_region_worker(ell, bound), ell
+        assert _le_region_worker(ell, x) == _reference_le_region_worker(ell, bound), ell
+
+
+def test_le_count_scans_the_region_of_x(monkeypatch):
+    # at B = 100, X = iroot(10^4, 3) = 21: every fiber of norm n is scanned
+    # on covol2_I2 <= 2 n X = 42 n, inside the 8 B^2 region
+    # iroot(8 n^3 10^4, 3) (43 n at n = 1)
+    scanned = []
+    worker = asymptotics._le_region_worker
+
+    def recording_worker(ell, *args):
+        scanned.append([ell.norm2])
+        return worker(ell, *args)
+
+    def recording_scan(gram, t):
+        scanned[-1].append(t)
+        return enumerate_form_le(gram, t)
+
+    monkeypatch.setattr(asymptotics, "_le_region_worker", recording_worker)
+    monkeypatch.setattr(asymptotics, "enumerate_form_le", recording_scan)
+    assert le_count_detailed(100)["total"] == 1279
+    assert all(t == 2 * n * 21 for n, t in scanned), scanned
+    assert len(scanned) == len(_orbit_representatives(21)) == 15
 
 
 # One break per check of the anticanonical count, each applied by a

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hilb2 import oracles, verify
 from hilb2.asymptotics import constant_c, count_Nst
-from hilb2.cli import _threads, height_field, height_formatter, main, point_row
+from hilb2.cli import _threads, height_formatter, main, point_row
 from hilb2.heights import height2_st, height_st
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
 from hilb2.lattice import LinearForm
@@ -197,6 +197,24 @@ def test_gon_sample_is_unchanged():
     assert digest == "f79e526e021065e40a2346b167f5f154915ed2b24839ad2efab7a7dbb57ed03b"
 
 
+def test_gon_sample_does_not_count_a_pool_it_cannot_exhaust(monkeypatch):
+    # (2 cap + 1)^2 >= 7 at both caps, so no draw can run out of forms and
+    # neither pool is counted; counting the one at 10^9 would sieve 10^9
+    # Moebius values
+    pool = verify._form_pool
+
+    def small_pools_only(m):
+        if m > 1000:
+            raise AssertionError(f"form pool counted at m = {m}")
+        return pool(m)
+
+    monkeypatch.setattr(verify, "_form_pool", small_pools_only)
+    start = time.perf_counter()
+    sample = verify._gon_sample(0, 7, 10**9)
+    assert time.perf_counter() - start < 1.0
+    assert len({f.triple for f in sample}) == 7
+
+
 def test_form_pool_is_the_number_of_canonical_forms():
     assert [verify._form_pool(m) for m in range(12)] == [len(canonical_forms(m)) for m in range(12)]
     assert (verify._form_pool(4), verify._form_pool(50)) == (289, 427393)
@@ -288,9 +306,10 @@ def test_point_csv_roundtrip_property(exponents, b):
 
 def test_height_field_formats():
     z = HilbPoint(LinearForm(1, 0, 0), (1, 2, 2))
-    assert height_field(z, Fraction(2), Fraction(1)) == "3"  # exact square
+    height = height_formatter(Fraction(2), Fraction(1))
+    assert height(z) == "3"  # exact square
     z2 = HilbPoint(LinearForm(1, 0, 0), (1, 1, 0))
-    assert height_field(z2, Fraction(2), Fraction(1)) == format(2**0.5, ".17g")
+    assert height(z2) == format(2**0.5, ".17g")
 
 
 def _reference_height_field(z, s, t):

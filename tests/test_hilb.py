@@ -1,7 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -19,7 +19,6 @@ from hilb2.hilb import (
     enumerate_points,
     fiber_point_count,
     fiber_points,
-    m_cutoff,
     max_covol2_I2,
     monomials,
     norm_cutoff,
@@ -144,11 +143,11 @@ def test_enumerate_points_rejects_bad_exponents():
 
 
 def test_enumerate_points_refuses_oversized_bounds():
-    # m_cutoff(2, 1, 18707) = 180 is the first cutoff with more than 10^6
-    # orbit representatives, C(183, 3); every bound here is refused before
-    # walking
-    assert m_cutoff(Fraction(2), Fraction(1), Fraction(18706)) == 179
-    assert m_cutoff(Fraction(2), Fraction(1), Fraction(18707)) == 180
+    # isqrt(norm_cutoff(2, 1, 18707)) = 180 is the first cutoff with more
+    # than 10^6 orbit representatives, C(183, 3); every bound here is
+    # refused before walking
+    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(18706))) == 179
+    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(18707))) == 180
     for b in (18707, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
@@ -170,19 +169,21 @@ def test_enumerate_points_equals_the_full_form_walk(s, t, b):
     # the orbit walk lists what the walk over every sign-canonical form
     # lists, in the same order
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
-    full = [z for f in canonical_forms(m_cutoff(s, t, b)) for z in fiber_points(f, s, t, b)]
+    full = [z for f in canonical_forms(isqrt(norm_cutoff(s, t, b))) for z in fiber_points(f, s, t, b)]
     assert full
     assert list(enumerate_points(s, t, b)) == full
 
 
 def test_orbit_expansion_partitions_the_canonical_forms():
+    # n <= 432 = 3 * 12^2 holds every form with M <= 12, and the walk runs
+    # to M = isqrt(432) = 20
     seen = []
-    for rep, h in _orbit_representatives(12):
+    for rep, h in _orbit_representatives(432):
         forms = _orbit_forms(rep)
         assert len(forms) == h, rep
         assert rep in forms
         seen.extend(forms)
-    assert sorted(f.triple for f in seen) == [f.triple for f in canonical_forms(12)]
+    assert sorted(f.triple for f in seen) == [f.triple for f in canonical_forms(20) if f.norm2 <= 432]
 
 
 def test_fiber_points_axis_example():
@@ -230,7 +231,7 @@ def test_canonical_forms_against_sorted_brute_force():
 
 def test_m_cutoff_is_sound():
     s, t, b = Fraction(2), Fraction(1), Fraction(5)
-    m = m_cutoff(s, t, b)
+    m = isqrt(norm_cutoff(s, t, b))
     # fibers just beyond the cutoff are empty
     for f in canonical_forms(m + 2):
         if f.M > m:
@@ -321,7 +322,7 @@ def _kernel_radius(f):
 
 
 def test_first_minimum_lower_bound_all_forms_m12():
-    # 2 n^2 * lambda_1^2 >= 1, the bound behind m_cutoff, and the sharper
+    # 2 n^2 * lambda_1^2 >= 1, the bound behind norm_cutoff, and the sharper
     # 2 r^2 * lambda_1^2 >= 1 with r = E + |G| <= n behind the fiber prune
     sharper = 0
     for f in canonical_forms(12):
@@ -350,7 +351,7 @@ def test_empty_fiber_prune_is_sound():
 def test_m_cutoff_is_sound_upper_bound_regime():
     for s, t, b in ((1, 2, 2), (1, 2, 3), (1, 1, 3)):
         s, t, b = Fraction(s), Fraction(t), Fraction(b)
-        m = m_cutoff(s, t, b)
+        m = isqrt(norm_cutoff(s, t, b))
         for f in canonical_forms(m + 3):
             if f.M > m:
                 assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
@@ -358,11 +359,11 @@ def test_m_cutoff_is_sound_upper_bound_regime():
 
 @pytest.mark.parametrize("s, t, b", [(2, 1, 5), (1, 2, 3), (1, 1, 3), (Fraction(5, 2), Fraction(3, 2), Fraction(7, 3))])
 def test_norm_cutoff_is_sound(s, t, b):
-    # the forms past the norm cutoff, below M = m_cutoff + 2, hold no point
+    # the forms past the norm cutoff, below M = isqrt(norm_cutoff) + 2, hold no point
     # even without the fiber prune
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
     n_max = norm_cutoff(s, t, b)
-    past = [f for f in canonical_forms(m_cutoff(s, t, b) + 2) if f.norm2 > n_max]
+    past = [f for f in canonical_forms(isqrt(n_max) + 2) if f.norm2 > n_max]
     assert past
     for f in past:
         assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
@@ -370,10 +371,10 @@ def test_norm_cutoff_is_sound(s, t, b):
 
 def test_m_cutoff_is_the_root_of_the_norm_cutoff():
     # with X = floor(3^(tL) B^(2L)) and k = sL, norm_cutoff is iroot(X, k)
-    # and m_cutoff is isqrt of it, which equals iroot(X, 2k), the largest M
+    # and its isqrt, the walk's M cutoff, equals iroot(X, 2k), the largest M
     # with M^(2s) <= 3^t B^2
     import random
-    from math import floor, isqrt, lcm
+    from math import floor, lcm
 
     from hilb2.lattice import iroot
 
@@ -389,8 +390,8 @@ def test_m_cutoff_is_the_root_of_the_norm_cutoff():
         k = int(s * big_l)
         n = norm_cutoff(s, t, b)
         assert n**k <= x < (n + 1) ** k, (s, t, b)
-        assert m_cutoff(s, t, b) == isqrt(n) == iroot(x, 2 * k), (s, t, b)
-    assert [m_cutoff(*q) for q in queries[:2]] == [179, 180]
+        assert isqrt(n) == iroot(x, 2 * k), (s, t, b)
+    assert [isqrt(norm_cutoff(*q)) for q in queries[:2]] == [179, 180]
 
 
 def test_upper_bound_regime_counts_match_unpruned_recount():
@@ -398,7 +399,8 @@ def test_upper_bound_regime_counts_match_unpruned_recount():
         s, t = Fraction(1), Fraction(2)
         n = count_Nst(s, t, b)
         recount = sum(
-            _unpruned_count(f, s, t, Fraction(b)) for f in canonical_forms(2 * m_cutoff(s, t, Fraction(b)))
+            _unpruned_count(f, s, t, Fraction(b))
+            for f in canonical_forms(2 * isqrt(norm_cutoff(s, t, Fraction(b))))
         )
         assert n == recount == expected
 
