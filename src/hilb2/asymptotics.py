@@ -7,23 +7,25 @@ integer triples (both signs) of
     (a^2 + b^2 + c^2)^(3/2 - (3/2) ratio) / covol2_product(a, b, c)
 
 scaled by pi / (3 zeta(3)).  The partial sum over the shells
-max |coordinate| <= M_max takes one term per orbit of the signed coordinate
-permutations, weighted by the orbit size, added exactly in exponent bins
-and rounded once (``_exact_sum``).  The tail is bounded termwise using the
-lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a 26 M^2 shell count.  The
-bracket [partial, partial + tail_bound] is widened by a per-term rounding
-budget and rounded outward, so it is certified.
+max |coordinate| <= M_max takes one term per orbit of the 48 signed
+coordinate permutations, weighted by the orbit size, and an exact zero for
+each pair not coprime to M (``_pair_tables``); the terms are added exactly
+in exponent bins and rounded once (``_exact_sum``).  The tail is bounded
+termwise using the lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a
+26 M^2 shell count.  The bracket [partial, partial + tail_bound] is widened
+by a per-term rounding budget and rounded outward, so it is certified.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .lattice import (
     enumerate_form_le,
     iroot,
     kernel_basis_of,
-    product_covol2_formula,
     quotient,
 )
 from math import floor, gcd
@@ -68,31 +69,10 @@ class ConstantEstimate:
         return self.partial + self.tail_bound
 
 
-# ``constant_c`` sums one term per orbit of the 48 signed coordinate
-# permutations, weighted by the orbit size, since n = a^2 + b^2 + c^2 and
-# ``product_covol2_formula`` are symmetric in a^2, b^2, c^2.
-# ``_orbit_shells`` yields the representatives of
-# ``hilb._orbit_representatives``, the walk of the exact counts, as arrays.
-
 # float64 unit roundoff, and a bound on the absolute error one term can pick
 # up when its value underflows (see the budget in ``constant_c``)
 _U = Fraction(1, 2**53)
 _UNDERFLOW = Fraction(1, 2**1067)
-
-
-def _orbit_shells(m_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (M, a, b, w) for M = 1..m_max: the orbit representatives
-    (a, b, M) of the primitive triples of shell M and their orbit sizes w = 2h
-    (``hilb._canonical_orbit_size``: both signs of each canonical form)."""
-    bb, aa = np.tril_indices(m_max + 1)  # pairs a <= b, ordered by b
-    gab = np.gcd(aa, bb)
-    ks = np.arange(m_max + 1)
-    for m in range(1, m_max + 1):
-        k = (m + 1) * (m + 2) // 2  # the pairs with b <= m come first
-        # gcd(a, b) <= m there, so coprimality to m is a lookup
-        keep = (np.gcd(ks[: m + 1], m) == 1)[gab[:k]]
-        a, b = aa[:k][keep], bb[:k][keep]
-        yield m, a, b, _canonical_orbit_size(a, b, m) << 1
 
 
 # ``np.frexp`` exponents of finite floats run from -1073 to 1024;
@@ -135,16 +115,35 @@ def _exact_sum(arrays: Iterable[np.ndarray]) -> float:
     return total / (1 << (53 - _MIN_EXPONENT))
 
 
-def _orbit_terms(
-    powers: np.ndarray, m: int, a: np.ndarray, b: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """w * n^expo / covol2_product for the representatives (a, b, m) of one
-    shell, given powers[n - 1] = n^expo.  A function of its own, so that its
-    temporaries are freed before the next shell is built."""
-    covol2 = product_covol2_formula(a, b, np.int64(m))
-    terms = powers[a * a + b * b + (m * m - 1)]
-    terms /= covol2
-    terms *= w
+def _pair_tables(m_max: int) -> tuple[np.ndarray, ...]:
+    """Over the pairs 0 <= a <= b <= m_max, ordered by b so that shell M is a
+    prefix: s = a^2 + b^2, k0 = s (s^2 - p), k1 = 2 s^2 + p (p = a^2 b^2),
+    gcd(a, b), and the orbit sizes 2h of (a, b, M) for b < M and b = M; the
+    representatives of ``hilb._orbit_representatives`` have nonzero weight."""
+    bb, aa = np.tril_indices(m_max + 1)
+    s, p = aa * aa + bb * bb, (aa * bb) ** 2
+    w = [(_canonical_orbit_size(aa, bb, m) << 1).astype(np.int8) for m in (m_max + 1, bb)]
+    return s, s * (s * s - p), 2 * s * s + p, np.gcd(aa, bb).astype(np.int32), *w
+
+
+def _shell_weights(tables: tuple[np.ndarray, ...], m: int) -> np.ndarray:
+    """The orbit sizes 2h of the pairs of shell m, 0 where gcd(a, b, m) > 1."""
+    gab, w_inner, w_edge = tables[3:]
+    j, k = m * (m + 1) // 2, (m + 1) * (m + 2) // 2  # pairs with b < m, b <= m
+    w = (np.gcd(np.arange(m + 1), m) == 1).view(np.int8).take(gab[:k])  # gcd(a, b) <= m
+    w[:j] *= w_inner[:j]
+    w[j:] *= w_edge[j:k]
+    return w
+
+
+def _shell_terms(powers: np.ndarray, tables: tuple[np.ndarray, ...], m: int) -> np.ndarray:
+    """w * n^expo / covol2_product over shell m, given powers[n - 1] =
+    n^expo, with covol2_product = ((2 s + m^2) m^2 + k1) m^2 + k0 <= 20 m^6."""
+    s, k0, k1 = tables[:3]
+    k, m2 = (m + 1) * (m + 2) // 2, m * m
+    terms = powers[m2 - 1 :].take(s[:k])
+    terms /= ((s[:k] * 2 + m2) * m2 + k1[:k]) * m2 + k0[:k]
+    terms *= _shell_weights(tables, m)
     return terms
 
 
@@ -153,9 +152,10 @@ def _orbit_sum(expo: float, m_max: int) -> float:
     covol2_product over the orbit representatives of shells 1..m_max: equal
     to ``math.fsum`` of the computed terms, whatever their order.  n^expo
     comes from a table of ``math.pow`` over the 3 m_max^2 possible norms."""
+    tables = _pair_tables(m_max)  # first: its temporaries are gone before the powers
     n_max = 3 * m_max * m_max
     powers = np.fromiter(map(math.pow, range(1, n_max + 1), repeat(expo)), np.float64, n_max)
-    return _exact_sum(_orbit_terms(powers, *shell) for shell in _orbit_shells(m_max))
+    return _exact_sum(_shell_terms(powers, tables, m) for m in range(1, m_max + 1))
 
 
 def _to_float(x: Fraction, toward: float) -> float:
@@ -170,12 +170,12 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     """Certified bracket [lo, hi] of the leading constant at ``ratio``.
 
     The partial sum runs over the shells M = 1..m_max, one term per orbit
-    representative weighted by its orbit size (notes above
-    ``_orbit_shells``), and ``lo`` is that sum rounded outward.  ``hi`` adds
-    the tail bound: each term is <= 1.5 M^(-3-3r) by the covolume sandwich
-    covol2_product >= (2/3) n^3, a shell holds <= 26 M^2 vectors, and
-    comparing with the integral gives (13 / r) m_max^(-3r).  The prefactor
-    pi / (3 zeta(3)) is enclosed with ``PI_BRACKET`` and ``ZETA3_BRACKET``.
+    representative weighted by its orbit size (``_pair_tables``), and
+    ``lo`` is that sum rounded outward.  ``hi`` adds the tail bound: each
+    term is <= 1.5 M^(-3-3r) by the covolume sandwich covol2_product >=
+    (2/3) n^3, a shell holds <= 26 M^2 vectors, and comparing with the
+    integral gives (13 / r) m_max^(-3r).  The prefactor pi / (3 zeta(3)) is
+    enclosed with ``PI_BRACKET`` and ``ZETA3_BRACKET``.
 
     Rounding budget per term t = w * (n^e / P), u = 2^-53:
       * n < 2^53 converts exactly, and so does P <= 20 M^6 for
@@ -186,17 +186,23 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
         exp(|de| ln n) - 1 <= 2 |de| ln(3 m_max^2), which r <= 1e6 keeps
         below 1e-8;
       * the division and the product with w cost u each (w <= 48 is exact);
-      * a term that underflows picks up at most 2^-1067 in absolute value.
+      * a term that underflows picks up at most 2^-1067 in absolute value;
+        there are C(m_max + 3, 3) - 1 < (m_max + 1)^3 entries, and those of
+        weight 0 are exact zeros, which carry neither error.
     ``_exact_sum`` adds the terms exactly and rounds once, correctly, so
     the float sum is within u of the sum of the terms.
     The bracket is widened by all of these, in exact rational arithmetic,
     and converted to floats with outward rounding.  It is certified for the
-    float value of ``ratio``.  ValueError, before the sum, when the tail
-    bound exceeds the float range (ratio below about 7.2e-308).
+    float value of ``ratio``.  ValueError, before the sum, for a non-integral
+    M_max or a tail bound beyond the float range (ratio below 7.2e-308).
     """
     ratio = float(ratio)
     if not 0 < ratio <= 1e6:
         raise ValueError("ratio must lie in (0, 1e6]")
+    try:
+        m_max = operator.index(m_max)
+    except TypeError:
+        raise ValueError(f"M_max must be an integer, not {m_max!r}") from None
     if not 1 <= m_max <= 500:
         raise ValueError("M_max out of supported range")
     (pi_lo, pi_hi), (z_lo, z_hi) = PI_BRACKET, ZETA3_BRACKET
@@ -215,7 +221,7 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     if 20 * m_max**6 >= 2**53:
         rel /= 1 - _U
     eps = rel - 1
-    terms_abs = (m_max + 1) ** 3 * _UNDERFLOW  # more than the number of terms
+    terms_abs = (m_max + 1) ** 3 * _UNDERFLOW  # more than the number of entries
     part_lo = (total / (1 + _U) - terms_abs) / (1 + eps)
     part_hi = (total / (1 - _U) + terms_abs) / (1 - eps)
     lo = _to_float(k_lo * part_lo, -math.inf)

@@ -269,9 +269,9 @@ def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
 
 
 def _canonical_orbit_size(a: int, b: int, m: int) -> int:
-    """The number h of sign-canonical forms in the orbit of (a, b, m), for
-    0 <= a <= b <= m and m > 0 (``_orbit_representatives``); also
-    elementwise on int64 arrays a and b."""
+    """The number h of sign-canonical forms in the orbit of (a, b, m), 0 <= a
+    <= b <= m, m > 0 (``_orbit_representatives``); also elementwise on int64
+    arrays, as ``asymptotics._pair_tables`` reads it for b < m and b = m."""
     return (6 >> ((a == b) * 1 + (b == m))) << ((a > 0) * 1 + (b > 0))
 
 

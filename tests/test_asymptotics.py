@@ -18,8 +18,9 @@ from hilb2 import asymptotics
 from hilb2.asymptotics import (
     _exact_sum,
     _le_region_worker,
-    _orbit_shells,
     _orbit_sum,
+    _pair_tables,
+    _shell_weights,
     _split_pair_count,
     bm_exponents,
     constant_c,
@@ -32,6 +33,7 @@ from hilb2.asymptotics import (
 from hilb2.heights import discriminant, is_perfect_square, le_height2
 from hilb2.hilb import (
     HilbPoint,
+    _canonical_orbit_size,
     _orbit_forms,
     _orbit_representatives,
     canonical_forms,
@@ -69,6 +71,17 @@ def test_constant_validation():
         constant_c(2.0, 0)
 
 
+@pytest.mark.parametrize("m_max", [200.0, 2.5, "3", None])
+def test_constant_refuses_a_non_integral_m_max(m_max):
+    # 200.0 would pass the range check, so the type is checked before it
+    with pytest.raises(ValueError, match="M_max must be an integer"):
+        constant_c(2.0, m_max)
+
+
+def test_constant_takes_any_integer_m_max():
+    assert constant_c(2.0, np.int64(30)) == constant_c(2.0, 30)
+
+
 @pytest.mark.parametrize("ratio", [1e-308, 5e-324])
 def test_constant_refuses_a_tail_bound_beyond_the_float_range(ratio):
     # 13 / ratio overflows below ratio = 7.2e-308
@@ -101,18 +114,51 @@ def test_orbit_sum_matches_full_cube(ratio):
         assert abs(_orbit_sum(expo, m) - want) <= 4 * math.ulp(want), m
 
 
-def _orbit_sum_by_fsum(expo, m_max):
-    """The orbit sum as one math.fsum over every shell's terms turned into
-    Python floats: the reference the exact binned sum must equal."""
-    powers = np.fromiter(
+def _reference_shells(m_max):
+    """(M, a, b, w) per shell M = 1..m_max, by filtering the pairs a <= b <=
+    M coprime to M in each shell and computing their orbit sizes w = 2h
+    there: the per-shell walk the pair tables replace, kept as their
+    reference."""
+    bb, aa = np.tril_indices(m_max + 1)
+    gab = np.gcd(aa, bb)
+    for m in range(1, m_max + 1):
+        k = (m + 1) * (m + 2) // 2
+        keep = np.gcd(gab[:k], m) == 1
+        a, b = aa[:k][keep], bb[:k][keep]
+        yield m, a, b, _canonical_orbit_size(a, b, m) << 1
+
+
+def _reference_terms(powers, m_max):
+    """The terms w * n^expo / covol2_product of ``_reference_shells``, one
+    array per shell, given powers[n] = n^expo, with the covolume from
+    ``product_covol2_formula`` directly."""
+    for m, a, b, w in _reference_shells(m_max):
+        yield powers[a * a + b * b + m * m] / product_covol2_formula(a, b, np.int64(m)) * w
+
+
+def _reference_powers(expo, m_max):
+    return np.fromiter(
         (math.pow(k, expo) if k else 0.0 for k in range(3 * m_max * m_max + 1)),
         dtype=np.float64,
     )
-    shells = (
-        (powers[a * a + b * b + m * m] / product_covol2_formula(a, b, np.int64(m)) * w).tolist()
-        for m, a, b, w in _orbit_shells(m_max)
-    )
-    return math.fsum(chain.from_iterable(shells))
+
+
+def _table_shells(m_max):
+    """(M, a, b, w) per shell from the pair tables of the orbit sum: the
+    pairs of nonzero weight and their weights."""
+    tables = _pair_tables(m_max)
+    bb, aa = np.tril_indices(m_max + 1)
+    for m in range(1, m_max + 1):
+        w = _shell_weights(tables, m)
+        keep = w != 0
+        yield m, aa[: len(w)][keep], bb[: len(w)][keep], w[keep]
+
+
+def _orbit_sum_by_fsum(expo, m_max):
+    """The orbit sum as one math.fsum over every shell's terms turned into
+    Python floats: the reference the exact binned sum must equal."""
+    terms = _reference_terms(_reference_powers(expo, m_max), m_max)
+    return math.fsum(chain.from_iterable(x.tolist() for x in terms))
 
 
 @pytest.mark.parametrize("ratio", [0.001, 0.5, 1, 1.5, 2, 3, 5, 400, 1e6])
@@ -121,6 +167,47 @@ def test_orbit_sum_is_bit_identical_to_fsum(ratio):
     expo = 1.5 - 1.5 * ratio
     for m in [*range(1, 41), 120]:
         assert _orbit_sum(expo, m) == _orbit_sum_by_fsum(expo, m), m
+
+
+def _reference_orbit_sum(expo, m_max):
+    return _exact_sum(_reference_terms(_reference_powers(expo, m_max), m_max))
+
+
+@pytest.mark.parametrize("ratio", [0.001, 0.5, 1, 1.5, 2, 3, 5, 400, 1e6])
+def test_orbit_sum_is_bit_identical_to_the_shell_walk(ratio):
+    expo = 1.5 - 1.5 * ratio
+    for m in [*range(1, 41), 120]:
+        assert _orbit_sum(expo, m).hex() == _reference_orbit_sum(expo, m).hex(), m
+
+
+@pytest.mark.parametrize("ratio", [2, 0.5])
+def test_orbit_sum_is_bit_identical_to_the_shell_walk_at_large_m(ratio):
+    # 276 / 277 straddle the exact conversion of covol2 <= 20 M^6 < 2^53,
+    # and 500 is the largest M_max that constant_c admits
+    expo = 1.5 - 1.5 * ratio
+    for m in (200, 276, 277, 500):
+        assert _orbit_sum(expo, m).hex() == _reference_orbit_sum(expo, m).hex(), m
+
+
+@pytest.mark.parametrize("m", [1, 2, 57, 276, 277, 500])
+def test_pair_tables_give_the_product_covolume(m):
+    # k0 + M^2 (k1 + M^2 (2 s + M^2)) is product_covol2_formula, as Python
+    # ints, on every pair of shell M; the weights are the orbit sizes 2h
+    s, k0, k1, gab, w_inner, w_edge = (x.tolist() for x in _pair_tables(m))
+    m2 = m * m
+    bb, aa = np.tril_indices(m + 1)
+    for i, (a, b) in enumerate(zip(aa.tolist(), bb.tolist())):
+        assert s[i] == a * a + b * b and gab[i] == gcd(a, b)
+        assert k0[i] + m2 * (k1[i] + m2 * (2 * s[i] + m2)) == product_covol2_formula(a, b, m), (a, b)
+        assert w_inner[i] == 2 * _canonical_orbit_size(a, b, m + 1)
+        assert w_edge[i] == 2 * _canonical_orbit_size(a, b, b)
+
+
+def test_shell_weights_are_the_shell_walk():
+    # the pairs of nonzero weight and their weights, shell by shell
+    for (m, a, b, w), (m1, a1, b1, w1) in zip(_table_shells(60), _reference_shells(60), strict=True):
+        assert m == m1 and a.tolist() == a1.tolist() and b.tolist() == b1.tolist()
+        assert w.tolist() == w1.tolist(), m
 
 
 # nonnegative finite floats from subnormal to 2^1017, so that 64 of them
@@ -156,7 +243,7 @@ def test_orbit_weights_count_each_shell():
             for c in r:
                 if gcd(gcd(a, b), c) == 1:
                     brute[max(abs(a), abs(b), abs(c))] += 1
-    shells = {m: int(w.sum()) for m, _, _, w in _orbit_shells(15)}
+    shells = {m: int(w.sum()) for m, _, _, w in _table_shells(15)}
     assert shells == dict(brute)
     assert shells[1] == 26
 
@@ -165,7 +252,7 @@ def test_python_orbit_walk_matches_the_array_walk():
     for m_max in range(41):
         arrays = [
             (a, b, m, w // 2)
-            for m, aa, bs, ws in _orbit_shells(m_max)
+            for m, aa, bs, ws in _table_shells(m_max)
             for a, b, w in zip(aa.tolist(), bs.tolist(), ws.tolist())
         ]
         # n <= 3 M^2 holds every shell up to m_max, and the norm bound
@@ -369,14 +456,14 @@ def test_count_threads_invariant():
 def test_fiber_count_is_constant_on_signed_permutation_orbits(s, t, b):
     # every sign-canonical form with max |coordinate| <= 4, grouped by its
     # orbit representative (sorted absolute values); each orbit holds w / 2
-    # sign-canonical forms, w the orbit size of ``_orbit_shells``
+    # sign-canonical forms, w the orbit size of ``_shell_weights``
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
     counts = {}
     for f in canonical_forms(4):
         counts.setdefault(tuple(sorted(map(abs, f.triple))), []).append(fiber_point_count(f, s, t, b))
     halves = {
         (a, bb, m): w // 2
-        for m, aa, bs, ws in _orbit_shells(4)
+        for m, aa, bs, ws in _table_shells(4)
         for a, bb, w in zip(aa.tolist(), bs.tolist(), ws.tolist())
     }
     assert {rep: len(c) for rep, c in counts.items()} == halves
