@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .hilb import (
     _orbit_representatives,
     fiber_point_count,
     height_query,
+    max_covol2_I2,
     nonnegative_bound,
     norm_cutoff,
     positive_exponents,
@@ -232,17 +234,18 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
 
 
 def parallel_map(
-    fn: Callable, items: Sequence, args: tuple, threads: int, chunksize: int | None = None
+    fn: Callable, calls: Sequence[tuple], threads: int, chunksize: int | None = None
 ) -> list:
-    """[fn(x, *args) for x in items], in order; over a pool of ``threads``
-    worker processes when threads > 1 and there are items (``fn``, items and
-    args must pickle).  The default chunksize gives each worker four chunks."""
-    if threads <= 1 or not items:
-        return [fn(x, *args) for x in items]
+    """[fn(*c) for c in calls], in order; over min(threads, len(calls), CPU
+    count) worker processes when that is above 1 (``fn`` and the calls must
+    pickle).  The default chunksize gives each worker four chunks."""
+    workers = min(threads, len(calls), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*c) for c in calls]
     if chunksize is None:
-        chunksize = -(-len(items) // (4 * threads))
-    with Pool(threads) as pool:
-        return pool.starmap(fn, [(x, *args) for x in items], chunksize=chunksize)
+        chunksize = -(-len(calls) // (4 * workers))
+    with Pool(workers) as pool:
+        return pool.starmap(fn, calls, chunksize=chunksize)
 
 
 def count_Nst(
@@ -258,15 +261,16 @@ def count_Nst(
     (a, b, M) is weighted by h, the number of sign-canonical forms in its
     orbit.
 
-    ``threads`` distributes the fibers; the weighted integers are reduced in
-    the parent in representative order, so the result is independent of the
-    thread count.
+    ``threads`` distributes the (form, ``max_covol2_I2``) calls, one per
+    representative; the weighted integers are reduced in the parent in
+    representative order, so the result is independent of the thread count.
     """
     s, t, b = height_query(s, t, bound)
     if b < 1:
         return 0
     reps = _orbit_representatives(norm_cutoff(s, t, b))
-    counts = parallel_map(fiber_point_count, [f for f, _ in reps], (s, t, b), threads)
+    calls = [(f, max_covol2_I2(f.norm2, s, t, b)) for f, _ in reps]
+    counts = parallel_map(fiber_point_count, calls, threads)
     return sum(h * c for (_, h), c in zip(reps, counts))
 
 
@@ -480,7 +484,7 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     for f, h in reps:
         norms[f.norm2] += h
     split_pairs = _split_pair_count(norms.items(), x)
-    results = parallel_map(_le_region_worker, [f for f, _ in reps], (x,), threads)
+    results = parallel_map(_le_region_worker, [(f, x) for f, _ in reps], threads)
     n_split = sum(h * r[0] for (_, h), r in zip(reps, results))
     n_nonsplit = sum(h * r[1] for (_, h), r in zip(reps, results))
     ratios = [r[2] for r in results if r[2] is not None]

@@ -3,7 +3,8 @@ evaluation, verification suites, and the anticanonical count, with CSV/JSON
 emission.
 
 Exit status: 0 on success, 1 on validation errors (malformed flags, inputs
-that define no point, failed verification), 2 on internal assertion failure.
+that define no point, failed verification, an output file that cannot be
+written), 2 on internal assertion failure.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PointValidationError, ValueError) as exc:
+    except (PointValidationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (InternalCheckError, AssertionError) as exc:

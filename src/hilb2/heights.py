@@ -265,8 +265,8 @@ def height_st(z: HilbPoint, s: float | Fraction, t: float | Fraction) -> float:
     return z.covol2_I1 ** ((s - t) / 2.0) * z.covol2_I2 ** (t / 2.0)
 
 
-def le_height2(z: HilbPoint) -> Fraction:
-    """Exact square of the Le Rudulier height, in closed form.
+def le_height2(z: HilbPoint) -> int:
+    """Exact square of the Le Rudulier height, an integer, in closed form.
 
     The height is |v|^2 |w|^2 for the two primitive integer solutions v, w of
     a split point, |v|^4 for the one solution of a nonreduced point, and, for
@@ -309,7 +309,7 @@ def le_height2(z: HilbPoint) -> Fraction:
     for every point that is not nonreduced.
     """
     e, f = kernel_basis_of(z.ell)
-    return Fraction(le_height2_gram(dot(e, e), dot(e, f), dot(f, f), z.ell.norm2, z.qbar))
+    return le_height2_gram(dot(e, e), dot(e, f), dot(f, f), z.ell.norm2, z.qbar)
 
 
 def le_height2_gram(ee: int, ef: int, ff: int, n: int, qbar: Sequence[int]) -> int:

@@ -306,11 +306,9 @@ def canonical_forms(m_max: int) -> list[LinearForm]:
     return out
 
 
-def _open_fiber(
-    ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
-) -> tuple[QuotientLattice, int] | None:
-    """(quotient, largest admissible covol2_I2) for a fiber that may hold
-    points, or None when it provably holds none.
+def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
+    """quotient(ell) if the fiber {primitive x: x^T gram_int x <= t_max} may
+    hold points, None when it provably holds none (t_max: ``max_covol2_I2``).
 
     Prune.  With (e, f) = ``kernel_basis_of(ell)``, E = e.e and G = e.f,
     every quadric q outside l*V has covol2_I2 >= covol2_product /
@@ -332,7 +330,6 @@ def _open_fiber(
     covol2_product, is checked on every fiber that is built, raised
     explicitly so that python -O keeps it.
     """
-    t_max = max_covol2_I2(ell.norm2, s, t, bound)
     (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
     r = e0 * e0 + e1 * e1 + e2 * e2 + abs(e0 * f0 + e1 * f1 + e2 * f2)  # E + |G|
     if 2 * r * r * t_max < product_covol2_formula(*ell.triple):
@@ -343,31 +340,26 @@ def _open_fiber(
         raise AssertionError(f"first-minimum bound violated at {ell.triple}")
     if t_max < m0:
         return None
-    return quo, t_max
+    return quo
 
 
-def fiber_points(
-    ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
-) -> list[HilbPoint]:
-    """All points over a fixed form with height <= bound, qbar-lexicographic."""
-    fiber = _open_fiber(ell, s, t, bound)
-    if fiber is None:
-        return []
-    quo, t_max = fiber
+def fiber_points(ell: LinearForm, t_max: int) -> list[HilbPoint]:
+    """The points over ``ell`` with covol2_I2 <= t_max, qbar-lexicographic,
+    with no prune: ``enumerate_points`` opens each orbit once, on its
+    representative."""
     qbars = sorted(
         sign_canonical(x)
-        for x in enumerate_form_le(quo.gram_int, t_max)
+        for x in enumerate_form_le(quotient(ell).gram_int, t_max)
         if gcd(gcd(x[0], x[1]), x[2]) == 1
     )
     return [HilbPoint(ell, x) for x in qbars]
 
 
-def fiber_point_count(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Exact |fiber_points| without materializing the points."""
-    fiber = _open_fiber(ell, s, t, bound)
-    if fiber is None:
+def fiber_point_count(ell: LinearForm, t_max: int) -> int:
+    """Exact |fiber_points(ell, t_max)| without materializing the points."""
+    quo = _open_fiber(ell, t_max)
+    if quo is None:
         return 0
-    quo, t_max = fiber
     n = count_primitive_form(quo.gram_int, t_max)
     if n % 2:
         raise AssertionError(f"odd primitive count {n} at {ell.triple}")
@@ -389,20 +381,20 @@ def enumerate_points(
 
     One fiber is opened per orbit (``_orbit_representatives``) of the forms
     with n <= ``norm_cutoff``: every point has H^2 >= n^s / 3^t, so the
-    forms past it hold none.  ``_open_fiber`` returns None exactly when the
+    forms past it hold none.  t_max = ``max_covol2_I2`` and ``_open_fiber``
+    are computed on the representative; that returns None exactly when the
     fiber is empty: a fiber it opens has t_max >= min_form_value, and a
     vector attaining the first minimum is primitive, so it is a point.
-    Emptiness is constant on the orbit, so the forms of the non-empty orbits
-    are the forms with points.
+    Emptiness and t_max are constant on the orbit, so the forms of the
+    non-empty orbits, with their orbit's t_max, are the forms with points.
     """
     s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
-    forms = [
-        ell
-        for rep, _ in _orbit_representatives(norm_cutoff(s, t, bound))
-        if _open_fiber(rep, s, t, bound) is not None
-        for ell in _orbit_forms(rep)
-    ]
-    for ell in sorted(forms, key=lambda f: f.triple):
-        yield from fiber_points(ell, s, t, bound)
+    fibers = []
+    for rep, _ in _orbit_representatives(norm_cutoff(s, t, bound)):
+        t_max = max_covol2_I2(rep.norm2, s, t, bound)
+        if _open_fiber(rep, t_max) is not None:
+            fibers.extend((ell, t_max) for ell in _orbit_forms(rep))
+    for ell, t_max in sorted(fibers, key=lambda f: f[0].triple):
+        yield from fiber_points(ell, t_max)

@@ -95,7 +95,7 @@ def suite_sl_formula(m_max: int = 30, threads: int = 1) -> dict:
     _at_least_one(m_max=m_max)
     check_form_walk(m_max, "m_max")
     forms = canonical_forms(m_max)
-    bad = parallel_map(_sl_worker, forms, (), threads, chunksize=2048)
+    bad = parallel_map(_sl_worker, [(f,) for f in forms], threads, chunksize=2048)
     failures = [b for b in bad if b is not None]
     checks: list = []
     _check(checks, "polynomial-equals-gram-det", not failures, f"{len(forms)} forms, {len(failures)} failures")
@@ -204,7 +204,7 @@ def suite_minkowski(m_max: int = 30, threads: int = 1) -> dict:
     _at_least_one(m_max=m_max)
     check_form_walk(m_max, "m_max")
     forms = canonical_forms(m_max)
-    results = parallel_map(_mink_worker, forms, (), threads, chunksize=512)
+    results = parallel_map(_mink_worker, [(f,) for f in forms], threads, chunksize=512)
     own_checks = {"lam1-n2", "minima-count-certificate"}
     failures = [tags for tags in results if set(tags) - own_checks]
     n2_failures = [tags for tags in results if "lam1-n2" in tags]
@@ -347,8 +347,8 @@ def suite_gon(
     ``n_literal``, the number of literal-radius counts made.
     """
     sample = _gon_sample(seed, n_lattices, m_max)
-    args = (tuple(ks), float(literal_cap))
-    results = parallel_map(_gon_worker, sample, args, threads, chunksize=4)
+    calls = [(ell, tuple(ks), float(literal_cap)) for ell in sample]
+    results = parallel_map(_gon_worker, calls, threads, chunksize=4)
     rows = [r for res in results for r in res]
     mismatches = [r for r in rows if r["count"] != r["count_boxscan"]]
     c_max = max(r["c_required"] for r in rows)

@@ -40,6 +40,7 @@ from hilb2.hilb import (
     enumerate_points,
     fiber_point_count,
     fiber_points,
+    max_covol2_I2,
     norm_cutoff,
 )
 from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
@@ -421,7 +422,8 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
     monkeypatch.setattr(asymptotics, "fiber_point_count", counting)
     assert count_Nst(s, t, b) == 160417
     assert len(opened) == 43
-    by_m = [(rep, fiber_point_count(rep, s, t, b)) for rep, _ in _walk_by_m(s, t, b)]
+    reps = _walk_by_m(s, t, b)
+    by_m = [(rep, fiber_point_count(rep, max_covol2_I2(rep.norm2, s, t, b))) for rep, _ in reps]
     assert len(by_m) == 88
     nonempty = {(rep, n) for rep, n in by_m if n}
     assert len(nonempty) == 13
@@ -433,7 +435,72 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
         (ell for rep, _ in _walk_by_m(s, t, b) for ell in _orbit_forms(rep)),
         key=lambda f: f.triple,
     )
-    assert list(enumerate_points(s, t, b)) == [z for f in forms for z in fiber_points(f, s, t, b)]
+    listed = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))]
+    assert list(enumerate_points(s, t, b)) == listed
+
+
+def test_point_listing_opens_each_orbit_once(monkeypatch):
+    # the cap, the prune and the first minimum are constant on an orbit, so
+    # the listing computes t_max and reduces a quotient once per
+    # representative: 43 caps and 21 reductions at (2, 1, 30), as many as
+    # the count
+    from hilb2 import hilb
+
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hilb, "min_form_value")
+    counted(hilb, "max_covol2_I2")
+    assert sum(1 for _ in enumerate_points(2, 1, 30)) == 160417
+    assert calls == {"max_covol2_I2": 43, "min_form_value": 21}
+    calls.clear()
+    counted(asymptotics, "max_covol2_I2")
+    assert count_Nst(2, 1, 30) == 160417
+    assert calls == {"max_covol2_I2": 43, "min_form_value": 21}
+
+
+class _SerialPool:
+    """A stand-in for ``multiprocessing.Pool`` that records the requested
+    size and runs ``starmap`` in this process: no worker is started."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, calls, chunksize=None):
+        return [fn(*c) for c in calls]
+
+
+def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
+    monkeypatch.setattr(asymptotics, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert count_Nst(2, 1, 5, threads=10**4) == 729
+    report = le_count_detailed(10, threads=10**4)
+    assert (report["split"], report["nonsplit"]) == (48, 9)
+    assert all(n <= (os.cpu_count() or 1) for n in _SerialPool.sizes), _SerialPool.sizes
+    # one call (the form (0, 0, 1)) needs no pool at any thread count
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert count_Nst(2, 1, 1, threads=2) == 9
+    assert _SerialPool.sizes == []
+    # with more CPUs than calls, the pool is as large as the call list
+    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 64)
+    assert asymptotics.parallel_map(pow, [(2, 3), (3, 2)], threads=10**4) == [8, 9]
+    assert _SerialPool.sizes == [2]
 
 
 def test_count_scaling_law():
@@ -460,7 +527,8 @@ def test_fiber_count_is_constant_on_signed_permutation_orbits(s, t, b):
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
     counts = {}
     for f in canonical_forms(4):
-        counts.setdefault(tuple(sorted(map(abs, f.triple))), []).append(fiber_point_count(f, s, t, b))
+        n = fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b))
+        counts.setdefault(tuple(sorted(map(abs, f.triple))), []).append(n)
     halves = {
         (a, bb, m): w // 2
         for m, aa, bs, ws in _table_shells(4)
@@ -480,7 +548,8 @@ def test_count_equals_the_sum_over_every_canonical_form():
     ]
     for s, t, b in grid:
         s, t, b = Fraction(s), Fraction(t), Fraction(b)
-        full = sum(fiber_point_count(f, s, t, b) for f in canonical_forms(isqrt(norm_cutoff(s, t, b))))
+        forms = canonical_forms(isqrt(norm_cutoff(s, t, b)))
+        full = sum(fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) for f in forms)
         assert count_Nst(s, t, b) == full, (s, t, b)
 
 

@@ -401,6 +401,18 @@ def test_oversized_le_count_prints_no_traceback():
     assert r.stderr.startswith("error: B is too large") and r.stderr.count("\n") == 1, r.stderr
 
 
+def test_unwritable_out_path_is_one_error_line(tmp_path):
+    # the report is computed, then opening the output file fails: exit 1
+    # with one error line, not a traceback
+    out = tmp_path / "missing" / "x.json"
+    r = run_cli(["count", "--s", "2", "--t", "1", "--B", "2", "--out", str(out)])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -169,7 +169,8 @@ def test_enumerate_points_equals_the_full_form_walk(s, t, b):
     # the orbit walk lists what the walk over every sign-canonical form
     # lists, in the same order
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
-    full = [z for f in canonical_forms(isqrt(norm_cutoff(s, t, b))) for z in fiber_points(f, s, t, b)]
+    forms = canonical_forms(isqrt(norm_cutoff(s, t, b)))
+    full = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))]
     assert full
     assert list(enumerate_points(s, t, b)) == full
 
@@ -187,7 +188,8 @@ def test_orbit_expansion_partitions_the_canonical_forms():
 
 
 def test_fiber_points_axis_example():
-    pts = fiber_points(LinearForm(1, 0, 0), Fraction(2), Fraction(1), Fraction(2))
+    ell = LinearForm(1, 0, 0)
+    pts = fiber_points(ell, max_covol2_I2(ell.norm2, Fraction(2), Fraction(1), Fraction(2)))
     assert len(pts) == 13
     assert sorted({p.covol2_I2 for p in pts}) == [1, 2, 3]
 
@@ -235,13 +237,14 @@ def test_m_cutoff_is_sound():
     # fibers just beyond the cutoff are empty
     for f in canonical_forms(m + 2):
         if f.M > m:
-            assert fiber_point_count(f, s, t, b) == 0
+            assert fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) == 0
 
 
 def test_fiber_count_matches_point_list():
     s, t, b = Fraction(2), Fraction(1), Fraction(8)
     for f in canonical_forms(3):
-        assert fiber_point_count(f, s, t, b) == len(fiber_points(f, s, t, b))
+        t_max = max_covol2_I2(f.norm2, s, t, b)
+        assert fiber_point_count(f, t_max) == len(fiber_points(f, t_max))
 
 
 def test_roundtrip_canonicalize_lift():
@@ -344,7 +347,7 @@ def test_empty_fiber_prune_is_sound():
             if 2 * r * r * max_covol2_I2(f.norm2, s, t, b) < product_covol2_formula(*f.triple):
                 fired += 1
                 assert unpruned == 0, f
-            assert fiber_point_count(f, s, t, b) == unpruned, f
+            assert fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) == unpruned, f
         assert fired > 0
 
 
@@ -413,6 +416,6 @@ def test_monomial_box_oracle_inside_fiber_points():
     found = 0
     for f in forms:
         box = oracle_fiber_points_monomial_box(f, s, t, b, coeff_box=2)
-        assert box <= {p.qbar for p in fiber_points(f, s, t, b)}, f
+        assert box <= {p.qbar for p in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))}, f
         found += len(box)
     assert found > 0
