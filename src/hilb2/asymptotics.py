@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
@@ -152,11 +152,20 @@ def _shell_terms(powers: np.ndarray, tables: tuple[np.ndarray, ...], m: int) -> 
 def _orbit_sum(expo: float, m_max: int) -> float:
     """The correctly rounded sum (``_exact_sum``) of w * n^expo /
     covol2_product over the orbit representatives of shells 1..m_max: equal
-    to ``math.fsum`` of the computed terms, whatever their order.  n^expo
-    comes from a table of ``math.pow`` over the 3 m_max^2 possible norms."""
+    to ``math.fsum`` of the computed terms, whatever their order.
+
+    n^expo comes from one table over the 3 m_max^2 possible norms,
+    powers[n - 1], filled in place (one array) by ``np.float_power``.  Its
+    only loops are dd->d, gg->g, DD->D and GG->G, and the float64 loop calls
+    C's pow per element, the libm call ``math.pow`` makes for finite
+    arguments, so each entry is bit-identical to ``math.pow(n, expo)``.
+    ``np.power`` is not used: on a float64 array it may dispatch to a SIMD
+    loop (with numpy 2.4 on an AVX-512 CPU, about 6500 of the 120000
+    entries at m_max = 200 differ from ``math.pow``), whose error the budget
+    in ``constant_c`` does not cover."""
     tables = _pair_tables(m_max)  # first: its temporaries are gone before the powers
-    n_max = 3 * m_max * m_max
-    powers = np.fromiter(map(math.pow, range(1, n_max + 1), repeat(expo)), np.float64, n_max)
+    powers = np.arange(1, 3 * m_max * m_max + 1, dtype=np.float64)
+    np.float_power(powers, expo, out=powers)
     return _exact_sum(_shell_terms(powers, tables, m) for m in range(1, m_max + 1))
 
 
@@ -182,8 +191,10 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     Rounding budget per term t = w * (n^e / P), u = 2^-53:
       * n < 2^53 converts exactly, and so does P <= 20 M^6 for
         m_max <= 276; above that the conversion costs u;
-      * n^e: ``math.pow`` is C's pow, which glibc (2.28 and later) and musl
-        document below 0.6 ulp; the budget allows 1 ulp (2u).  If
+      * n^e: ``_orbit_sum`` calls C's pow through ``np.float_power``'s
+        float64 loop (not ``np.power``, whose SIMD loop is another
+        function), and glibc (2.28 and later) and musl document pow below
+        0.6 ulp; the budget allows 1 ulp (2u).  If
         1.5 - 1.5 r itself rounds, the exponent error de adds
         exp(|de| ln n) - 1 <= 2 |de| ln(3 m_max^2), which r <= 1e6 keeps
         below 1e-8;
@@ -233,13 +244,23 @@ def constant_c(ratio: float, m_max: int) -> ConstantEstimate:
     return ConstantEstimate(ratio=ratio, M_max=m_max, partial=lo, tail_bound=tail_bound)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one (so ``taskset -c 1`` gives 1), else
+    ``os.cpu_count()``, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(
     fn: Callable, calls: Sequence[tuple], threads: int, chunksize: int | None = None
 ) -> list:
-    """[fn(*c) for c in calls], in order; over min(threads, len(calls), CPU
-    count) worker processes when that is above 1 (``fn`` and the calls must
-    pickle).  The default chunksize gives each worker four chunks."""
-    workers = min(threads, len(calls), os.cpu_count() or 1)
+    """[fn(*c) for c in calls], in order; over min(threads, len(calls),
+    ``usable_cpus()``) worker processes when that is above 1 (``fn`` and
+    the calls must pickle).  The default chunksize gives each worker four
+    chunks."""
+    workers = min(threads, len(calls), usable_cpus())
     if workers <= 1:
         return [fn(*c) for c in calls]
     if chunksize is None:

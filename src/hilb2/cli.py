@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Callable
@@ -24,6 +25,7 @@ from .asymptotics import (
     convergence_report,
     le_count_detailed,
     le_rudulier_prediction,
+    usable_cpus,
 )
 from .heights import (
     InternalCheckError,
@@ -139,13 +141,33 @@ def build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
-    """--threads, else HILB2_THREADS, else 1; clamped to [1, os.cpu_count()]."""
+    """--threads, else HILB2_THREADS, else 1; clamped to [1, usable_cpus()]."""
     if args.threads is not None:
         n = args.threads
     else:
         env = os.environ.get("HILB2_THREADS")
         n = int(env) if env else 1
-    return max(1, min(n, os.cpu_count() or 1))
+    return max(1, min(n, usable_cpus()))
+
+
+@contextmanager
+def _claimed_out(path: str | None):
+    """Open --out for appending before any work, so that an unwritable path
+    fails first (OSError) and no work is thrown away.  The report is written
+    only when complete, by ``_emit``; if the command raises, a file created
+    here is removed and an existing one is left as it was."""
+    if not path:  # stdout, as in ``_emit``
+        yield
+        return
+    created = not os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _emit(args, text: str) -> None:
@@ -323,7 +345,8 @@ def main(argv=None) -> int:
         "le-count": _cmd_le_count,
     }
     try:
-        return handlers[args.command](args)
+        with _claimed_out(args.out):
+            return handlers[args.command](args)
     except (PointValidationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

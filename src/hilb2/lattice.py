@@ -278,9 +278,21 @@ class QuotientLattice:
 def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
     ell = LinearForm(a, b, c)
     covol2p = product_covol2_formula(a, b, c)
-    r0, r1, r2 = restriction_map(ell)
-    m00, m01, m02 = sum(map(mul, r0, r0)), sum(map(mul, r0, r1)), sum(map(mul, r0, r2))
-    m11, m12, m22 = sum(map(mul, r1, r1)), sum(map(mul, r1, r2)), sum(map(mul, r2, r2))
+    # rho rho^T from the moments of (e, f): with E_i = e_i^2, F_i = f_i^2 and
+    # P_i = e_i f_i, the rows of rho pair the monomials of e, their
+    # polarisation at (e, f) and the monomials of f, e.g. sum over i <= j of
+    # E_i E_j = (sum E_i^2 + ee^2) / 2
+    (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
+    E0, E1, E2, F0, F1, F2 = e0 * e0, e1 * e1, e2 * e2, f0 * f0, f1 * f1, f2 * f2
+    P0, P1, P2 = e0 * f0, e1 * f1, e2 * f2
+    ee, ff, ef = E0 + E1 + E2, F0 + F1 + F2, P0 + P1 + P2
+    pp = P0 * P0 + P1 * P1 + P2 * P2
+    m00 = (E0 * E0 + E1 * E1 + E2 * E2 + ee * ee) // 2
+    m22 = (F0 * F0 + F1 * F1 + F2 * F2 + ff * ff) // 2
+    m02 = (pp + ef * ef) // 2
+    m01 = E0 * P0 + E1 * P1 + E2 * P2 + ee * ef
+    m12 = F0 * P0 + F1 * P1 + F2 * P2 + ff * ef
+    m11 = 2 * pp + ee * ff + ef * ef
     # adj(rho rho^T), symmetric
     j00, j11, j22 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
     j01, j02, j12 = m02 * m12 - m01 * m22, m01 * m12 - m02 * m11, m01 * m02 - m00 * m12

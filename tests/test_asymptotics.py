@@ -144,6 +144,32 @@ def _reference_powers(expo, m_max):
     )
 
 
+@pytest.mark.parametrize("m_max", [200, 500])
+@pytest.mark.parametrize("ratio", [2, 1e6, 0.001, 1.5, 3])
+def test_power_table_is_math_pow_bit_for_bit(ratio, m_max, monkeypatch):
+    # the rounding budget of constant_c assumes libm's pow; a numpy whose
+    # float_power is another function (np.power's SIMD loop differs from
+    # math.pow on thousands of these entries) fails here.  The table is the
+    # one _orbit_sum hands to every shell
+    seen = []
+    shell_terms = asymptotics._shell_terms
+
+    def spy(powers, tables, m):
+        seen.append(powers)
+        return shell_terms(powers, tables, m)
+
+    monkeypatch.setattr(asymptotics, "_shell_terms", spy)
+    expo = 1.5 - 1.5 * ratio
+    _orbit_sum(expo, m_max)
+    assert len(seen) == m_max and all(p is seen[0] for p in seen)
+    n_max = 3 * m_max * m_max
+    want = np.array([math.pow(n, expo) for n in range(1, n_max + 1)], dtype=np.float64)
+    got = seen[0]
+    assert got.dtype == np.float64 and got.shape == (n_max,)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, (bad.size, bad[:5] + 1)
+
+
 def _table_shells(m_max):
     """(M, a, b, w) per shell from the pair tables of the orbit sum: the
     pairs of nonzero weight and their weights."""
@@ -493,14 +519,30 @@ def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
     report = le_count_detailed(10, threads=10**4)
     assert (report["split"], report["nonsplit"]) == (48, 9)
     assert all(n <= (os.cpu_count() or 1) for n in _SerialPool.sizes), _SerialPool.sizes
+    assert all(n <= asymptotics.usable_cpus() for n in _SerialPool.sizes), _SerialPool.sizes
     # one call (the form (0, 0, 1)) needs no pool at any thread count
     monkeypatch.setattr(_SerialPool, "sizes", [])
     assert count_Nst(2, 1, 1, threads=2) == 9
     assert _SerialPool.sizes == []
+    # the bound is the CPUs the process may use, not the machine's
+    monkeypatch.setattr(asymptotics, "usable_cpus", lambda: 1)
+    assert count_Nst(2, 1, 5, threads=2) == 729
+    assert _SerialPool.sizes == []
     # with more CPUs than calls, the pool is as large as the call list
-    monkeypatch.setattr(asymptotics.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(asymptotics, "usable_cpus", lambda: 64)
     assert asymptotics.parallel_map(pow, [(2, 3), (3, 2)], threads=10**4) == [8, 9]
     assert _SerialPool.sizes == [2]
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    # only reads what the platform reports; no worker is started here
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert asymptotics.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert asymptotics.usable_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert asymptotics.usable_cpus() == 1
 
 
 def test_count_scaling_law():

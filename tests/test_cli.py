@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb2 import oracles, verify
+from hilb2 import cli, oracles, verify
 from hilb2.asymptotics import constant_c, count_Nst
 from hilb2.cli import _threads, height_formatter, main, point_row
 from hilb2.heights import height2_st, height_st
@@ -81,8 +80,9 @@ def test_count_report_unchanged_by_shared_prediction(capsys):
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch):
-    # _threads only reads its inputs; no worker is started here
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # _threads only reads its inputs; no worker is started here.  The clamp
+    # is the CPUs the process may use (``usable_cpus``), not the machine's
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.delenv("HILB2_THREADS", raising=False)
     assert _threads(argparse.Namespace(threads=7)) == 2
     assert _threads(argparse.Namespace(threads=2)) == 2
@@ -91,7 +91,8 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setenv("HILB2_THREADS", "9")
     assert _threads(argparse.Namespace(threads=None)) == 2
     assert _threads(argparse.Namespace(threads=1)) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)  # e.g. under taskset -c 1
+    assert _threads(argparse.Namespace(threads=2)) == 1
     assert _threads(argparse.Namespace(threads=None)) == 1
 
 
@@ -402,8 +403,8 @@ def test_oversized_le_count_prints_no_traceback():
 
 
 def test_unwritable_out_path_is_one_error_line(tmp_path):
-    # the report is computed, then opening the output file fails: exit 1
-    # with one error line, not a traceback
+    # opening the output file fails: exit 1 with one error line, not a
+    # traceback
     out = tmp_path / "missing" / "x.json"
     r = run_cli(["count", "--s", "2", "--t", "1", "--B", "2", "--out", str(out)])
     assert r.returncode == 1
@@ -411,6 +412,35 @@ def test_unwritable_out_path_is_one_error_line(tmp_path):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_unwritable_out_path_fails_before_the_work(tmp_path, capsys):
+    # the listing at B = 30 holds 160417 points; the path is opened first
+    out = tmp_path / "missing" / "x.json"
+    argv = ["count", "--s", "2", "--t", "1", "--B", "30", "--emit-points", "--out", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_failed_command_leaves_no_partial_report(tmp_path, capsys):
+    # M_max 501 is refused after the path is opened: a file created for the
+    # report is removed, and an existing one keeps its content
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("previous\n")
+    for out in (new, old):
+        assert main(["constant", "--ratio", "2", "--M-max", "501", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not new.exists()
+    assert old.read_text() == "previous\n"
+    # a command that succeeds replaces the whole file with its report
+    assert main(["constant", "--ratio", "2", "--M-max", "5", "--out", str(old)]) == 0
+    main(["constant", "--ratio", "2", "--M-max", "5"])
+    assert old.read_text() == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -169,11 +169,28 @@ def test_quotient_gram_is_the_adjugate_of_the_restriction_map(raw, x):
 
 
 def test_quotient_rejects_a_restriction_map_off_the_product_covolume(monkeypatch):
-    # 2 rho does not map Z^6 onto Z^3, and det(rho rho^T) grows by 2^6
-    rho = lattice.restriction_map
-    monkeypatch.setattr(lattice, "restriction_map", lambda f: tuple(tuple(2 * x for x in r) for r in rho(f)))
+    # the Gram reads rho rho^T from the kernel basis; on (2e, f) rho becomes
+    # diag(4, 2, 1) rho, which does not map Z^6 onto Z^3, and det(rho rho^T)
+    # grows by 2^6
+    basis = lattice.kernel_basis_of
+    monkeypatch.setattr(lattice, "kernel_basis_of", lambda f: (tuple(2 * x for x in basis(f)[0]), basis(f)[1]))
     with pytest.raises(AssertionError):
         lattice._quotient_cached.__wrapped__(2, 1, 0)
+
+
+def test_quotient_gram_from_moments_is_the_restriction_map_adjugate():
+    # gram_int is read from the moments of the kernel basis; pin it to
+    # adj(rho rho^T) with rho rho^T the dot products of restriction_map's rows
+    rng = random.Random(11)
+    forms = [LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(0, 0, 1)]
+    forms += seeded_forms(23, 2000, 40)
+    while len(forms) < 4003:
+        t = [rng.randint(-10**6, 10**6) for _ in range(3)]
+        if any(t) and gcd(gcd(t[0], t[1]), t[2]) == 1:
+            forms.append(LinearForm.from_raw(*t))
+    for f in forms:
+        want = oracles._adjugate3(gram_matrix(restriction_map(f)))
+        assert [list(r) for r in lattice._quotient_cached.__wrapped__(*f.triple).gram_int] == want, f
 
 
 def test_closed_form_quotient_against_complement_basis():
