@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Callable
@@ -25,10 +25,8 @@ from .asymptotics import (
     convergence_report,
     le_count_detailed,
     le_rudulier_prediction,
-    usable_cpus,
 )
 from .heights import (
-    InternalCheckError,
     classify,
     discriminant,
     height2_st,
@@ -36,7 +34,7 @@ from .heights import (
     le_height,
     le_height2,
 )
-from .hilb import HilbPoint, PointValidationError, canonicalize, enumerate_points
+from .hilb import HilbPoint, canonicalize, enumerate_points
 from .verify import SUITE_NAMES, run_suite
 
 # version 2: qbar is the restricted binary form on the reduced kernel basis
@@ -77,18 +75,17 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",")]
 
 
-def _int_triple(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected a,b,c")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _int_six(text: str) -> tuple[int, ...]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 6:
-        raise argparse.ArgumentTypeError("expected six quadric coefficients")
-    return tuple(parts)
+def _ints(n: int, expected: str) -> Callable[[str], tuple[int, ...]]:
+    """An argparse type: ``n`` comma-separated integers, else ``expected``."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            parts = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            parts = ()
+        if len(parts) != n:
+            raise argparse.ArgumentTypeError(expected)
+        return parts
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -116,8 +113,8 @@ def build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("inspect", help="single-point report")
-    sp.add_argument("--ell", type=_int_triple, required=True)
-    sp.add_argument("--q", type=_int_six, required=True)
+    sp.add_argument("--ell", type=_ints(3, "expected a,b,c"), required=True)
+    sp.add_argument("--q", type=_ints(6, "expected six quadric coefficients"), required=True)
     common(sp)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
@@ -141,13 +138,11 @@ def build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
-    """--threads, else HILB2_THREADS, else 1; clamped to [1, usable_cpus()]."""
+    """--threads, else HILB2_THREADS, else 1, as given: ``parallel_map``
+    starts at most min(threads, calls, ``usable_cpus()``) workers."""
     if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("HILB2_THREADS")
-        n = int(env) if env else 1
-    return max(1, min(n, usable_cpus()))
+        return args.threads
+    return int(os.environ.get("HILB2_THREADS") or 1)
 
 
 @contextmanager
@@ -170,34 +165,24 @@ def _claimed_out(path: str | None):
         raise
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _csv_text(rows: list[dict], fields: list[str]) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
-
-
-def _emit_report(args, report: dict) -> int:
-    """Write a summary report as one flattened CSV row or as JSON."""
+def _emit(args, report: dict, rows: list[dict] | None = None,
+          fields: list[str] | None = None) -> int:
+    """Write the report once, to --out or stdout, and return exit status 0.
+    JSON is ``report``; CSV is ``rows`` under ``fields``, by default
+    ``report`` flattened to one row."""
     if args.format == "csv":
-        flat = _flatten(report)
-        _emit(args, _csv_text([flat], list(flat)))
+        if rows is None:
+            rows = [_flatten(report)]
+            fields = list(rows[0])
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+        text = buf.getvalue()
     else:
-        _emit(args, _json_text(report))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
     return 0
 
 
@@ -259,11 +244,7 @@ def _cmd_count(args) -> int:
     if args.emit_points:
         height = height_formatter(args.s, args.t)
         rows = [point_row(z, height) for z in enumerate_points(args.s, args.t, args.B)]
-        if args.format == "csv":
-            _emit(args, _csv_text(rows, POINT_FIELDS))
-        else:
-            _emit(args, _json_text({"schema_version": POINT_SCHEMA_VERSION, "points": rows}))
-        return 0
+        return _emit(args, {"schema_version": POINT_SCHEMA_VERSION, "points": rows}, rows, POINT_FIELDS)
     (row,) = convergence_report(
         args.s, args.t, [args.B], const_m_max=args.const_M_max, threads=threads
     )["rows"]
@@ -275,7 +256,7 @@ def _cmd_count(args) -> int:
         "prediction": row["prediction"],
         "rel_dev": row["rel_dev"],
     }
-    return _emit_report(args, report)
+    return _emit(args, report)
 
 
 def _cmd_constant(args) -> int:
@@ -289,7 +270,7 @@ def _cmd_constant(args) -> int:
         "c_low": est.lo,
         "c_high": est.hi,
     }
-    return _emit_report(args, report)
+    return _emit(args, report)
 
 
 def _cmd_inspect(args) -> int:
@@ -309,20 +290,15 @@ def _cmd_inspect(args) -> int:
         "H_Le": le_height(z),
         "H_Le2_exact": f"{h_le2.numerator}/{h_le2.denominator}",
     }
-    return _emit_report(args, report)
+    return _emit(args, report)
 
 
 def _cmd_verify(args) -> int:
     names = ("m_max", "box", "n_lattices", "height_bound", "a_max", "k_max", "b_values")
     overrides = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     report = run_suite(args.suite, seed=args.seed, threads=_threads(args), **overrides)
-    if args.format == "csv":
-        rows = [
-            {"suite": report["suite"], **c} for c in report["checks"]
-        ]
-        _emit(args, _csv_text(rows, ["suite", "name", "passed", "detail"]))
-    else:
-        _emit(args, _json_text(report))
+    rows = [{"suite": report["suite"], **c} for c in report["checks"]]
+    _emit(args, report, rows, ["suite", "name", "passed", "detail"])
     return 0 if report["passed"] else 1
 
 
@@ -331,7 +307,7 @@ def _cmd_le_count(args) -> int:
     pred = le_rudulier_prediction(float(args.B)) if args.B > 1 else None
     rep["prediction"] = pred
     rep["ratio_to_prediction"] = rep["total"] / pred if pred else None
-    return _emit_report(args, rep)
+    return _emit(args, rep)
 
 
 def main(argv=None) -> int:
@@ -347,10 +323,10 @@ def main(argv=None) -> int:
     try:
         with _claimed_out(args.out):
             return handlers[args.command](args)
-    except (PointValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PointValidationError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (InternalCheckError, AssertionError) as exc:
+    except AssertionError as exc:  # InternalCheckError is an AssertionError
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 2
 

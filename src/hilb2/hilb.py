@@ -217,6 +217,9 @@ def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
 # many triples 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would
 # take hours of fiber work.  count_Nst(2, 1, 400) needs 3654.
 _MAX_REPRESENTATIVES = 10**6
+# The listing also refuses more points than this, by their exact count: at
+# (s, t) = (2, 1) it admits B = 55 (987757 points), not B = 56.
+_MAX_POINTS = 10**6
 
 
 def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
@@ -345,7 +348,7 @@ def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
 
 def fiber_points(ell: LinearForm, t_max: int) -> list[HilbPoint]:
     """The points over ``ell`` with covol2_I2 <= t_max, qbar-lexicographic,
-    with no prune: ``enumerate_points`` opens each orbit once, on its
+    with no prune: ``enumerate_points`` counts each orbit once, on its
     representative."""
     qbars = sorted(
         sign_canonical(x)
@@ -375,26 +378,34 @@ def enumerate_points(
 
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
-    (s, t, B) must pass ``height_query``.  ValueError, before any walking,
-    when the walk would cover more than ``_MAX_REPRESENTATIVES`` orbit
-    representatives.
+    (s, t, B) must pass ``height_query``.  ValueError, before the first
+    point, when the walk would cover more than ``_MAX_REPRESENTATIVES``
+    orbit representatives or list more than ``_MAX_POINTS`` points.
 
-    One fiber is opened per orbit (``_orbit_representatives``) of the forms
+    One fiber is counted per orbit (``_orbit_representatives``) of the forms
     with n <= ``norm_cutoff``: every point has H^2 >= n^s / 3^t, so the
-    forms past it hold none.  t_max = ``max_covol2_I2`` and ``_open_fiber``
-    are computed on the representative; that returns None exactly when the
-    fiber is empty: a fiber it opens has t_max >= min_form_value, and a
-    vector attaining the first minimum is primitive, so it is a point.
-    Emptiness and t_max are constant on the orbit, so the forms of the
-    non-empty orbits, with their orbit's t_max, are the forms with points.
+    forms past it hold none.  t_max = ``max_covol2_I2`` and the count are
+    computed on the representative and are constant on the orbit; the count
+    is 0 exactly when ``_open_fiber`` finds the fiber empty (a vector
+    attaining the first minimum is primitive, so it is a point).  Each
+    listed fiber is checked against its orbit's count, raised explicitly so
+    that python -O keeps it.
     """
     s, t, bound = height_query(s, t, bound)
     if bound < 1:
         return
     fibers = []
-    for rep, _ in _orbit_representatives(norm_cutoff(s, t, bound)):
+    total = 0
+    for rep, h in _orbit_representatives(norm_cutoff(s, t, bound)):
         t_max = max_covol2_I2(rep.norm2, s, t, bound)
-        if _open_fiber(rep, t_max) is not None:
-            fibers.extend((ell, t_max) for ell in _orbit_forms(rep))
-    for ell, t_max in sorted(fibers, key=lambda f: f[0].triple):
-        yield from fiber_points(ell, t_max)
+        count = fiber_point_count(rep, t_max)
+        if count:
+            total += h * count
+            fibers.extend((ell, t_max, count) for ell in _orbit_forms(rep))
+    if total > _MAX_POINTS:
+        raise ValueError(f"B is too large: {total} points to list, more than {_MAX_POINTS}")
+    for ell, t_max, count in sorted(fibers, key=lambda f: f[0].triple):
+        points = fiber_points(ell, t_max)
+        if len(points) != count:
+            raise AssertionError(f"{len(points)} points listed at {ell.triple}, {count} counted")
+        yield from points

@@ -342,22 +342,24 @@ def _python_candidates(g: Sequence[Sequence[int]], t_cap: int) -> list[tuple[int
     return out
 
 
-def _distance_lemma_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Coefficient cutoff of the oracle, from the distance lemma that the
-    minima suite checks (dist^2 >= 1/(49 M^4), so covol2_I2 >= (2/147) M^2)
-    rather than the library's sharper first-minimum bound.
-
-    With M^2 <= covol2_I1 <= 3 M^2, every point over a form of max-coordinate
-    M has H^2 >= min(1, 3^(s-t)) * (2/147)^t * M^(2s); the cutoff is the
-    largest M for which that lower bound is at most bound^2, compared after
-    raising both sides to the power L = lcm of the exponent denominators.
+def distance_lemma_reaches(s: Fraction, t: Fraction, bound: Fraction, m: int) -> bool:
+    """Whether a point of height <= bound may lie over a form of
+    max-coordinate M = m, by the distance lemma that the minima suite checks
+    (dist^2 >= 1/(49 M^4), so covol2_I2 >= (2/147) M^2) rather than the
+    library's sharper first-minimum bound.  With M^2 <= covol2_I1 <= 3 M^2
+    every such point has H^2 >= min(1, 3^(s-t)) * (2/147)^t * M^(2s), which
+    grows with M; that bound is compared with bound^2 after raising both
+    sides to the power L = lcm of the exponent denominators.
     """
     big_l = lcm(s.denominator, t.denominator)
     k_pow = Fraction(2, 147) ** int(big_l * t) * min(1, Fraction(3) ** int(big_l * (s - t)))
-    exp = int(2 * big_l * s)
-    rhs = bound ** (2 * big_l)
+    return k_pow * Fraction(m) ** int(2 * big_l * s) <= bound ** (2 * big_l)
+
+
+def _distance_lemma_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
+    """Coefficient cutoff of the oracle: the largest M it reaches."""
     m = 0
-    while k_pow * Fraction(m + 1) ** exp <= rhs:
+    while distance_lemma_reaches(s, t, bound, m + 1):
         m += 1
     return m
 

@@ -45,7 +45,12 @@ from .lattice import (
     sign_canonical,
     successive_minima,
 )
-from .oracles import count_primitive_gram_boxscan, distance_lemma_violations, oracle_count_points
+from .oracles import (
+    count_primitive_gram_boxscan,
+    distance_lemma_reaches,
+    distance_lemma_violations,
+    oracle_count_points,
+)
 
 
 def _check(checks: list, name: str, passed: bool, detail: str = "") -> None:
@@ -629,17 +634,22 @@ def suite_oracle_count(
     b_values: tuple = (1, 2, 5, 10, 20, 30),
     threads: int = 1,
 ) -> dict:
-    """Exact equality of the fiber-sum count and the independent box-scan oracle."""
+    """Exact equality of the fiber-sum count and the independent box-scan
+    oracle.  The oracle walks ``canonical_forms`` to the largest M that
+    ``distance_lemma_reaches``; ``check_form_walk`` admits M <= 62, so one
+    comparison at 63 refuses an oversized query before the first count."""
+    for s, t in st_pairs:
+        for b in b_values:
+            if b >= 1 and distance_lemma_reaches(Fraction(s), Fraction(t), Fraction(b), 63):
+                raise ValueError(f"b_values is too large: the oracle walk at (s, t, B) = "
+                                 f"({s}, {t}, {b}) passes m_max 62, more than {_MAX_FORMS} forms")
     checks: list = []
     rows = []
-    ok = True
     for s, t in st_pairs:
         for b in b_values:
             n = count_Nst(s, t, b, threads=threads)
-            m = oracle_count_points(s, t, b)
-            rows.append({"s": s, "t": t, "B": str(b), "N": n, "oracle": m})
-            if n != m:
-                ok = False
+            rows.append({"s": s, "t": t, "B": str(b), "N": n, "oracle": oracle_count_points(s, t, b)})
+    ok = all(r["N"] == r["oracle"] for r in rows)
     _check(checks, "oracle-equality", ok, f"{len(rows)} queries")
     rep = _report(
         "oracle-count",

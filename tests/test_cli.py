@@ -14,18 +14,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilb2 import cli, oracles, verify
+from hilb2 import asymptotics, cli, oracles, verify
 from hilb2.asymptotics import constant_c, count_Nst
 from hilb2.cli import _threads, height_formatter, main, point_row
 from hilb2.heights import height2_st, height_st
 from hilb2.hilb import HilbPoint, canonical_forms, enumerate_points
 from hilb2.lattice import LinearForm
+from test_asymptotics import _SerialPool
 
 
 def run_cli(args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "hilb2", *args], capture_output=True, text=True, **kw
     )
+
+
+def run_main_timed(argv, timeout=5):
+    """``main(argv)`` in a fresh interpreter that is killed after ``timeout``
+    seconds, so a run that would list or walk too much cannot exhaust
+    memory: (exit status, seconds inside ``main``, stdout, stderr)."""
+    code = (
+        "import sys, time\n"
+        "from hilb2.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t0)\n"
+        "sys.exit(rc)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=timeout
+    )
+    out, _, elapsed = r.stdout.rstrip("\n").rpartition("\n")
+    return r.returncode, float(elapsed), out, r.stderr
 
 
 def test_count_json(capsys):
@@ -79,21 +99,34 @@ def test_count_report_unchanged_by_shared_prediction(capsys):
     assert json.loads(capsys.readouterr().out)["rel_dev"] is None
 
 
-def test_threads_clamped_to_cpu_count(monkeypatch):
-    # _threads only reads its inputs; no worker is started here.  The clamp
-    # is the CPUs the process may use (``usable_cpus``), not the machine's
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
+    # _threads passes --threads, else HILB2_THREADS, else 1 through as
+    # given; parallel_map is the one bound on workers, the CPUs the process
+    # may use (``usable_cpus``), not the machine's
     monkeypatch.delenv("HILB2_THREADS", raising=False)
-    assert _threads(argparse.Namespace(threads=7)) == 2
+    assert _threads(argparse.Namespace(threads=7)) == 7
     assert _threads(argparse.Namespace(threads=2)) == 2
-    assert _threads(argparse.Namespace(threads=0)) == 1
+    assert _threads(argparse.Namespace(threads=0)) == 0
     assert _threads(argparse.Namespace(threads=None)) == 1
     monkeypatch.setenv("HILB2_THREADS", "9")
-    assert _threads(argparse.Namespace(threads=None)) == 2
+    assert _threads(argparse.Namespace(threads=None)) == 9
     assert _threads(argparse.Namespace(threads=1)) == 1
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)  # e.g. under taskset -c 1
-    assert _threads(argparse.Namespace(threads=2)) == 1
-    assert _threads(argparse.Namespace(threads=None)) == 1
+    # end to end, with no worker started: under one usable CPU (e.g.
+    # taskset -c 1) --threads 64 starts no pool, and under two the pool
+    # has two workers
+    monkeypatch.setattr(asymptotics, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    argv = ["count", "--s", "2", "--t", "1", "--B", "5", "--const-M-max", "20", "--threads", "64"]
+    monkeypatch.setattr(asymptotics, "usable_cpus", lambda: 1)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 729
+    assert main(["le-count", "--B", "10", "--threads", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 57
+    assert _SerialPool.sizes == []
+    monkeypatch.setattr(asymptotics, "usable_cpus", lambda: 2)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 729
+    assert _SerialPool.sizes == [2]
 
 
 def test_constant_json(capsys):
@@ -138,6 +171,26 @@ def test_malformed_flags_exit_1():
     assert r.returncode == 1
     r = run_cli(["inspect", "--ell", "1,2", "--q", "1,0,0,0,0,0"])
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "ell, q, message",
+    [
+        ("1,2", "1,0,0,-2,0,0", "argument --ell: expected a,b,c"),
+        ("1,2,x", "1,0,0,-2,0,0", "argument --ell: expected a,b,c"),
+        ("1,2,3,4", "1,0,0,-2,0,0", "argument --ell: expected a,b,c"),
+        ("1,2,3", "1,0,0,-2,0", "argument --q: expected six quadric coefficients"),
+        ("1,2,3", "1,0,0,-2,0,y", "argument --q: expected six quadric coefficients"),
+        ("1,2,3", "1.5,0,0,-2,0,0", "argument --q: expected six quadric coefficients"),
+    ],
+)
+def test_malformed_integer_lists_say_what_is_expected(ell, q, message):
+    # a non-integer entry gets the same message as a wrong count, not
+    # argparse's "invalid <parser name> value"
+    r = run_cli(["inspect", "--ell", ell, "--q", q], timeout=30)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert [ln for ln in r.stderr.splitlines() if ln.startswith("error:")] == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
@@ -490,6 +543,21 @@ def test_verify_refuses_empty_and_oversized_runs(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_oracle_walk_guard_is_the_form_walk_rule():
+    # check_form_walk admits m_max 62 and refuses 63, and the one
+    # comparison at 63 says whether the oracle's cutoff loop passes 62
+    verify.check_form_walk(62, "m_max")
+    with pytest.raises(ValueError, match="m_max is too large"):
+        verify.check_form_walk(63, "m_max")
+    for (s, t), first_refused in (((2, 1), 463), ((3, 2), 3402), ((3, 1), 29167)):
+        s, t = Fraction(s), Fraction(t)
+        for b in (first_refused - 1, first_refused, Fraction(2 * first_refused + 1, 2)):
+            b = Fraction(b)
+            cutoff = oracles._distance_lemma_cutoff(s, t, b)
+            assert oracles.distance_lemma_reaches(s, t, b, 63) == (cutoff >= 63), (s, t, b)
+            assert (cutoff >= 63) == (b >= first_refused), (s, t, b, cutoff)
+
+
 @pytest.mark.parametrize("m_max, box", [(22, 4), (21, 4), (22, 3)])
 def test_minima_refuses_an_int64_overflow_before_scanning(m_max, box):
     # the forms (m_max, m_max, m_max - 1) overflow the int64 distance check
@@ -539,6 +607,78 @@ def test_byte_identical_across_threads():
                  "--const-M-max", "10"])
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# sha256 of stdout for each command and format, recorded before the CSV and
+# JSON writers were folded into one
+_PINNED_REPORTS = [
+    (["count", "--s", "2", "--t", "1", "--B", "10"], "json",
+     "a3f1f469553d27f6c5c188748d09db36ad6fbb01cfd5f85c98ca6e4d9d06f535"),
+    (["count", "--s", "3", "--t", "2", "--B", "8", "--emit-points"], "json",
+     "1a35b5bed0f246a3a41bd299a2490c12475f1091cbae7061dd59e6f1659e77bf"),
+    (["constant", "--ratio", "2", "--M-max", "30"], "json",
+     "34e3acae62945a4888880a372d016c96acef195bc16cea49dd7958ce5a652f32"),
+    (["inspect", "--ell", "1,2,3", "--q", "1,0,0,-2,0,0"], "json",
+     "9481331902a04597dcbd7884392ef0e52a4435c6b685696a00b193ac845c1f06"),
+    (["verify", "--suite", "za-family"], "json",
+     "583aaf2b42c9d764e398df856c90b2c621c1fa5009a4225f9cd6d31384003dbb"),
+    (["le-count", "--B", "1000"], "json",
+     "e2acc9f1473c6d3c29aa89b54e16213ae53068932ad04ac9dbb04996e679cf70"),
+    (["count", "--s", "2", "--t", "1", "--B", "10"], "csv",
+     "bdb6a4fb9fdb2a2b46fcd2d4c91dd3ccf2f7cc0181ce75af4ed8f3e48d96276e"),
+    (["count", "--s", "3", "--t", "2", "--B", "8", "--emit-points"], "csv",
+     "6ac3ee111b67141875b5d646b6907217988aad4159acb60bca3a25bb7008f894"),
+    (["constant", "--ratio", "2", "--M-max", "30"], "csv",
+     "1bebe8d3efffb380196c575fa06803d9047c6ae39fbc4cbc8c4afaada9c99993"),
+    (["inspect", "--ell", "1,2,3", "--q", "1,0,0,-2,0,0"], "csv",
+     "9ea8a4a3d0dc39dbd68568d051f40ee60c8b2ab59ab37827b540302a36b5ab4b"),
+    (["verify", "--suite", "za-family"], "csv",
+     "0f5711c09ecbd9bf0a6cff53ec6ce2b614b347434205d459ecb6407376096a20"),
+    (["le-count", "--B", "1000"], "csv",
+     "b4494d6f9219ef3c3c3131bafa26cc2471425e091f606644a284bf99c97bceb7"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", _PINNED_REPORTS)
+def test_every_report_byte_is_pinned(argv, fmt, digest, tmp_path):
+    # one writer serves every command and format: stdout keeps every byte,
+    # and --out writes the same bytes
+    r = subprocess.run(
+        [sys.executable, "-m", "hilb2", *argv, "--format", fmt], capture_output=True, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == b""
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
+    out = tmp_path / f"report.{fmt}"
+    r = subprocess.run(
+        [sys.executable, "-m", "hilb2", *argv, "--format", fmt, "--out", str(out)],
+        capture_output=True, timeout=60,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, b"", b"")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--s", "2", "--t", "1", "--B", "100", "--emit-points"],
+         "error: B is too large: 5939677 points to list, more than 1000000\n"),
+        (["verify", "--suite", "oracle-count", "--b-values", "1000"],
+         "error: b_values is too large: the oracle walk at (s, t, B) = (2, 1, 1000) "
+         "passes m_max 62, more than 1000000 forms\n"),
+        (["verify", "--suite", "oracle-count", "--b-values", "5,10,1e30"],
+         "error: b_values is too large: the oracle walk at (s, t, B) = (2, 1, "
+         "1000000000000000000000000000000) passes m_max 62, more than 1000000 forms\n"),
+    ],
+)
+def test_oversized_listing_and_oracle_walk_exit_1_at_once(argv, message):
+    # the listing is refused by its exact size, and the oracle walk by
+    # check_form_walk's rule, before the first point or count
+    rc, elapsed, out, err = run_main_timed(argv)
+    assert rc == 1
+    assert elapsed < 1.0
+    assert out == ""
+    assert err == message
 
 
 def test_schema_versions(capsys):

@@ -6,6 +6,7 @@ from math import gcd, isqrt
 import pytest
 
 from conftest import seeded_forms
+from hilb2 import hilb
 from hilb2.asymptotics import count_Nst
 from hilb2.exactlin import gram_det2
 from hilb2.hilb import (
@@ -151,6 +152,24 @@ def test_enumerate_points_refuses_oversized_bounds():
     for b in (18707, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
+
+
+def test_enumerate_points_refuses_a_listing_by_its_exact_size():
+    # count_Nst(2, 1, B) is 987757 at B = 55 and 1042969 at B = 56; the
+    # listing is refused from the orbit counts, before its first point
+    assert count_Nst(2, 1, 55) == 987757 and count_Nst(2, 1, 56) == 1042969
+    assert next(enumerate_points(2, 1, 55)) == HilbPoint(LinearForm(0, 0, 1), (0, 0, 1))
+    for b, total in ((56, 1042969), (100, 5939677)):
+        with pytest.raises(ValueError, match=f"B is too large: {total} points to list, more than 1000000"):
+            next(enumerate_points(2, 1, b))
+
+
+def test_enumerate_points_checks_each_fiber_against_its_orbit_count(monkeypatch):
+    # a fiber listed short of its orbit's count is an internal error, raised
+    # explicitly so that python -O keeps it
+    monkeypatch.setattr(hilb, "fiber_points", lambda ell, t_max: fiber_points(ell, t_max)[1:])
+    with pytest.raises(AssertionError, match="points listed at"):
+        list(enumerate_points(2, 1, 3))
 
 
 @pytest.mark.parametrize(
