@@ -142,7 +142,11 @@ def _threads(args) -> int:
     starts at most min(threads, calls, ``usable_cpus()``) workers."""
     if args.threads is not None:
         return args.threads
-    return int(os.environ.get("HILB2_THREADS") or 1)
+    raw = os.environ.get("HILB2_THREADS") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HILB2_THREADS must be an integer, got {raw!r}") from None
 
 
 @contextmanager
@@ -240,13 +244,12 @@ def point_row(z: HilbPoint, height: Callable[[HilbPoint], str]) -> dict:
 
 
 def _cmd_count(args) -> int:
-    threads = _threads(args)
-    if args.emit_points:
+    if args.emit_points:  # the listing starts no workers
         height = height_formatter(args.s, args.t)
         rows = [point_row(z, height) for z in enumerate_points(args.s, args.t, args.B)]
         return _emit(args, {"schema_version": POINT_SCHEMA_VERSION, "points": rows}, rows, POINT_FIELDS)
     (row,) = convergence_report(
-        args.s, args.t, [args.B], const_m_max=args.const_M_max, threads=threads
+        args.s, args.t, [args.B], const_m_max=args.const_M_max, threads=_threads(args)
     )["rows"]
     report = {
         "schema_version": 1,

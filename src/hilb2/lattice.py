@@ -109,12 +109,12 @@ class LinearForm:
     c: int
 
     def __post_init__(self) -> None:
-        t = (self.a, self.b, self.c)
-        if t == (0, 0, 0):
+        a, b, c = self.a, self.b, self.c
+        if not (a or b or c):
             raise ValueError("zero form")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
+        if gcd(a, b, c) != 1:
             raise ValueError("form must be primitive")
-        if sign_canonical(t) != t:
+        if a < 0 or not a and (b < 0 or not b and c < 0):
             raise ValueError("form must be sign-canonical (first nonzero coordinate positive)")
 
     @classmethod
@@ -275,9 +275,8 @@ class QuotientLattice:
 
 
 @lru_cache(maxsize=4096)
-def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
-    ell = LinearForm(a, b, c)
-    covol2p = product_covol2_formula(a, b, c)
+def _quotient_cached(ell: LinearForm) -> QuotientLattice:
+    covol2p = product_covol2_formula(ell.a, ell.b, ell.c)
     # rho rho^T from the moments of (e, f): with E_i = e_i^2, F_i = f_i^2 and
     # P_i = e_i f_i, the rows of rho pair the monomials of e, their
     # polarisation at (e, f) and the monomials of f, e.g. sum over i <= j of
@@ -305,7 +304,9 @@ def _quotient_cached(a: int, b: int, c: int) -> QuotientLattice:
 
 
 def quotient(ell: LinearForm) -> QuotientLattice:
-    return _quotient_cached(*ell.triple)
+    """The quotient lattice of ``ell``, cached on the form itself, which was
+    validated when it was made."""
+    return _quotient_cached(ell)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +327,38 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
     diagonal, size-reduces b1 by b0, b2 by b0 and b2 by b1 when that
     shortens them, and replaces b2 by the shortest strictly shorter
     b2 + e0 b0 + e1 b1, (e0, e1) in {-1, 0, 1}^2, the first in lexicographic
-    order on ties.  It stops when a pass changes nothing; then the diagonal
-    is sorted, 2|g_ij| <= g_ii for i < j and no such step shortens b2:
-    Minkowski's conditions for ternary forms.  ``successive_minima`` and
-    ``min_form_value`` rely on that, and ``_minkowski_reduced`` checks it
-    exactly.  The entries are held in local integers; the tests keep the
-    loop over lists as the reference, with the same (g_reduced, u).
+    order on ties.
+
+    Stopping rule: a pass starts only if Minkowski's conditions for ternary
+    forms fail, so the last pass of the greedy loop, the one that changes
+    nothing, never runs.  The conditions are that the diagonal is sorted,
+    2|g_ij| <= g_ii for i < j, and d >= 0 for the four (e0, e1) = (+-1, +-1),
+    where d = g(b2 + e0 b0 + e1 b1) - g22; ``_minkowski_reduced`` checks the
+    same conditions exactly.  A Gram that meets them is a fixed point of the
+    pass: no swap, since the diagonal is sorted; no size step, since
+    2|g_ij| <= g_ii leaves k in {0, 1} with k = 1 only at 2 g_ij = g_ii,
+    where the step would not shorten; no greedy step, since the four
+    conditions and 2|g_ij| <= g_ii give d >= 0 for all eight (e0, e1).
+    Conversely a pass that changes nothing shows that they hold.  So the
+    loop stops on the same (g_reduced, u) as one that runs passes until a
+    pass changes nothing.  ``successive_minima`` and ``min_form_value`` rely
+    on the conditions.  The entries are held in local integers; the tests
+    keep the loop over lists as the reference, with the same
+    (g_reduced, u).
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = 1, 0, 0, 0, 1, 0, 0, 0, 1
     for _ in range(10_000):
-        # a swap sorts the diagonal and every other step lowers its sum, so
-        # a pass changed something exactly when the diagonal changed
-        diagonal = (g00, g11, g22)
+        # Minkowski's conditions: the pass below would change nothing
+        if (
+            g00 <= g11 <= g22
+            and -g00 <= 2 * g01 <= g00
+            and -g00 <= 2 * g02 <= g00
+            and -g11 <= 2 * g12 <= g11
+            and 2 * abs(g02 + g12) <= g00 + g11 + 2 * g01
+            and 2 * abs(g02 - g12) <= g00 + g11 - 2 * g01
+        ):
+            break
         if g00 > g11:
             g00, g11, g02, g12 = g11, g00, g12, g02
             u00, u01, u10, u11, u20, u21 = u01, u00, u11, u10, u21, u20
@@ -348,42 +368,52 @@ def reduce_gram(g: Matrix) -> tuple[Matrix, Matrix]:
         if g00 > g11:
             g00, g11, g02, g12 = g11, g00, g12, g02
             u00, u01, u10, u11, u20, u21 = u01, u00, u11, u10, u21, u20
-        # pairwise size reduction: b_j <- b_j - k b_i
-        k = _nearest_div(g01, g00)
+        # pairwise size reduction: b_j <- b_j - k b_i, k the nearest integer
+        # to g_ij / g_ii (ties toward +infinity)
+        k = (2 * g01 + g00) // (2 * g00)
         if k and k * (k * g00 - 2 * g01) < 0:
             g11 += k * (k * g00 - 2 * g01)
             g01 -= k * g00
             g12 -= k * g02
             u01, u11, u21 = u01 - k * u00, u11 - k * u10, u21 - k * u20
-        k = _nearest_div(g02, g00)
+        k = (2 * g02 + g00) // (2 * g00)
         if k and k * (k * g00 - 2 * g02) < 0:
             g22 += k * (k * g00 - 2 * g02)
             g02 -= k * g00
             g12 -= k * g01
             u02, u12, u22 = u02 - k * u00, u12 - k * u10, u22 - k * u20
-        k = _nearest_div(g12, g11)
+        k = (2 * g12 + g11) // (2 * g11)
         if k and k * (k * g11 - 2 * g12) < 0:
             g22 += k * (k * g11 - 2 * g12)
             g12 -= k * g11
             g02 -= k * g01
             u02, u12, u22 = u02 - k * u01, u12 - k * u11, u22 - k * u21
-        # greedy 3-dimensional step: the change of g22 for each (e0, e1);
-        # on ties min takes the first in lexicographic order
+        # greedy 3-dimensional step: d is the change of g22 for (e0, e1),
+        # taken in lexicographic order with strict comparisons, so a tie
+        # keeps the first
         hp, lp = g00 + g11 + 2 * g01, g02 + g12
         hm, lm = g00 + g11 - 2 * g01, g02 - g12
-        d, e0, e1 = min(
-            (hp - 2 * lp, -1, -1), (g00 - 2 * g02, -1, 0), (hm - 2 * lm, -1, 1),
-            (g11 - 2 * g12, 0, -1), (g11 + 2 * g12, 0, 1),
-            (hm + 2 * lm, 1, -1), (g00 + 2 * g02, 1, 0), (hp + 2 * lp, 1, 1),
-        )
+        d, e0, e1 = hp - 2 * lp, -1, -1
+        if g00 - 2 * g02 < d:
+            d, e0, e1 = g00 - 2 * g02, -1, 0
+        if hm - 2 * lm < d:
+            d, e0, e1 = hm - 2 * lm, -1, 1
+        if g11 - 2 * g12 < d:
+            d, e0, e1 = g11 - 2 * g12, 0, -1
+        if g11 + 2 * g12 < d:
+            d, e0, e1 = g11 + 2 * g12, 0, 1
+        if hm + 2 * lm < d:
+            d, e0, e1 = hm + 2 * lm, 1, -1
+        if g00 + 2 * g02 < d:
+            d, e0, e1 = g00 + 2 * g02, 1, 0
+        if hp + 2 * lp < d:
+            d, e0, e1 = hp + 2 * lp, 1, 1
         if d < 0:
             g22 += d
             g02, g12 = g02 + e0 * g00 + e1 * g01, g12 + e0 * g01 + e1 * g11
             u02 += e0 * u00 + e1 * u01
             u12 += e0 * u10 + e1 * u11
             u22 += e0 * u20 + e1 * u21
-        if (g00, g11, g22) == diagonal:
-            break
     else:  # pragma: no cover - reduction always terminates quickly
         raise AssertionError("gram reduction failed to terminate")
     g_red = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))

@@ -129,6 +129,31 @@ def test_threads_clamped_to_cpu_count(monkeypatch, capsys):
     assert _SerialPool.sizes == [2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--s", "2", "--t", "1", "--B", "2"],
+    ["le-count", "--B", "10"],
+    ["verify", "--suite", "minkowski", "--m-max", "2"],
+])
+def test_malformed_threads_variable_exits_1_naming_it(argv, monkeypatch, capsys):
+    monkeypatch.setenv("HILB2_THREADS", "x")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: HILB2_THREADS must be an integer, got 'x'\n"
+
+
+def test_emit_points_does_not_read_the_threads_variable(monkeypatch, capsys):
+    # the listing starts no workers, so a malformed HILB2_THREADS is not read
+    argv = ["count", "--s", "2", "--t", "1", "--B", "2", "--emit-points"]
+    monkeypatch.delenv("HILB2_THREADS", raising=False)
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setenv("HILB2_THREADS", "x")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["points"]
+
+
 def test_constant_json(capsys):
     rc = main(["constant", "--ratio", "2", "--M-max", "5"])
     assert rc == 0

@@ -45,12 +45,18 @@ from hilb2.oracles import count_primitive_gram_boxscan, count_primitive_rows, mi
 
 
 def test_linear_form_validation():
-    with pytest.raises(ValueError):
+    # the checks run in this order: zero, then primitive, then sign
+    with pytest.raises(ValueError, match="^zero form$"):
         LinearForm(0, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^form must be primitive$"):
         LinearForm(2, 4, 6)
-    with pytest.raises(ValueError):
-        LinearForm(-1, 0, 0)
+    with pytest.raises(ValueError, match="^form must be primitive$"):
+        LinearForm(-2, 4, 6)
+    for bad in ((-1, 0, 0), (0, -1, 5), (0, 0, -1), (-3, 2, 0)):
+        with pytest.raises(ValueError, match="^form must be sign-canonical "):
+            LinearForm(*bad)
+    for good in ((1, 0, 0), (0, 1, -5), (0, 0, 1), (3, -2, 0)):
+        assert LinearForm(*good).triple == good
     assert LinearForm.from_raw(-2, 0, -4).triple == (1, 0, 2)
     assert LinearForm.from_raw(0, -3, 3).triple == (0, 1, -1)
 
@@ -175,7 +181,7 @@ def test_quotient_rejects_a_restriction_map_off_the_product_covolume(monkeypatch
     basis = lattice.kernel_basis_of
     monkeypatch.setattr(lattice, "kernel_basis_of", lambda f: (tuple(2 * x for x in basis(f)[0]), basis(f)[1]))
     with pytest.raises(AssertionError):
-        lattice._quotient_cached.__wrapped__(2, 1, 0)
+        lattice._quotient_cached.__wrapped__(LinearForm(2, 1, 0))
 
 
 def test_quotient_gram_from_moments_is_the_restriction_map_adjugate():
@@ -190,7 +196,7 @@ def test_quotient_gram_from_moments_is_the_restriction_map_adjugate():
             forms.append(LinearForm.from_raw(*t))
     for f in forms:
         want = oracles._adjugate3(gram_matrix(restriction_map(f)))
-        assert [list(r) for r in lattice._quotient_cached.__wrapped__(*f.triple).gram_int] == want, f
+        assert [list(r) for r in lattice._quotient_cached.__wrapped__(f).gram_int] == want, f
 
 
 def test_closed_form_quotient_against_complement_basis():
@@ -596,10 +602,15 @@ def test_reduce_gram_consistency():
     # bit for bit against the reference loop: the witnesses reach verify
     grams = [quotient(f).gram_int for f in canonical_forms(8)]
     assert len(grams) == 2017
+    # the benchmark's distribution: coordinates up to 40
+    grams += [quotient(f).gram_int for f in seeded_forms(0, 2000, 40)]
     grams += _random_pd_grams(8, 3000)
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for g in grams:
         gred, u = reduce_gram(g)
         assert (gred, u) == _reference_reduce_gram(g), g
+        # a reduced Gram is a fixed point: reduce_gram stops before a pass
+        assert reduce_gram(gred) == (gred, eye), g
         assert det3(u) in (1, -1)
         ut = [list(col) for col in zip(*u)]
         assert mat_mul(ut, mat_mul(g, u)) == [list(r) for r in gred]
