@@ -10,9 +10,9 @@ scaled by pi / (3 zeta(3)).  The partial sum over the shells
 max |coordinate| <= M_max takes one term per orbit of the 48 signed
 coordinate permutations, weighted by the orbit size, and an exact zero for
 each pair not coprime to M (``_pair_tables``); the terms are added exactly
-in exponent bins and rounded once (``_exact_sum``).  The tail is bounded
-termwise using the lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and a
-26 M^2 shell count.  The bracket [partial, partial + tail_bound] is widened
+by error-free extraction and rounded once (``_exact_sum``).  The tail is
+bounded termwise using the lower covolume sandwich (2/3)(a^2+b^2+c^2)^3 and
+a 26 M^2 shell count.  The bracket [partial, partial + tail_bound] is widened
 by a per-term rounding budget and rounded outward, so it is certified.
 """
 
@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
@@ -77,44 +77,44 @@ _U = Fraction(1, 2**53)
 _UNDERFLOW = Fraction(1, 2**1067)
 
 
-# ``np.frexp`` exponents of finite floats run from -1073 to 1024;
-# ``_exact_sum`` keeps exponent e in bin e - _MIN_EXPONENT
-_MIN_EXPONENT = -1073
-_EXPONENT_BINS = 1024 - _MIN_EXPONENT + 1
-
-
 def _exact_sum(arrays: Iterable[np.ndarray]) -> float:
-    """The correctly rounded sum of all entries of the float64 arrays, so
-    bit-identical to ``math.fsum`` over them in any order.  The entries must
-    be nonnegative and finite, and each array shorter than 2^26.
+    """The correctly rounded sum of all entries (nonnegative and finite) of
+    the float64 arrays, bit-identical to ``math.fsum`` in any order, by
+    error-free extraction (``ExtractVector`` of Rump, Ogita and Oishi, SIAM
+    J. Sci. Comput. 31(1), 2008) over blocks of at most 2^14 entries or one
+    array.  A pass over n entries p, max |p| < 2^e, takes sigma = 2^(e + b),
+    b = bit_length(2n), so 2n |p| < sigma and p + sigma rounds into [sigma
+    / 2, 2 sigma] onto multiples of g = 2^(e + b - 53): q = (p + sigma) -
+    sigma is exact (Sterbenz), p rounded to a grid through 0, so p - q is
+    exact, |p - q| <= min(|p|, g), and the partial sums of the q are
+    multiples of g below 2^(e + b - 1) + n g <= 2^53 g: ``q.sum()`` is exact.
+    It goes into a Python int of 2^-1074 units; the next pass takes the
+    remainders, which may be negative.  A pass lowers e by 52 - b or more,
+    one with sigma <= 2^-1022 leaves none, and entries >= 2^960 (where sigma
+    could overflow) are summed apart, scaled by 2^-1000: a part takes at
+    most 2 + (e + 1022 + b) / (52 - b) passes (57 for n < 2^15; 2-3 at ratio 2)."""
 
-    Exponent-binned exact accumulation (Demmel and Hida, SIAM J. Sci.
-    Comput. 25(4), 2003): ``np.frexp`` splits x = f 2^e with an integer
-    f 2^53 < 2^53, cut into limbs hi = floor(f 2^27) < 2^27 and lo =
-    (f 2^27 - hi) 2^26 < 2^26; each step is exact (a power-of-two scaling or
-    ``floor``).  ``np.bincount`` sums each limb per exponent in floats, which
-    stays exact below 2^53, and int64 totals carry the bins across arrays.
-    The bins are added as Python ints and rounded once by the correctly
-    rounded int division."""
-    hi_bins = np.zeros(_EXPONENT_BINS, dtype=np.int64)
-    lo_bins = np.zeros(_EXPONENT_BINS, dtype=np.int64)
-    for x in arrays:
-        frac, expo = np.frexp(x)
-        expo -= _MIN_EXPONENT
-        frac *= 2.0**27
-        hi = np.floor(frac)
-        frac -= hi
-        frac *= 2.0**26
-        k = int(expo.max(initial=0)) + 1
-        hi_bins[:k] += np.bincount(expo, weights=hi, minlength=k).astype(np.int64)
-        lo_bins[:k] += np.bincount(expo, weights=frac, minlength=k).astype(np.int64)
-        del x, frac, expo, hi  # free this array before the next one is made
-    total = sum(
-        ((int(hi_bins[i]) << 26) + int(lo_bins[i])) << int(i)
-        for i in np.flatnonzero(hi_bins | lo_bins)
-    )
-    # bin i counts units of 2^(i + _MIN_EXPONENT - 53)
-    return total / (1 << (53 - _MIN_EXPONENT))
+    def extracted(p, k):  # the sum of p 2^(k - 1074), in units of 2^-1074
+        total = 0
+        while a := max(p.max(initial=0.0), -p.min(initial=0.0)):
+            if a >= 2.0**960:
+                big = p >= 2.0**960
+                return extracted(p[~big], k) + extracted(p[big] * 2.0**-1000, k + 1000)
+            sigma = math.ldexp(1.0, math.frexp(a)[1] + (2 * len(p)).bit_length())
+            q = p + sigma
+            q -= sigma
+            n, d = float(q.sum()).as_integer_ratio()
+            total += (n << k) // d
+            p = np.subtract(p, q, out=q)  # the remainders, in q's array
+        return total
+
+    total, block = 0, []
+    for x in chain(arrays, [None]):  # None flushes the last block
+        if x is None or sum(map(len, block)) + len(x) > 2**14:
+            total += extracted(np.concatenate([np.empty(0), *block]), 1074)
+            block = []
+        block.append(x)
+    return total / (1 << 1074)  # correctly rounded
 
 
 def _pair_tables(m_max: int) -> tuple[np.ndarray, ...]:

@@ -20,6 +20,7 @@ from hilb2.asymptotics import (
     _le_region_worker,
     _orbit_sum,
     _pair_tables,
+    _shell_terms,
     _shell_weights,
     _split_pair_count,
     bm_exponents,
@@ -183,7 +184,7 @@ def _table_shells(m_max):
 
 def _orbit_sum_by_fsum(expo, m_max):
     """The orbit sum as one math.fsum over every shell's terms turned into
-    Python floats: the reference the exact binned sum must equal."""
+    Python floats: the reference the exact sum must equal."""
     terms = _reference_terms(_reference_powers(expo, m_max), m_max)
     return math.fsum(chain.from_iterable(x.tolist() for x in terms))
 
@@ -196,8 +197,37 @@ def test_orbit_sum_is_bit_identical_to_fsum(ratio):
         assert _orbit_sum(expo, m) == _orbit_sum_by_fsum(expo, m), m
 
 
+def _binned_sum(arrays):
+    """The correctly rounded sum of the nonnegative finite entries by
+    exponent bins (Demmel and Hida, SIAM J. Sci. Comput. 25(4), 2003), a
+    method independent of ``_exact_sum``'s extraction: ``np.frexp`` gives
+    x = f 2^e, f 2^53 an integer cut into limbs hi = floor(f 2^27) < 2^27
+    and lo < 2^26, each limb is summed per exponent by ``np.bincount``
+    (exact below 2^53), and the bins are added as Python ints and rounded
+    once.  Each array must be shorter than 2^26."""
+    min_exponent = -1073  # np.frexp exponents of finite floats run from -1073 to 1024
+    hi_bins = np.zeros(1024 - min_exponent + 1, dtype=np.int64)
+    lo_bins = np.zeros_like(hi_bins)
+    for x in arrays:
+        frac, expo = np.frexp(x)
+        expo -= min_exponent
+        frac *= 2.0**27
+        hi = np.floor(frac)
+        frac -= hi
+        frac *= 2.0**26
+        k = int(expo.max(initial=0)) + 1
+        hi_bins[:k] += np.bincount(expo, weights=hi, minlength=k).astype(np.int64)
+        lo_bins[:k] += np.bincount(expo, weights=frac, minlength=k).astype(np.int64)
+    total = sum(
+        ((int(hi_bins[i]) << 26) + int(lo_bins[i])) << int(i)
+        for i in np.flatnonzero(hi_bins | lo_bins)
+    )
+    # bin i counts units of 2^(i + min_exponent - 53)
+    return total / (1 << (53 - min_exponent))
+
+
 def _reference_orbit_sum(expo, m_max):
-    return _exact_sum(_reference_terms(_reference_powers(expo, m_max), m_max))
+    return _binned_sum(_reference_terms(_reference_powers(expo, m_max), m_max))
 
 
 @pytest.mark.parametrize("ratio", [0.001, 0.5, 1, 1.5, 2, 3, 5, 400, 1e6])
@@ -260,6 +290,154 @@ def test_exact_sum_of_many_equal_terms():
     assert _exact_sum([np.full(2**20, x)]) == math.fsum([x] * 2**20)
     assert _exact_sum([np.array([1.0, 2.0**-53])]) == 1.0 == math.fsum([1.0, 2.0**-53])
     assert _exact_sum([np.zeros(3), np.array([])]) == 0.0
+
+
+def test_exact_sum_of_shell_1_at_ratio_1():
+    # n^0 = 1: the terms of shell 1 are 6, 12 / 6 and 8 / 20, and the first
+    # pass rounds 0.4 up, so its remainder goes negative
+    terms = _shell_terms(np.ones(3), _pair_tables(1), 1)
+    assert _exact_sum([terms]).hex() == math.fsum(terms.tolist()).hex()
+    assert _exact_sum([terms, terms[::-1], terms[:1]]).hex() == math.fsum([*terms, *terms, terms[0]]).hex()
+
+
+def test_exact_sum_of_n_entries_just_below_a_power_of_two():
+    # the q of n entries near 2^e add to about n 2^e, the most that sigma
+    # must leave room for; 1 - 2^-52 rounds up, so the remainders are negative
+    for n in [*range(1, 40), 2**12 - 1, 2**12, 2**12 + 1]:
+        for x in (1 - 2.0**-52, 1 - 2.0**-53, 2.0**959 * (1 - 2.0**-52), 2.0**-1022 - 5e-324):
+            assert _exact_sum([np.full(n, x)]).hex() == math.fsum([x] * n).hex(), (n, x)
+
+
+@pytest.mark.parametrize("n", [1, 2**12])
+def test_exact_sum_of_entries_up_to_the_float_max(n):
+    # a pass's sigma = 2^(e + bit_length(2n)) would overflow here
+    rng = np.random.default_rng(n)
+    huge = np.ldexp(rng.uniform(1, 2, n), rng.integers(1000, 1012, n))  # n of them stay below 2^1023
+    small = np.ldexp(rng.uniform(1, 2, n - 1), rng.integers(-1080, 950, n - 1))
+    top = np.array([sys.float_info.max, *small])
+    for xs in (huge, top, np.full(n, 2.0**1000), np.full(n, 2.0**960), np.full(n, 2.0**959)):
+        assert _exact_sum([xs]).hex() == math.fsum(xs.tolist()).hex()
+    assert _exact_sum([top[:1]]) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        _exact_sum([top[:1], top[:1]])
+    with pytest.raises(OverflowError):
+        math.fsum([sys.float_info.max] * 2)
+
+
+def test_exact_sum_of_subnormals_only():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 2**10, 2**15):
+        xs = rng.integers(0, 2**52, n).view(np.float64)  # the bit patterns of 0 and the subnormals
+        assert _exact_sum([xs]).hex() == math.fsum(xs.tolist()).hex(), n
+    assert _exact_sum([np.full(3, 5e-324)]) == 3 * 5e-324
+
+
+def test_exact_sum_from_subnormals_to_2_900():
+    rng = np.random.default_rng(6)
+    xs = np.ldexp(rng.uniform(1, 2, 2**16), rng.integers(-1080, 901, 2**16))
+    want = math.fsum(xs.tolist()).hex()
+    assert _exact_sum([xs]).hex() == want
+    # cut into arrays of many sizes, which the sum gathers into blocks
+    assert _exact_sum(np.split(xs, np.sort(rng.integers(0, 2**16, 90)))).hex() == want
+
+
+# up to 2^10 nonnegative finite floats below 2^1013, so that the sum stays finite
+_many_summands = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0**1013, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=2.0**-1000, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 1.0 - 2.0**-53, 2.0**959, 2.0**960, 2.0**1013]),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(_many_summands, max_size=2**10))
+def test_exact_sum_of_up_to_1024_entries_equals_fsum(xs):
+    # sigma moves with the number of entries n
+    assert _exact_sum([np.array(xs, dtype=np.float64)]).hex() == math.fsum(xs).hex()
+
+
+# (ratio, M_max, partial, tail_bound) of constant_c as float.hex, computed
+# with the exponent-binned sum (``_binned_sum``) that ``_exact_sum`` replaced
+_CONSTANT_GOLDEN = [
+    (0.001, 1, "0x1.7ea590e37a2aap+3", "0x1.61e9d266ed6f8p+13"),
+    (0.001, 2, "0x1.1038492fb1c45p+4", "0x1.612d9dceffabap+13"),
+    (0.001, 7, "0x1.d700d1df82096p+4", "0x1.5fda742495ff3p+13"),
+    (0.001, 50, "0x1.93d1649cb07a3p+5", "0x1.5dc8ba541cc69p+13"),
+    (0.001, 200, "0x1.06d558523a87ap+6", "0x1.5c5518598ac39p+13"),
+    (0.001, 276, "0x1.14fac6a322f59p+6", "0x1.5bfef92288255p+13"),
+    (0.001, 277, "0x1.152bb091f397ep+6", "0x1.5bfe01b0a6fb0p+13"),
+    (0.5, 1, "0x1.1e73b49555312p+3", "0x1.6a6843fee6d8cp+4"),
+    (0.5, 2, "0x1.493993c1fc15cp+3", "0x1.0042b9fed63e0p+3"),
+    (0.5, 7, "0x1.6daf72fb63c47p+3", "0x1.391728dd8ce88p+0"),
+    (0.5, 50, "0x1.75c8d043b72ecp+3", "0x1.06693125b8d00p-4"),
+    (0.5, 200, "0x1.7638d03e72645p+3", "0x1.06693125bac00p-7"),
+    (0.5, 276, "0x1.763f0075897a3p+3", "0x1.43bcd87279000p-8"),
+    (0.5, 277, "0x1.763f1111416a9p+3", "0x1.41fc758e79800p-8"),
+    (0.5, 500, "0x1.7644e5ea338a3p+3", "0x1.098a89e91c000p-9"),
+    (1, 1, "0x1.d4577b496e515p+2", "0x1.6a6843fee6d8ep+3"),
+    (1, 2, "0x1.eb698aa161a9fp+2", "0x1.6a6843fee6db4p+0"),
+    (1, 7, "0x1.f3941552bf459p+2", "0x1.0e7c17e153d00p-5"),
+    (1, 50, "0x1.f3e56b8014b2fp+2", "0x1.7c02f72ad0000p-14"),
+    (1, 200, "0x1.f3e5b1537f532p+2", "0x1.7c02f75400000p-20"),
+    (1, 276, "0x1.f3e5b206acaf8p+2", "0x1.2131b72000000p-21"),
+    (1, 277, "0x1.f3e5b2081ab2bp+2", "0x1.1e12cc3000000p-21"),
+    (1.5, 1, "0x1.9a9e214f4c843p+2", "0x1.e335affe89215p+2"),
+    (1.5, 2, "0x1.a0f46b274bff9p+2", "0x1.55ae4d53c85b0p-2"),
+    (1.5, 7, "0x1.a20279ede19edp+2", "0x1.3791b2be29000p-10"),
+    (1.5, 50, "0x1.a2048c5bfe75bp+2", "0x1.6ee086a000000p-23"),
+    (1.5, 200, "0x1.a2048c76e3b51p+2", "0x1.6ee2c00000000p-32"),
+    (1.5, 276, "0x1.a2048c76ee54bp+2", "0x1.587c000000000p-34"),
+    (1.5, 277, "0x1.a2048c76ee64ep+2", "0x1.52ee000000000p-34"),
+    (2, 1, "0x1.7a3f1d2338204p+2", "0x1.6a6843fee6d90p+2"),
+    (2, 2, "0x1.7c034dbb3b886p+2", "0x1.6a6843fee6f80p-4"),
+    (2, 7, "0x1.7c2983800d3a4p+2", "0x1.93c1720480000p-15"),
+    (2, 50, "0x1.7c29930633d09p+2", "0x1.8e7ac00000000p-32"),
+    (2, 200, "0x1.7c2993063fa09p+2", "0x1.b000000000000p-44"),
+    (2, 276, "0x1.7c2993063fa13p+2", "0x1.7000000000000p-46"),
+    (2, 277, "0x1.7c2993063fa12p+2", "0x1.8000000000000p-46"),
+    (2, 500, "0x1.7c2993063fa14p+2", "0x1.4000000000000p-47"),
+    (0.6666666666666666, 1, "0x1.096dacec52c6ep+3", "0x1.0fce32ff2d22bp+4"),
+    (0.6666666666666666, 2, "0x1.24fff67f2f1a2p+3", "0x1.0fce32ff2d23ap+2"),
+    (0.6666666666666666, 7, "0x1.363afb4a3d809p+3", "0x1.6302df57bdaa0p-2"),
+    (0.6666666666666666, 50, "0x1.385365cfc5da5p+3", "0x1.bd5379a564800p-8"),
+    (0.6666666666666666, 200, "0x1.385f00c29febcp+3", "0x1.bd5379a608000p-12"),
+    (0.6666666666666666, 276, "0x1.385f6000e3c06p+3", "0x1.d3ae65a030000p-13"),
+    (0.6666666666666666, 277, "0x1.385f60eac38f0p+3", "0x1.d04f81c010000p-13"),
+    (3, 1, "0x1.5d4b674ae9ec6p+2", "0x1.e335affe8921cp+1"),
+    (3, 2, "0x1.5d6fb1bf421e5p+2", "0x1.e335affe8b000p-8"),
+    (3, 7, "0x1.5d709605a5a3ep+2", "0x1.91cb360000000p-24"),
+    (3, 50, "0x1.5d709609ed0fcp+2", "0x1.4000000000000p-47"),
+    (3, 200, "0x1.5d709609ed0fcp+2", "0x1.0000000000000p-47"),
+    (3, 276, "0x1.5d709609ed0fcp+2", "0x1.0000000000000p-47"),
+    (3, 277, "0x1.5d709609ed0fbp+2", "0x1.4000000000000p-47"),
+    (7.3, 1, "0x1.4eb09f24d894dp+2", "0x1.8d289eae23934p+0"),
+    (7.3, 2, "0x1.4eb09f5fcbae9p+2", "0x1.a9aa063000000p-22"),
+    (7.3, 7, "0x1.4eb09f5fced5bp+2", "0x1.d800000000000p-45"),
+    (7.3, 50, "0x1.4eb09f5fced46p+2", "0x1.9400000000000p-44"),
+    (7.3, 200, "0x1.4eb09f5fced38p+2", "0x1.0200000000000p-43"),
+    (7.3, 276, "0x1.4eb09f5fced34p+2", "0x1.1200000000000p-43"),
+    (7.3, 277, "0x1.4eb09f5fced34p+2", "0x1.1200000000000p-43"),
+    (400, 1, "0x1.4e87a134735eap+2", "0x1.cfe19eb6ea900p-6"),
+    (400, 2, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (400, 7, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (400, 50, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (400, 200, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (400, 276, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (400, 277, "0x1.4e87a134735eap+2", "0x1.2000000000000p-47"),
+    (1000000.0, 1, "0x1.4e87a134735eap+2", "0x1.7c02f72e00000p-17"),
+    (1000000.0, 2, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (1000000.0, 7, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (1000000.0, 50, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (1000000.0, 200, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (1000000.0, 276, "0x1.4e87a134735eap+2", "0x1.0000000000000p-47"),
+    (1000000.0, 277, "0x1.4e87a134735eap+2", "0x1.2000000000000p-47"),
+]
+
+
+@pytest.mark.parametrize("ratio, m_max, partial, tail_bound", _CONSTANT_GOLDEN)
+def test_constant_golden_values(ratio, m_max, partial, tail_bound):
+    est = constant_c(ratio, m_max)
+    assert (est.partial.hex(), est.tail_bound.hex()) == (partial, tail_bound)
 
 
 def test_orbit_weights_count_each_shell():
