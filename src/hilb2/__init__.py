@@ -12,19 +12,10 @@ from .asymptotics import (
     le_count,
     le_count_detailed,
 )
-from .exactlin import (
-    NotFiniteIndexError,
-    RankDeficientError,
-    gram_det2,
-    saturate,
-    smith_minor_gcd,
-)
+from .exactlin import NotFiniteIndexError, RankDeficientError
 from .heights import (
-    BinaryQuadraticForm,
-    NonsplitParams,
     PointClass,
     classify,
-    disc_ratio,
     discriminant,
     height2_e,
     height2_st,
@@ -32,8 +23,6 @@ from .heights import (
     height_st,
     le_height,
     le_height2,
-    nonsplit_params,
-    restrict_to_line,
 )
 from .hilb import (
     HilbPoint,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import ceil, comb, floor, gcd, isqrt, lcm, log10
+from math import ceil, comb, floor, gcd, isqrt, lcm, log10, pi
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -220,6 +220,10 @@ _MAX_REPRESENTATIVES = 10**6
 # The listing also refuses more points than this, by their exact count: at
 # (s, t) = (2, 1) it admits B = 55 (987757 points), not B = 56.
 _MAX_POINTS = 10**6
+# Every fiber refuses an ellipsoid walk over more rows than this, by the
+# estimate of ``_open_fiber``; at count_Nst(2, 1, 18706) the largest, that of
+# the (0, 0, 1) fiber, is about 1.9 * 10^8.
+_MAX_FIBER_ROWS = 10**9
 
 
 def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
@@ -332,11 +336,27 @@ def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
     same bound on the first minimum, 2 (E + |G|)^2 * min_form_value >=
     covol2_product, is checked on every fiber that is built, raised
     explicitly so that python -O keeps it.
+
+    Refusal.  ValueError, before the quotient is built, when the fiber's
+    ellipsoid walk would visit more than ``_MAX_FIBER_ROWS`` rows.  The
+    rows (x1, x2) of x^T gram_int x <= t_max along the first minimum
+    vector fill an ellipse of area pi t_max sqrt(m0) / cp, as det gram_int
+    = cp^2 (cp = covol2_product, m0 = min_form_value), and the count walks
+    at least a quarter of them; with m0 >= cp / (2 (E + |G|)^2) that is at
+    least pi t_max / (4 sqrt(2) (E + |G|) sqrt(cp)) rows, compared in
+    integers with 9 < pi^2.
     """
     (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
     r = e0 * e0 + e1 * e1 + e2 * e2 + abs(e0 * f0 + e1 * f1 + e2 * f2)  # E + |G|
-    if 2 * r * r * t_max < product_covol2_formula(*ell.triple):
+    cp = product_covol2_formula(*ell.triple)
+    if 2 * r * r * t_max < cp:
         return None
+    if 9 * t_max * t_max > 32 * _MAX_FIBER_ROWS**2 * r * r * cp:
+        rows = log10(pi / 32**0.5) + log10(t_max) - log10(r) - log10(cp) / 2
+        raise ValueError(
+            f"B is too large: about 10^{rows:.1f} ellipsoid rows to walk in the fiber "
+            f"over {ell.triple}, more than {_MAX_FIBER_ROWS}"
+        )
     quo = quotient(ell)
     m0 = min_form_value(quo)
     if 2 * r * r * m0 < quo.covol2_product:

@@ -1,9 +1,10 @@
 """Independent brute-force enumerators used to cross-check the exact core.
 
 Every routine here deliberately takes a different path from the library code
-it validates: box scans and per-row sieving instead of recursive interval
-enumeration, gcd primitivity instead of Moebius inversion over dilations,
-direct Gram determinants instead of the cached quotient form.  numpy works on
+it validates: one gcd box count, one row sieve and one exact row walk for
+the point listings instead of the library's half-space slices and interval
+counts, gcd primitivity instead of Moebius inversion over dilations, direct
+Gram determinants instead of the cached quotient form.  numpy works on
 integer grids in int64, exactly, after an overflow audit; where the audit
 fails, the work runs as pure-Python loops on exact integers.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
@@ -91,21 +93,29 @@ def _checked_reduction(g: Sequence[Sequence[int]]) -> list[list[int]]:
     return [list(r) for r in h]
 
 
-@lru_cache(maxsize=4096)
-def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
-    """(d, mu(d)) for every squarefree divisor d of n > 0, by trial division."""
-    primes = []
+def prime_exponents(n: int) -> list[tuple[int, int]]:
+    """[(p, e)] for the primes p of n > 0 in increasing order, p^e exactly
+    dividing n, by trial division."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            primes.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
-        p += 1
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
     if n > 1:
-        primes.append(n)
+        out.append((n, 1))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _squarefree_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for every squarefree divisor d of n > 0."""
     out = [(1, 1)]
-    for p in primes:
+    for p, _ in prime_exponents(n):
         out += [(d * p, -mu) for d, mu in out]
     return tuple(out)
 
@@ -230,28 +240,14 @@ def _slice_rows_numpy(h: list[list[int]], bound: int, x2: int, lo1: int, hi1: in
 
 
 def minima_boxscan(q: QuotientLattice, t: int) -> list[tuple[int, tuple[int, int, int]]]:
-    """All (form value, x) with 0 < x^T gram_int x <= t, sorted; box-scan oracle."""
+    """All (form value, x) with 0 < x^T gram_int x <= t, sorted; the form
+    values are taken directly from gram_int over the exact row walk."""
     g = q.gram_int
-    bounds = _box_bounds(g, t)
-    points = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
-    if points > 30_000_000:
-        raise ValueError(f"the box scan would visit {points} points, more than 30000000")
-    out = []
-    for x0 in range(-bounds[0], bounds[0] + 1):
-        for x1 in range(-bounds[1], bounds[1] + 1):
-            for x2 in range(-bounds[2], bounds[2] + 1):
-                if (x0, x1, x2) == (0, 0, 0):
-                    continue
-                v = (
-                    g[0][0] * x0 * x0
-                    + g[1][1] * x1 * x1
-                    + g[2][2] * x2 * x2
-                    + 2 * (g[0][1] * x0 * x1 + g[0][2] * x0 * x2 + g[1][2] * x1 * x2)
-                )
-                if v <= t:
-                    out.append((v, (x0, x1, x2)))
-    out.sort()
-    return out
+    return sorted(
+        (sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3)), x)
+        for x in _python_candidates(g, t)
+        if x != (0, 0, 0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,62 +274,45 @@ def _height_test(ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction) -> 
 def oracle_fiber_qbars(
     ell: LinearForm, s: Fraction, t: Fraction, bound: Fraction
 ) -> set[tuple[int, int, int]]:
-    """Canonical qbar set of one fiber, by box scan with independent heights.
+    """Canonical qbar set of one fiber, by the exact row walk with
+    independent heights.
 
-    The box is a superset of the height ball (dual-diagonal bounds); each
-    surviving candidate's squared degree-2 covolume is recomputed from
-    scratch as a 4x4 Gram determinant of the stacked basis and the height
-    condition is decided by exact Fraction comparison.
+    The walk lists every x with x^T gram_int x up to the largest admissible
+    squared covolume; each primitive candidate's squared degree-2 covolume
+    is recomputed from scratch as a 4x4 Gram determinant of the stacked
+    basis and the height condition is decided by exact Fraction comparison.
     """
-    quo = quotient(ell)
     height_ok = _height_test(ell, s, t, bound)
-    # dual-diagonal box from the largest admissible squared covolume
-    t_cap = 1
-    while height_ok(t_cap * 2):
-        t_cap *= 2
-    lo, hi = t_cap, t_cap * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if height_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    t_cap = lo
     if not height_ok(1):
         return set()
-    g = quo.gram_int
+    quo = quotient(ell)
+    # the largest admissible squared covolume lo, by doubling and bisection
+    lo, hi = 1, 2
+    while height_ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if height_ok(mid) else (lo, mid)
     p_rows = list(product_basis(ell))
-    bounds = _box_bounds(g, t_cap)
     found: set[tuple[int, int, int]] = set()
-    vol = (2 * bounds[0] + 1) * (2 * bounds[1] + 1) * (2 * bounds[2] + 1)
-    grid = _grid_form_values(g, bounds) if vol <= 4_000_000 else None
-    if grid is None:
-        candidates = _python_candidates(g, t_cap)
-    else:
-        x0, x1, x2, vals = grid
-        mask = vals <= t_cap
-        candidates = list(zip(x0[mask].tolist(), x1[mask].tolist(), x2[mask].tolist()))
-    for x in candidates:
-        if x == (0, 0, 0):
+    for x in _python_candidates(quo.gram_int, lo):
+        # primitive (x = 0 has gcd 0) and sign-canonical
+        if gcd(gcd(x[0], x[1]), x[2]) != 1 or next(v for v in x if v) < 0:
             continue
-        if gcd(gcd(x[0], x[1]), x[2]) != 1:
-            continue
-        first = next(v for v in x if v)
-        if first < 0:
-            continue
-        lift = quo.lift(x)
-        cv2 = gram_det2(p_rows + [list(lift)])
+        cv2 = gram_det2(p_rows + [list(quo.lift(x))])
         if cv2 != quo.covol2_with(x):  # the independent route must agree
             raise AssertionError(f"covol2_I2 routes disagree at {ell.triple}, {x}")
         if height_ok(cv2):
-            found.add(tuple(x))
+            found.add(x)
     return found
 
 
 def _python_candidates(g: Sequence[Sequence[int]], t_cap: int) -> list[tuple[int, int, int]]:
     """Every x with x^T g x <= t_cap, 0 included, by an exact row walk in the
     basis of g: x2 slices and x1 intervals from the binary form of the rows,
-    then each row's x0 interval, all from integer square roots."""
+    then each row's x0 interval, all from integer square roots.  The one
+    listing of ellipsoid points behind ``oracle_fiber_qbars`` and
+    ``minima_boxscan``."""
     out = []
     for x2, lo1, hi1 in _row_slices(g, t_cap):
         for x1 in range(lo1, hi1 + 1):
@@ -388,22 +367,13 @@ def oracle_fiber_points_monomial_box(
     ball (small bounds)."""
     height_ok = _height_test(ell, s, t, bound)
     out = set()
-    rng = range(-coeff_box, coeff_box + 1)
-    for c0 in rng:
-        for c1 in rng:
-            for c2 in rng:
-                for c3 in rng:
-                    for c4 in rng:
-                        for c5 in rng:
-                            coeffs = (c0, c1, c2, c3, c4, c5)
-                            try:
-                                z = canonicalize(ell.triple, coeffs)
-                            except PointValidationError:
-                                continue
-                            if z.ell != ell:
-                                continue
-                            if height_ok(z.covol2_I2):
-                                out.add(z.qbar)
+    for coeffs in product(range(-coeff_box, coeff_box + 1), repeat=6):
+        try:
+            z = canonicalize(ell.triple, coeffs)
+        except PointValidationError:
+            continue
+        if z.ell == ell and height_ok(z.covol2_I2):
+            out.add(z.qbar)
     return out
 
 

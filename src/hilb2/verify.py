@@ -50,6 +50,7 @@ from .oracles import (
     distance_lemma_reaches,
     distance_lemma_violations,
     oracle_count_points,
+    prime_exponents,
 )
 
 
@@ -480,23 +481,12 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = m^2 * d0 with d0 squarefree (carrying the sign); returns (d0, m)."""
     if n == 0:
         raise ValueError("zero has no squarefree part")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    m = 1
-    d0 = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            m *= p ** (e // 2)
-            if e % 2:
-                d0 *= p
-        p += 1 if p == 2 else 2
-    d0 *= n
-    return sign * d0, m
+    d0, m = (1 if n > 0 else -1), 1
+    for p, e in prime_exponents(abs(n)):
+        m *= p ** (e // 2)
+        if e % 2:
+            d0 *= p
+    return d0, m
 
 
 def _maximal_order_norm(disc: int, r: Sequence[int], s: Sequence[int]) -> int:

@@ -694,11 +694,20 @@ def test_every_report_byte_is_pinned(argv, fmt, digest, tmp_path):
         (["verify", "--suite", "oracle-count", "--b-values", "5,10,1e30"],
          "error: b_values is too large: the oracle walk at (s, t, B) = (2, 1, "
          "1000000000000000000000000000000) passes m_max 62, more than 1000000 forms\n"),
+    ] + [
+        (["count", "--s", s, "--t", "1", "--B", b, *extra],
+         f"error: B is too large: about {rows} ellipsoid rows to walk in the fiber "
+         "over (0, 0, 1), more than 1000000000\n")
+        for s, b, rows in (("10", "1e5", "10^9.7"), ("1000", "1e200", "10^399.7"))
+        for extra in ([], ["--emit-points"])
     ],
 )
 def test_oversized_listing_and_oracle_walk_exit_1_at_once(argv, message):
-    # the listing is refused by its exact size, and the oracle walk by
-    # check_form_walk's rule, before the first point or count
+    # the listing is refused by its exact size, the oracle walk by
+    # check_form_walk's rule, and a fiber by its row estimate, before the
+    # first point or count; the last four walk a handful of forms, but
+    # their (0, 0, 1) fiber is a ball of radius about B (tens of minutes at
+    # (10, 1, 1e5), an OverflowError in the Moebius sieve at (1000, 1, 1e200))
     rc, elapsed, out, err = run_main_timed(argv)
     assert rc == 1
     assert elapsed < 1.0

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -21,6 +21,7 @@ from hilb2.heights import (
 )
 from hilb2.hilb import HilbPoint, canonicalize, enumerate_points, eval_quadratic
 from hilb2.lattice import LinearForm, kernel_basis_of
+from hilb2.oracles import _squarefree_divisors
 from hilb2.verify import (
     _maximal_order_norm,
     disc_nonsplit,
@@ -174,6 +175,26 @@ def test_squarefree_decompose():
     assert squarefree_decompose(-4) == (-1, 2)
     assert squarefree_decompose(45) == (5, 3)
     assert squarefree_decompose(7) == (7, 1)
+
+
+def test_factorizations_against_a_divisor_table():
+    # divisors by their multiples, and mu from sum_{d | n} mu(d) = [n = 1]
+    # alone, with no factorization
+    n_max = 2000
+    divisors = [[] for _ in range(n_max + 1)]
+    mu = [0, 1] + [0] * (n_max - 1)
+    for d in range(1, n_max + 1):
+        for k in range(d, n_max + 1, d):
+            divisors[k].append(d)
+            if k > d:
+                mu[k] -= mu[d]
+    for n in range(1, n_max + 1):
+        want = [(d, mu[d]) for d in divisors[n] if mu[d]]
+        assert sorted(_squarefree_divisors(n)) == want, n
+        m = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+        assert mu[n // (m * m)] != 0
+        assert squarefree_decompose(n) == (n // (m * m), m), n
+        assert squarefree_decompose(-n) == (-(n // (m * m)), m), n
 
 
 def test_maximal_order_norm_invariance_under_conjugation():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
@@ -152,6 +153,24 @@ def test_enumerate_points_refuses_oversized_bounds():
     for b in (18707, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
+
+
+def test_huge_fibers_are_refused_past_every_bound_the_walk_admits():
+    for s, b, rows in ((10, 10**5, "10^9.7"), (1000, 10**200, "10^399.7")):
+        for call in (lambda: count_Nst(s, 1, b), lambda: next(enumerate_points(s, 1, b))):
+            with pytest.raises(ValueError, match=rf"about {re.escape(rows)} ellipsoid rows"):
+                call()
+    # (0, 0, 1) has the largest row estimate of every walk at s >= t, with
+    # E + |G| = covol2_product = n = 1 and t_max = B^2 at (2, 1); that walk
+    # admits B = 18706, and refusal starts at 9 t_max^2 > 32 * 10^18
+    ell = LinearForm(0, 0, 1)
+    assert max_covol2_I2(1, Fraction(2), Fraction(1), Fraction(18706)) == 18706**2
+    assert hilb._open_fiber(ell, 18706**2) is not None
+    t_first = isqrt(32 * 10**18 // 9) + 1
+    assert 9 * (t_first - 1) ** 2 <= 32 * 10**18 < 9 * t_first**2
+    assert hilb._open_fiber(ell, t_first - 1) is not None
+    with pytest.raises(ValueError, match=r"about 10\^9\.0 ellipsoid rows .* \(0, 0, 1\)"):
+        hilb._open_fiber(ell, t_first)
 
 
 def test_enumerate_points_refuses_a_listing_by_its_exact_size():

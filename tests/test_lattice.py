@@ -495,7 +495,8 @@ def test_count_primitive_rows_corrects_float_estimate(monkeypatch, error):
 
 
 def test_python_candidates_against_the_grid():
-    # the row walk of the oracle's large-box path against its numpy grid path
+    # the oracles' one listing of ellipsoid points, the exact row walk,
+    # against the numpy grid of the gcd box count
     cases = [([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 30), ([[2, 1, 0], [1, 3, 1], [0, 1, 5]], 40)]
     cases += [([[5, 2, -2], [2, 7, 3], [-2, 3, 9]], 0)]
     for f in seeded_forms(21, 6, 6):

@@ -4,7 +4,8 @@ fails.  The core library modules must not import the reference linear
 algebra, the oracles or the suites that check them, nor walk the full list
 of forms.  No check in the package is a bare assert, which python -O
 drops.  The orbit sum behind the benchmark's ``constant`` workload has a
-memory ceiling."""
+memory ceiling.  The oracles call none of the library counters they check,
+and the package surface holds no reference routine."""
 
 import ast
 import importlib
@@ -121,3 +122,32 @@ def test_orbit_sum_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3.09 * 2**20, peak / 2**20
+
+
+# The counters and walkers of the library that the oracles check; an oracle
+# that called one of them would check it against itself.
+_LIBRARY_COUNTERS = {
+    "count_form_le", "enumerate_form_le", "count_primitive_form", "_half_slices",
+    "_octant_count", "_moebius_upto", "min_form_value", "successive_minima",
+}
+
+
+def test_oracles_import_no_library_counter_or_walker():
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    tree = ast.parse((src / "oracles.py").read_text(encoding="utf-8"))
+    # imported by name, or read as an attribute of an imported module
+    used = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & _LIBRARY_COUNTERS, sorted(used & _LIBRARY_COUNTERS)
+
+
+def test_package_surface_holds_no_reference_routine():
+    import hilb2
+
+    trimmed = {
+        "saturate", "smith_minor_gcd", "gram_det2", "nonsplit_params", "NonsplitParams",
+        "disc_ratio", "restrict_to_line", "BinaryQuadraticForm",
+    }
+    assert not {name for name in trimmed if hasattr(hilb2, name)}
