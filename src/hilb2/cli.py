@@ -14,11 +14,15 @@ import csv
 import io
 import json
 import os
+import shutil
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+import tempfile
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager, suppress
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from math import isfinite, isqrt
-from typing import Callable
 
 from .asymptotics import (
     constant_c,
@@ -169,25 +173,80 @@ def _claimed_out(path: str | None):
         raise
 
 
-def _emit(args, report: dict, rows: list[dict] | None = None,
+def _emit(args, report: dict, rows: Iterable[dict] | None = None,
           fields: list[str] | None = None) -> int:
-    """Write the report once, to --out or stdout, and return exit status 0.
+    """Write the report to --out or stdout and return exit status 0.
     JSON is ``report``; CSV is ``rows`` under ``fields``, by default
-    ``report`` flattened to one row."""
+    ``report`` flattened to one row.
+
+    The point listing passes its rows as an iterator, held also as the
+    report's "points", and they are written in pieces of
+    ``_ROWS_PER_PIECE`` as they are made, so memory does not grow with the
+    listing.  Nothing is written before the first
+    row is made, so a listing refused before its first point writes
+    nothing.  --out receives the report only when it is complete: it is
+    written to a temporary file first, so a command that fails midway
+    leaves --out as ``_claimed_out`` promises."""
     if args.format == "csv":
         if rows is None:
             rows = [_flatten(report)]
             fields = list(rows[0])
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
-        text = buf.getvalue()
+        pieces = _csv_pieces(rows, fields)
     else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
+        pieces = _json_pieces(report)
+    if not args.out:
+        sys.stdout.writelines(pieces)
+        return 0
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as tmp:
+        tmp.writelines(pieces)
+        tmp.seek(0)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(tmp, fh)
     return 0
+
+
+# rows per piece: enough that the per-call cost of the csv and json writers
+# does not show (one json.dumps per row took 1.4x the time of one dump of
+# the whole list at (2, 1, 20)), few enough that a piece stays small
+_ROWS_PER_PIECE = 1024
+
+
+def _batches(rows: Iterable[dict]) -> Iterator[list[dict]]:
+    it = iter(rows)
+    return iter(lambda: list(islice(it, _ROWS_PER_PIECE)), [])
+
+
+def _csv_pieces(rows: Iterable[dict], fields: list[str]) -> Iterator[str]:
+    """The CSV text of ``rows`` under ``fields``, in pieces of
+    ``_ROWS_PER_PIECE`` rows, the header with the first."""
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    w.writeheader()
+    for batch in _batches(rows):
+        w.writerows(batch)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    yield buf.getvalue()  # the header alone if there was no row
+
+
+def _json_pieces(report: dict) -> Iterator[str]:
+    """``json.dumps(report, sort_keys=True, separators=(",", ":"))`` and a
+    newline, in pieces.  A value that is an iterator (the listing's points)
+    is written as the list of its items, in pieces of ``_ROWS_PER_PIECE``
+    items, the opening with the first: the same bytes as the dump of the
+    whole list."""
+    dump = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    key = next((k for k, v in report.items() if isinstance(v, Iterator)), None)
+    if key is None:
+        yield dump(report) + "\n"
+        return
+    head, tail = dump({**report, key: []}).split(dump(key) + ":[]")
+    sep = head + dump(key) + ":["
+    for batch in _batches(report[key]):
+        yield sep + dump(batch)[1:-1]
+        sep = ","
+    yield ("" if sep == "," else sep) + "]" + tail + "\n"
 
 
 def _flatten(obj, prefix="") -> dict:
@@ -246,7 +305,7 @@ def point_row(z: HilbPoint, height: Callable[[HilbPoint], str]) -> dict:
 def _cmd_count(args) -> int:
     if args.emit_points:  # the listing starts no workers
         height = height_formatter(args.s, args.t)
-        rows = [point_row(z, height) for z in enumerate_points(args.s, args.t, args.B)]
+        rows = (point_row(z, height) for z in enumerate_points(args.s, args.t, args.B))
         return _emit(args, {"schema_version": POINT_SCHEMA_VERSION, "points": rows}, rows, POINT_FIELDS)
     (row,) = convergence_report(
         args.s, args.t, [args.B], const_m_max=args.const_M_max, threads=_threads(args)

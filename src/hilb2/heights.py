@@ -77,7 +77,7 @@ class NonsplitParams:
         return tuple(self.alpha * x + self.beta * y for x, y in zip(self.e, self.f))  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=128)
 def restrict_to_line(z: HilbPoint) -> BinaryQuadraticForm:
     """Restriction q(S e + T f) of the point's quadric to the line cut out by
     its form, for the kernel basis (e, f) = ``kernel_basis_of(z.ell)``.
@@ -85,7 +85,10 @@ def restrict_to_line(z: HilbPoint) -> BinaryQuadraticForm:
     The coset coordinates ``z.qbar`` are exactly these coefficients, so the
     form is read off without evaluating anything; it is primitive and
     sign-normalized (leading nonzero coefficient positive) because qbar is.
-    No library path calls it: they read ``z.qbar`` directly.
+    No library path calls it: they read ``z.qbar`` directly.  It stays, in
+    a 128-entry LRU, only because the benchmark's layer tracer still reads
+    its ``cache_info`` (ROADMAP item 14 deletes it); the bound keeps a
+    caller that lists many points from holding one form per point.
     """
     return BinaryQuadraticForm(*z.qbar)
 

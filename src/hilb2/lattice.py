@@ -274,7 +274,7 @@ class QuotientLattice:
         return g00 * x0 * x0 + g11 * x1 * x1 + g22 * x2 * x2 + 2 * (g01 * x0 * x1 + g02 * x0 * x2 + g12 * x1 * x2)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def _quotient_cached(ell: LinearForm) -> QuotientLattice:
     covol2p = product_covol2_formula(ell.a, ell.b, ell.c)
     # rho rho^T from the moments of (e, f): with E_i = e_i^2, F_i = f_i^2 and
@@ -304,8 +304,16 @@ def _quotient_cached(ell: LinearForm) -> QuotientLattice:
 
 
 def quotient(ell: LinearForm) -> QuotientLattice:
-    """The quotient lattice of ``ell``, cached on the form itself, which was
-    validated when it was made."""
+    """The quotient lattice of ``ell``, which was validated when it was made.
+
+    Built by ``_quotient_cached``, a module-level LRU keyed by the form and
+    bounded at 128 entries, so memory does not grow with the number of
+    forms a run visits.  Reuse was measured by replaying each run's keys:
+    ``count_Nst(2, 1, 300)`` and ``le_count_detailed(1000)`` build every
+    quotient once, and ``enumerate_points(2, 1, 12)`` with four heights per
+    point finds 10165 of its 10171 hits on the form asked for just before.
+    Of the ``verify`` suites only ``oracle-count`` reuses a quotient further
+    back (202 hits at 128 entries, 4257 at 4096, of 40999 calls)."""
     return _quotient_cached(ell)
 
 
@@ -663,7 +671,7 @@ def min_form_value(q: QuotientLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=128)
 def _kernel_basis_cached(a: int, b: int, c: int) -> tuple[Row, Row]:
     g, x, y = _xgcd(b, c)
     if g == 0:  # the form X0
@@ -699,6 +707,11 @@ def kernel_basis_of(ell: LinearForm) -> tuple[Row, Row]:
     the HNF basis of the kernel, built in closed form from one extended gcd
     of (b, c).  Coset coordinates in ``quotient(ell)`` and the restricted
     binary form of a point are taken in this basis.
+
+    Cached in a 128-entry LRU keyed by (a, b, c): a basis is asked for again
+    right after it is built (by ``quotient`` and the fiber prune), which
+    gives every hit of ``count_Nst(2, 1, 300)`` (232) and
+    ``le_count_detailed(1000)`` (102).
     """
     return _kernel_basis_cached(*ell.triple)
 

@@ -521,6 +521,87 @@ def test_failed_command_leaves_no_partial_report(tmp_path, capsys):
     assert old.read_text() == capsys.readouterr().out
 
 
+def _reference_listing(s, t, b, fmt) -> str:
+    """The point listing as the writer made it before it streamed: every
+    row in one list, then the whole text."""
+    s, t, b = Fraction(s), Fraction(t), Fraction(b)
+    height = height_formatter(s, t)
+    rows = [point_row(z, height) for z in enumerate_points(s, t, b)]
+    if fmt == "json":
+        report = {"schema_version": 2, "points": rows}
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=cli.POINT_FIELDS, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+# the seven listings of BENCH_count_rows.json, an empty one and the first
+# non-empty bound
+_LISTINGS = [
+    ("2", "1", "12"), ("1", "2", "10"), ("3/2", "1", "6"), ("2", "3/2", "8"),
+    ("5", "2", "3"), ("1", "1", "5"), ("3", "1", "5"), ("2", "1", "1/2"), ("2", "1", "1"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("s, t, b", _LISTINGS)
+def test_streamed_listing_is_the_whole_listing(s, t, b, fmt, tmp_path, capsys):
+    want = _reference_listing(s, t, b, fmt)
+    argv = ["count", "--s", s, "--t", t, "--B", b, "--emit-points", "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / f"points.{fmt}"
+    out.write_text("a longer previous report\n" * 100)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_refused_listing_writes_nothing(tmp_path, capsys):
+    # the refusal comes before the first point: stdout stays empty, an
+    # existing --out keeps its content and a created one is removed
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("previous\n")
+    argv = ["count", "--s", "2", "--t", "1", "--B", "100", "--emit-points"]
+    for extra in ([], ["--out", str(new)], ["--out", str(old)]):
+        assert main([*argv, *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: B is too large"), (out, err)
+    assert not new.exists()
+    assert old.read_text() == "previous\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_listing_failing_midway_leaves_out_as_it_was(fmt, tmp_path, capsys, monkeypatch):
+    from hilb2 import hilb
+
+    fiber_points, calls = hilb.fiber_points, []
+
+    def failing_on_the_third_fiber(ell, t_max):
+        calls.append(ell)
+        if len(calls) == 3:
+            raise AssertionError("third fiber")
+        return fiber_points(ell, t_max)
+
+    # the first two fibers at (2, 1, 4) hold 116 points, made before the
+    # third raises
+    monkeypatch.setattr(hilb, "fiber_points", failing_on_the_third_fiber)
+    new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+    old.write_bytes(b"previous\n")
+    for out in (new, old):
+        calls.clear()
+        argv = ["count", "--s", "2", "--t", "1", "--B", "4", "--emit-points",
+                "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert len(calls) == 3
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err == "internal check failed: third fiber\n"
+    assert not new.exists()
+    assert old.read_bytes() == b"previous\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -837,3 +837,49 @@ def test_dist_to_span_examples():
 def test_kernel_basis_of_cached():
     f = LinearForm(1, 1, 1)
     assert kernel_basis_of(f) == kernel_basis_of(f)
+
+
+_PER_FORM_CACHES = ("_quotient_cached", "_kernel_basis_cached", "_minkowski_reduced")
+
+
+def test_cache_bounds_cost_no_rebuild(monkeypatch):
+    # the lattice caches keep at most 128 entries (16 for the reduction):
+    # on the counting paths and a point listing read through the four
+    # height functions, every miss is the first call with its key, so the
+    # bound makes no run build anything twice
+    from hilb2.asymptotics import count_Nst, le_count_detailed
+    from hilb2.heights import classify, discriminant, height_st, le_height
+
+    cached = {name: getattr(lattice, name) for name in _PER_FORM_CACHES}
+    seen = {name: set() for name in cached}
+
+    def recording(name):
+        def call(*key):
+            seen[name].add(key)
+            return cached[name](*key)
+        return call
+
+    for name in cached:
+        monkeypatch.setattr(lattice, name, recording(name))
+
+    def listing():
+        for z in enumerate_points(2, 1, 12):
+            classify(z), discriminant(z), height_st(z, 2, 1), le_height(z)
+
+    for run in (lambda: count_Nst(2, 1, 300), lambda: le_count_detailed(1000), listing):
+        for name, fn in cached.items():
+            fn.cache_clear()
+            seen[name].clear()
+        run()
+        for name, fn in cached.items():
+            assert fn.cache_info().misses == len(seen[name]), (name, fn.cache_info())
+    assert cached["_quotient_cached"].cache_info().hits > 10000
+
+
+def test_cache_size_stays_bounded_over_many_forms():
+    forms = [LinearForm(1, b, c) for b in range(25) for c in range(40)]
+    for ell in forms:
+        successive_minima(quotient(ell))
+    for name in _PER_FORM_CACHES:
+        info = getattr(lattice, name).cache_info()
+        assert info.currsize <= 128 and info.misses >= len(forms), (name, info)

@@ -4,8 +4,9 @@ fails.  The core library modules must not import the reference linear
 algebra, the oracles or the suites that check them, nor walk the full list
 of forms.  No check in the package is a bare assert, which python -O
 drops.  The orbit sum behind the benchmark's ``constant`` workload has a
-memory ceiling.  The oracles call none of the library counters they check,
-and the package surface holds no reference routine."""
+memory ceiling, and no cache of the core holds more than 128 entries.  The
+oracles call none of the library counters they check, and the package
+surface holds no reference routine."""
 
 import ast
 import importlib
@@ -151,3 +152,25 @@ def test_package_surface_holds_no_reference_routine():
         "disc_ratio", "restrict_to_line", "BinaryQuadraticForm",
     }
     assert not {name for name in trimmed if hasattr(hilb2, name)}
+
+
+def test_core_caches_hold_at_most_128_entries():
+    # per-form state is asked for again soon after it is built, so 128
+    # entries keep the hits (test_lattice.py checks that on the counting
+    # paths), and a larger or unbounded cache only grows with the number of
+    # forms a run visits
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    found = []
+    for name in _CORE:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                if getattr(target, "id", getattr(target, "attr", None)) not in ("lru_cache", "cache"):
+                    continue
+                sizes = [*call.args, *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+                size = sizes[0].value if sizes and isinstance(sizes[0], ast.Constant) else None
+                assert type(size) is int and 0 < size <= 128, (name, node.name, ast.unparse(dec))
+                found.append(f"{name}.{node.name}")
+    assert len(found) >= 5, found
