@@ -329,9 +329,3 @@ def le_height2_gram(ee: int, ef: int, ff: int, n: int, qbar: Sequence[int]) -> i
 
 def le_height(z: HilbPoint) -> float:
     return float(le_height2(z)) ** 0.5
-
-
-def disc_ratio(z: HilbPoint) -> Fraction:
-    """|Disc| * covol^4(I1) / covol^2(I2), the exact discriminant-to-height ratio."""
-    d = abs(discriminant(z))
-    return Fraction(d * z.covol2_I1**2, z.covol2_I2)

@@ -217,8 +217,9 @@ def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
 # many triples 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would
 # take hours of fiber work.  count_Nst(2, 1, 400) needs 3654.
 _MAX_REPRESENTATIVES = 10**6
-# The listing also refuses more points than this, by their exact count: at
-# (s, t) = (2, 1) it admits B = 55 (987757 points), not B = 56.
+# The listing also refuses more points than this, by a lower bound and then
+# by their exact count: at (s, t) = (2, 1) the bound refuses B >= 409, and
+# the exact count admits B = 55 (987757 points), not B = 56.
 _MAX_POINTS = 10**6
 # Every fiber refuses an ellipsoid walk over more rows than this, by the
 # estimate of ``_open_fiber``; at count_Nst(2, 1, 18706) the largest, that of
@@ -402,6 +403,14 @@ def enumerate_points(
     point, when the walk would cover more than ``_MAX_REPRESENTATIVES``
     orbit representatives or list more than ``_MAX_POINTS`` points.
 
+    The points are first bounded below on the first representative (0, 0,
+    1), before its fiber, most of the count, is counted.  Its quotient Gram
+    is I and its orbit holds 3 forms.  With k = isqrt((t_max - 1) // 2), so
+    2 k^2 + 1 <= t_max, the fiber holds every (x1, x2, 1) with |x1|, |x2| <=
+    k, each primitive and no two +- each other: at least 3 (2k + 1)^2
+    points.  Where ``_open_fiber`` refuses that fiber by its rows (9 t_max^2
+    > 32 ``_MAX_FIBER_ROWS``^2 at r = cp = 1), that refusal comes first.
+
     One fiber is counted per orbit (``_orbit_representatives``) of the forms
     with n <= ``norm_cutoff``: every point has H^2 >= n^s / 3^t, so the
     forms past it hold none.  t_max = ``max_covol2_I2`` and the count are
@@ -418,6 +427,10 @@ def enumerate_points(
     total = 0
     for rep, h in _orbit_representatives(norm_cutoff(s, t, bound)):
         t_max = max_covol2_I2(rep.norm2, s, t, bound)
+        if rep.norm2 == 1 and 9 * t_max * t_max <= 32 * _MAX_FIBER_ROWS**2:
+            low = h * (2 * isqrt((t_max - 1) // 2) + 1) ** 2
+            if low > _MAX_POINTS:
+                raise ValueError(f"B is too large: at least {low} points to list, more than {_MAX_POINTS}")
         count = fiber_point_count(rep, t_max)
         if count:
             total += h * count

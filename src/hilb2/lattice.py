@@ -10,8 +10,9 @@ that maps Z^6 onto Z^3 with the product lattice as its kernel, so the
 quotient Z^6 / (product lattice) is the lattice of binary quadratic forms on
 the kernel, with coset coordinates (A, B, C).  This module computes
 
-  * the exact squared covolume of that product lattice (both from the Gram
-    determinant and from the closed-form degree-6 polynomial in a, b, c),
+  * the exact squared covolume of that product lattice, as a closed-form
+    degree-6 polynomial in a, b, c (``verify`` checks it against the Gram
+    determinant of the product basis),
   * the rank-3 quotient in those coordinates, with the inner product
     inherited from the orthogonal complement, held exactly as an *integer*
     Gram matrix scaled by the product covolume: the adjugate of rho rho^T
@@ -154,15 +155,6 @@ def product_covol2_formula(a: int, b: int, c: int) -> int:
     coordinates up to 500 in absolute value (the value is <= 20 M^6)."""
     s, p, c2 = a * a + b * b, (a * b) ** 2, c * c
     return s * (s * s - p) + c2 * (2 * s * s + p + c2 * (2 * s + c2))
-
-
-def product_basis(ell: LinearForm) -> Matrix:
-    a, b, c = ell.triple
-    return (
-        (a, b, c, 0, 0, 0),
-        (0, a, 0, b, c, 0),
-        (0, 0, a, 0, b, c),
-    )
 
 
 def _det3(m: Sequence[Sequence[int]]) -> int:

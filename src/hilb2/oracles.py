@@ -21,7 +21,18 @@ import numpy as np
 
 from .exactlin import Matrix, det_bareiss, gram_det2, gram_matrix, mat_mul, saturate, transpose
 from .hilb import PointValidationError, canonical_forms, canonicalize, monomials
-from .lattice import LinearForm, QuotientLattice, product_basis, quotient, reduce_gram
+from .lattice import LinearForm, QuotientLattice, quotient, reduce_gram
+
+
+def product_basis(ell: LinearForm) -> Matrix:
+    """The rows X0*l, X1*l, X2*l of the product lattice, in the monomial
+    order X0^2, X0X1, X0X2, X1^2, X1X2, X2^2."""
+    a, b, c = ell.triple
+    return (
+        (a, b, c, 0, 0, 0),
+        (0, a, 0, b, c, 0),
+        (0, 0, a, 0, b, c),
+    )
 
 
 def _adjugate3(m: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -24,7 +24,6 @@ from .heights import (
     NonsplitParams,
     PointClass,
     classify,
-    disc_ratio,
     discriminant,
     is_perfect_square,
     le_height2,
@@ -39,7 +38,6 @@ from .lattice import (
     cross,
     iroot,
     kernel_basis_of,
-    product_basis,
     product_covol2_formula,
     quotient,
     sign_canonical,
@@ -51,6 +49,7 @@ from .oracles import (
     distance_lemma_violations,
     oracle_count_points,
     prime_exponents,
+    product_basis,
 )
 
 
@@ -95,6 +94,12 @@ def check_form_walk(m_max: int, name: str) -> None:
 # largest admitted (531441 points), the spec box 3 has 117649.
 _MAX_GRID = 10**6
 
+# ``suite_gon``'s volume-matched radius factors k and the bound on the
+# envelope constant its counts require; ``suite_oracle_count``'s (s, t).
+_GON_KS = (5, 10, 20)
+_GON_C_BOUND = 50.0
+_ORACLE_ST_PAIRS = ((2, 1), (3, 1), (3, 2))
+
 
 def suite_sl_formula(m_max: int = 30, threads: int = 1) -> dict:
     """Covolume polynomial vs Gram determinant, plus the sandwich bounds."""
@@ -127,33 +132,6 @@ def _polar(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> in
     return sum(g[i][j] * x[i] * y[j] for i in range(3) for j in range(3))
 
 
-def _count_line_lt(l1: int, t: int) -> int:
-    """#{k != 0 : k^2 * l1 < t} for the line through a vector of form value l1."""
-    if t <= l1:
-        return 0
-    return 2 * isqrt((t - 1) // l1)
-
-
-def _count_plane_lt(g2: Sequence[Sequence[int]], t: int) -> int:
-    """#{(k,l) != 0 : [k,l] g2 [k,l]^T < t} for a PD integer 2x2 Gram matrix."""
-    bound = t - 1
-    if bound < 0:
-        return 0
-    a, b = g2[0][0], g2[0][1]
-    c = g2[1][1]
-    det2 = a * c - b * b
-    ml = isqrt((bound * a) // det2)
-    total = 0
-    for l in range(-ml, ml + 1):
-        d = a * bound - l * l * det2
-        if d < 0:
-            continue
-        s = isqrt(d)
-        bl = b * l
-        total += (s - bl) // a + ((s + bl) // a) + 1
-    return total - 1
-
-
 def _certify_minima(
     g: Sequence[Sequence[int]], vals: Sequence[int], wits: Sequence[Sequence[int]]
 ) -> bool:
@@ -168,10 +146,13 @@ def _certify_minima(
         return False
     if _count_nonzero_lt(g, l1) != 0:
         return False
-    if _count_nonzero_lt(g, l2) != _count_line_lt(l1, l2):
+    # the line of w1 and the plane of (w1, w2) are counted on their Grams
+    # padded to rank 3 by diagonal entries at the bound: a nonzero padded
+    # coordinate already reaches it, so only their own vectors are counted
+    if _count_nonzero_lt(g, l2) != _count_nonzero_lt(((l1, 0, 0), (0, l2, 0), (0, 0, l2)), l2):
         return False
-    g2 = [[l1, _polar(g, w1, w2)], [_polar(g, w1, w2), l2]]
-    return _count_nonzero_lt(g, l3) == _count_plane_lt(g2, l3)
+    p = _polar(g, w1, w2)
+    return _count_nonzero_lt(g, l3) == _count_nonzero_lt(((l1, p, 0), (p, l2, 0), (0, 0, l3)), l3)
 
 
 def _mink_worker(ell: LinearForm) -> list[str]:
@@ -292,7 +273,7 @@ def _gon_sample(seed: int, n: int, m_max: int) -> list[LinearForm]:
     return out
 
 
-def _gon_worker(ell: LinearForm, ks: tuple, literal_cap: float) -> list[dict]:
+def _gon_worker(ell: LinearForm, literal_cap: float) -> list[dict]:
     """One lattice of the geometry-of-numbers suite: dual-enumerator counts at
     volume-matched radii (and at literal radii whose main term is at most
     literal_cap) plus the envelope constant each radius requires."""
@@ -302,7 +283,7 @@ def _gon_worker(ell: LinearForm, ks: tuple, literal_cap: float) -> list[dict]:
     l1, l2, l3 = (float(x) ** 0.5 for x in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq))
     covol = cv2p ** -0.5
     rows = []
-    for k in ks:
+    for k in _GON_KS:
         # volume-matched radius R = k * covol^(1/3): strict cutoff
         # x gram x < R^2  <=>  (x gram_int x)^3 < k^6 covol2p^2
         radii = [("scaled", k * cv2p ** (-1.0 / 6.0), iroot(k**6 * cv2p * cv2p - 1, 3))]
@@ -335,8 +316,6 @@ def suite_gon(
     seed: int = 0,
     n_lattices: int = 100,
     m_max: int = 50,
-    ks: tuple = (5, 10, 20),
-    c_bound: float = 50.0,
     literal_cap: float = 2e6,
     threads: int = 1,
 ) -> dict:
@@ -346,14 +325,14 @@ def suite_gon(
     gcd oracle: a box scan, or row-wise sieving for large balls) at
     volume-matched radii on every lattice, plus the literal radii wherever the
     predicted main term stays under ``literal_cap`` points, and requires a
-    single global envelope constant at most ``c_bound``.  ``literal_cap`` only
+    single global envelope constant at most ``_GON_C_BOUND``.  ``literal_cap`` only
     bounds run time: the default keeps the literal radii to the small
     stratum of the sample (a few seconds), ``float("inf")`` runs all of them
     (minutes on 2 CPUs).  The report carries ``c_required_max`` and
     ``n_literal``, the number of literal-radius counts made.
     """
     sample = _gon_sample(seed, n_lattices, m_max)
-    calls = [(ell, tuple(ks), float(literal_cap)) for ell in sample]
+    calls = [(ell, float(literal_cap)) for ell in sample]
     results = parallel_map(_gon_worker, calls, threads, chunksize=4)
     rows = [r for res in results for r in res]
     mismatches = [r for r in rows if r["count"] != r["count_boxscan"]]
@@ -361,11 +340,11 @@ def suite_gon(
     n_literal = sum(1 for r in rows if r["kind"] == "literal")
     checks: list = []
     _check(checks, "dual-enumerator-agreement", not mismatches, f"{len(rows)} counts, {len(mismatches)} mismatches")
-    _check(checks, "envelope-constant", c_max <= c_bound, f"C_required={c_max:.3f} <= {c_bound}")
+    _check(checks, "envelope-constant", c_max <= _GON_C_BOUND, f"C_required={c_max:.3f} <= {_GON_C_BOUND}")
     _check(checks, "literal-radii-coverage", n_literal > 0, f"{n_literal} literal-radius counts under cap")
     rep = _report(
         "gon",
-        {"seed": seed, "n_lattices": n_lattices, "m_max": m_max, "ks": list(ks)},
+        {"seed": seed, "n_lattices": n_lattices, "m_max": m_max, "ks": list(_GON_KS)},
         checks,
     )
     rep["c_required_max"] = c_max
@@ -620,7 +599,6 @@ def suite_za_family(a_max: int = 20) -> dict:
 
 
 def suite_oracle_count(
-    st_pairs: tuple = ((2, 1), (3, 1), (3, 2)),
     b_values: tuple = (1, 2, 5, 10, 20, 30),
     threads: int = 1,
 ) -> dict:
@@ -628,14 +606,14 @@ def suite_oracle_count(
     oracle.  The oracle walks ``canonical_forms`` to the largest M that
     ``distance_lemma_reaches``; ``check_form_walk`` admits M <= 62, so one
     comparison at 63 refuses an oversized query before the first count."""
-    for s, t in st_pairs:
+    for s, t in _ORACLE_ST_PAIRS:
         for b in b_values:
             if b >= 1 and distance_lemma_reaches(Fraction(s), Fraction(t), Fraction(b), 63):
                 raise ValueError(f"b_values is too large: the oracle walk at (s, t, B) = "
                                  f"({s}, {t}, {b}) passes m_max 62, more than {_MAX_FORMS} forms")
     checks: list = []
     rows = []
-    for s, t in st_pairs:
+    for s, t in _ORACLE_ST_PAIRS:
         for b in b_values:
             n = count_Nst(s, t, b, threads=threads)
             rows.append({"s": s, "t": t, "B": str(b), "N": n, "oracle": oracle_count_points(s, t, b)})
@@ -643,11 +621,17 @@ def suite_oracle_count(
     _check(checks, "oracle-equality", ok, f"{len(rows)} queries")
     rep = _report(
         "oracle-count",
-        {"st_pairs": list(map(list, st_pairs)), "B": [str(b) for b in b_values]},
+        {"st_pairs": list(map(list, _ORACLE_ST_PAIRS)), "B": [str(b) for b in b_values]},
         checks,
     )
     rep["rows"] = rows
     return rep
+
+
+def disc_ratio(z: HilbPoint) -> Fraction:
+    """|Disc| * covol^4(I1) / covol^2(I2), the exact discriminant-to-height ratio."""
+    d = abs(discriminant(z))
+    return Fraction(d * z.covol2_I1**2, z.covol2_I2)
 
 
 def suite_disc_bound(height_bound: float = 15.0, k_max: int = 30) -> dict:

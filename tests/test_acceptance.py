@@ -45,11 +45,7 @@ def _suite_result(criterion: str, rep: dict) -> None:
 
 @pytest.mark.acceptance
 def test_criterion_01_oracle_equivalence():
-    rep = suite_oracle_count(
-        st_pairs=((2, 1), (3, 1), (3, 2)),
-        b_values=(1, 2, 5, 10, 20, 30),
-        threads=THREADS,
-    )
+    rep = suite_oracle_count(b_values=(1, 2, 5, 10, 20, 30), threads=THREADS)
     _suite_result("1", rep)
 
 

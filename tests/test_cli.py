@@ -781,14 +781,20 @@ def test_every_report_byte_is_pinned(argv, fmt, digest, tmp_path):
          "over (0, 0, 1), more than 1000000000\n")
         for s, b, rows in (("10", "1e5", "10^9.7"), ("1000", "1e200", "10^399.7"))
         for extra in ([], ["--emit-points"])
+    ] + [
+        (["count", "--s", "2", "--t", "1", "--B", b, "--emit-points"],
+         f"error: B is too large: {total} points to list, more than 1000000\n")
+        for b, total in (("56", "1042969"), ("408", "403427221"), ("409", "at least 1005723"),
+                         ("1000", "at least 6006675"), ("10000", "at least 600073347"))
     ],
 )
 def test_oversized_listing_and_oracle_walk_exit_1_at_once(argv, message):
-    # the listing is refused by its exact size, the oracle walk by
-    # check_form_walk's rule, and a fiber by its row estimate, before the
-    # first point or count; the last four walk a handful of forms, but
-    # their (0, 0, 1) fiber is a ball of radius about B (tens of minutes at
-    # (10, 1, 1e5), an OverflowError in the Moebius sieve at (1000, 1, 1e200))
+    # the listing is refused by a lower bound on its (0, 0, 1) orbit or by
+    # its exact size, the oracle walk by check_form_walk's rule, and a fiber
+    # by its row estimate, before the first point or count; the row
+    # refusals walk a handful of forms, but their (0, 0, 1) fiber is a ball
+    # of radius about B (tens of minutes at (10, 1, 1e5), an OverflowError
+    # in the Moebius sieve at (1000, 1, 1e200))
     rc, elapsed, out, err = run_main_timed(argv)
     assert rc == 1
     assert elapsed < 1.0

@@ -16,7 +16,8 @@ from hilb2.exactlin import (
     saturate,
     smith_minor_gcd,
 )
-from hilb2.lattice import LinearForm, cross, dot, iroot, kernel_basis_of, product_basis, sign_canonical
+from hilb2.lattice import LinearForm, cross, dot, iroot, kernel_basis_of, sign_canonical
+from hilb2.oracles import product_basis
 
 
 def test_gram_det2_orthonormal_rows():

@@ -8,7 +8,6 @@ from hilb2.heights import (
     NonsplitParams,
     PointClass,
     classify,
-    disc_ratio,
     discriminant,
     height2_e,
     height2_st,
@@ -25,6 +24,7 @@ from hilb2.oracles import _squarefree_divisors
 from hilb2.verify import (
     _maximal_order_norm,
     disc_nonsplit,
+    disc_ratio,
     disc_split_gcd,
     ideal_norm,
     nonreduced_solution,

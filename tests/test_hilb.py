@@ -31,7 +31,6 @@ from hilb2.lattice import (
     dot,
     kernel_basis_of,
     min_form_value,
-    product_basis,
     product_covol2_formula,
     quotient,
     sign_canonical,
@@ -41,6 +40,7 @@ from hilb2.oracles import (
     oracle_fiber_points_monomial_box,
     oracle_ideal_basis,
     poly_mul,
+    product_basis,
 )
 
 
@@ -178,9 +178,28 @@ def test_enumerate_points_refuses_a_listing_by_its_exact_size():
     # listing is refused from the orbit counts, before its first point
     assert count_Nst(2, 1, 55) == 987757 and count_Nst(2, 1, 56) == 1042969
     assert next(enumerate_points(2, 1, 55)) == HilbPoint(LinearForm(0, 0, 1), (0, 0, 1))
-    for b, total in ((56, 1042969), (100, 5939677)):
+    for b, total in ((56, 1042969), (100, 5939677), (408, 403427221)):
         with pytest.raises(ValueError, match=f"B is too large: {total} points to list, more than 1000000"):
             next(enumerate_points(2, 1, b))
+    # from B = 409 on, the lower bound on the (0, 0, 1) orbit refuses first
+    with pytest.raises(ValueError, match="B is too large: at least 1005723 points to list, more than 1000000"):
+        next(enumerate_points(2, 1, 409))
+
+
+@pytest.mark.parametrize(
+    "s, t, b, n",
+    [(2, 1, 10, 5881), (2, 1, 20, 47461), (2, 1, 30, 160417),
+     (1, 1, 10, 7909), (1, 1, 20, 63661), (1, 1, 30, 213853),
+     (2, 3, 8, 75), (2, 3, 16, 201), (2, 3, 32, 397),
+     (1, 2, 8, 409), (1, 2, 12, 817), (1, 2, 16, 1345), (1, 2, 24, 2929), (1, 2, 32, 5077)],
+)
+def test_listing_lower_bound_is_at_most_the_exact_count(s, t, b, n):
+    # the listing's first refusal reads 3 (2k + 1)^2, k = isqrt((t_max - 1) // 2),
+    # off the (0, 0, 1) orbit; at every query of the class table it is at
+    # most that orbit's exact count and the listing's size N
+    t_max = max_covol2_I2(1, Fraction(s), Fraction(t), Fraction(b))
+    low = 3 * (2 * isqrt((t_max - 1) // 2) + 1) ** 2
+    assert low <= 3 * fiber_point_count(LinearForm(0, 0, 1), t_max) <= n == count_Nst(s, t, b)
 
 
 def test_enumerate_points_checks_each_fiber_against_its_orbit_count(monkeypatch):

@@ -30,7 +30,6 @@ from hilb2.lattice import (
     eval_quadratic,
     iroot,
     kernel_basis_of,
-    product_basis,
     product_covol2_formula,
     quotient,
     min_form_value,
@@ -38,10 +37,10 @@ from hilb2.lattice import (
     restriction_map,
     successive_minima,
 )
-from hilb2.verify import _certify_minima, _gon_main_term, _gon_sample
+from hilb2.verify import _certify_minima, _count_nonzero_lt, _gon_main_term, _gon_sample
 from hilb2 import oracles
 from hilb2.lattice import count_primitive_form
-from hilb2.oracles import count_primitive_gram_boxscan, count_primitive_rows, minima_boxscan
+from hilb2.oracles import count_primitive_gram_boxscan, count_primitive_rows, minima_boxscan, product_basis
 
 
 def test_linear_form_validation():
@@ -325,6 +324,24 @@ def test_certify_minima_rejects_wrong_claims():
     assert not _certify_minima(q.gram_int, [q.covol2_with(w), 21, 105], (w, w2, w3))
     w = tuple(2 * x for x in w1)
     assert not _certify_minima(q.gram_int, [5, 21, 20], (w1, w2, w))
+
+
+def test_padded_gram_counts_equal_line_and_plane_box_counts():
+    # the certificate counts on the line of w1 and the plane of (w1, w2) on
+    # their Grams padded to rank 3 by diagonal entries at the bound: a
+    # nonzero padded coordinate reaches it, so only x3 = 0 (and x2 = 0 on
+    # the line) is counted
+    rng = random.Random(7)
+    for _ in range(300):
+        a, c = rng.randint(1, 12), rng.randint(1, 12)
+        b = rng.randint(-isqrt(a * c - 1), isqrt(a * c - 1))  # a c - b^2 >= 1
+        t = rng.randint(1, 60)
+        line = sum(1 for k in range(-t, t + 1) if k and a * k * k < t)
+        assert _count_nonzero_lt(((a, 0, 0), (0, t, 0), (0, 0, t)), t) == line
+        kb, lb = isqrt(t * c), isqrt(t * a)  # a k^2 + 2 b k l + c l^2 >= k^2 / c and >= l^2 / a
+        plane = sum(1 for k in range(-kb, kb + 1) for l in range(-lb, lb + 1)
+                    if (k or l) and a * k * k + 2 * b * k * l + c * l * l < t)
+        assert _count_nonzero_lt(((a, b, 0), (b, c, 0), (0, 0, t)), t) == plane, (a, b, c, t)
 
 
 @pytest.mark.parametrize(

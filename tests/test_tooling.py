@@ -5,8 +5,9 @@ algebra, the oracles or the suites that check them, nor walk the full list
 of forms.  No check in the package is a bare assert, which python -O
 drops.  The orbit sum behind the benchmark's ``constant`` workload has a
 memory ceiling, and no cache of the core holds more than 128 entries.  The
-oracles call none of the library counters they check, and the package
-surface holds no reference routine."""
+oracles call none of the library counters they check, the package surface
+holds no reference routine, and every function and class of the core is
+read by the program, not only by the reference layer or the tests."""
 
 import ast
 import importlib
@@ -85,6 +86,34 @@ def test_core_modules_import_no_oracle_or_verify():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[-1] for alias in node.names)
         assert not imported & {"exactlin", "oracles", "verify"}, (name, sorted(imported))
+
+
+def test_every_core_name_is_read_by_the_program():
+    # a module-level function or class of the core that only the reference
+    # layer or the tests read belongs in ``oracles`` or ``verify``; the
+    # names the layer tracer pins stay until it lets them go
+    lt = _load_layertrace()
+    pinned = {attr.split(".")[0] for _, attr, _ in lt.TARGETS} | {fn for _, _, fn in lt.CACHES}
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    trees = {name: ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+             for name in (*_CORE, "cli", "__init__")}
+    # every name read, by module-level statement, so a definition does not read itself
+    reads = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            used = {alias.name for node in ast.walk(stmt) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+            used |= {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            reads.append((name, getattr(stmt, "name", None), used))
+    unread = [
+        f"{module}.{stmt.name}"
+        for module in _CORE
+        for stmt in trees[module].body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in pinned
+        and not any(stmt.name in used for m, own, used in reads if (m, own) != (module, stmt.name))
+    ]
+    assert not unread, unread
 
 
 def test_core_modules_walk_only_the_orbit_representatives():
