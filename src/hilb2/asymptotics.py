@@ -275,12 +275,12 @@ def count_Nst(
     """Exact number of points of height at most ``bound``.
 
     Sums exact per-fiber counts over the forms with n = a^2 + b^2 + c^2 at
-    most the rigorous cutoff ``norm_cutoff`` (every point has H^2 >= n^s /
-    3^t, so the forms past it hold none), one fiber per orbit of the signed
-    coordinate permutations (``_orbit_representatives``, which proves the
-    fiber count constant on an orbit): the count of the representative
-    (a, b, M) is weighted by h, the number of sign-canonical forms in its
-    orbit.
+    most the rigorous cutoff ``norm_cutoff`` (every point has H^2 >=
+    (2/3)^t n^s, so the forms past it hold none), one fiber per orbit of
+    the signed coordinate permutations (``_orbit_representatives``, which
+    proves the fiber count constant on an orbit): the count of the
+    representative (a, b, M) is weighted by h, the number of sign-canonical
+    forms in its orbit.
 
     ``threads`` distributes the (form, ``max_covol2_I2``) calls, one per
     representative; the weighted integers are reduced in the parent in
@@ -289,10 +289,12 @@ def count_Nst(
     s, t, b = height_query(s, t, bound)
     if b < 1:
         return 0
-    reps = _orbit_representatives(norm_cutoff(s, t, b))
-    calls = [(f, max_covol2_I2(f.norm2, s, t, b)) for f, _ in reps]
+    calls, weights = [], []
+    for f, h in _orbit_representatives(norm_cutoff(s, t, b)):
+        calls.append((f, max_covol2_I2(f.norm2, s, t, b)))
+        weights.append(h)
     counts = parallel_map(fiber_point_count, calls, threads)
-    return sum(h * c for (_, h), c in zip(reps, counts))
+    return sum(h * c for h, c in zip(weights, counts))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
@@ -500,14 +502,15 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     """
     b = nonnegative_bound(bound)
     x = iroot(floor(b * b), 3)
-    reps = _orbit_representatives(x)
-    norms = Counter()
-    for f, h in reps:
+    calls, weights, norms = [], [], Counter()
+    for f, h in _orbit_representatives(x):
+        calls.append((f, x))
+        weights.append(h)
         norms[f.norm2] += h
     split_pairs = _split_pair_count(norms.items(), x)
-    results = parallel_map(_le_region_worker, [(f, x) for f, _ in reps], threads)
-    n_split = sum(h * r[0] for (_, h), r in zip(reps, results))
-    n_nonsplit = sum(h * r[1] for (_, h), r in zip(reps, results))
+    results = parallel_map(_le_region_worker, calls, threads)
+    n_split = sum(h * r[0] for h, r in zip(weights, results))
+    n_nonsplit = sum(h * r[1] for h, r in zip(weights, results))
     ratios = [r[2] for r in results if r[2] is not None]
     if n_split != split_pairs:
         raise AssertionError(

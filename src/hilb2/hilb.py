@@ -144,8 +144,8 @@ def height_query(
 
     Estimate.  Let L = lcm of the denominators of s and t and beta the bits
     of the numerator and the denominator of B.  ``norm_cutoff`` takes a root
-    of 3^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms below
-    it have n = a^2 + b^2 + c^2 < 2^(2 + (2t + 2 beta) / s).
+    of (3/2)^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms
+    below it have n = a^2 + b^2 + c^2 < 2^(2 + (2t + 2 beta) / s).
     ``max_covol2_I2`` multiplies B^(2L) by n^(L |s - t|).  The estimate is
     L (2t + 2 beta + |s - t| (2 + (2t + 2 beta) / s)), above both.
     """
@@ -185,11 +185,12 @@ def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int
 def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     """Rigorous cutoff on the norm: a form with n = a^2 + b^2 + c^2 beyond
     this bound has every point of height > bound.  It is the largest n with
-    n^(sL) <= floor(3^(tL) bound^(2L)), one integer root, where L is the lcm
-    of the denominators of s and t (``_height_exponents``).
+    n^(sL) <= floor((3/2)^(tL) bound^(2L)), one integer root, where L is the
+    lcm of the denominators of s and t (``_height_exponents``).
 
     Lemma: every quadric q outside the span l*V of the degree-1 multiples of
-    the form has dist^2(q, l*V) >= 1/(2 n^2), i.e. 2 n^2 *
+    the form has dist^2(q, l*V) >= 1/(2n) when disc(qbar) != 0 and
+    dist^2(q, l*V) >= 1/n^2 when disc(qbar) = 0; in particular 2 n^2 *
     min_form_value(quotient(l)) >= covol2_product.  Proof:
 
     * the monomial-coefficient norm of q is at least the Frobenius norm of
@@ -204,39 +205,41 @@ def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
       ||X||_F^2 = k^2 (w^T adj(G) w / n)^2 >= 1/n^2 for w = (u, v), since
       adj(G) is a positive definite integer matrix.
 
-    With covol2_product >= (2/3) n^3 (equivalent to sum a^6 + 3 a^2 b^2 c^2
-    >= 0) this gives covol2_I2 >= n/3 for every point, so
-    H^2 = n^(s-t) covol2_I2^t >= n^s / 3^t.  A point of height <= bound
-    thus has n^(sL) <= 3^(tL) bound^(2L), and n^(sL) is an integer.
+    With covol2_I2 = covol2_product dist^2 and covol2_product >= (2/3) n^3
+    (sum a^6 + 3 a^2 b^2 c^2 >= 0), the cases give covol2_I2 >= n^2 / 3 >=
+    2n / 3 (n >= 2; at n = 1 the integer covol2_I2 is >= 1) and covol2_I2 >=
+    2n / 3.  So H^2 = n^(s-t) covol2_I2^t >= (2/3)^t n^s, and a point of
+    height <= bound has the integer n^(sL) <= (3/2)^(tL) bound^(2L).
     """
     big_l, _, b = _height_exponents(s, t)
-    return iroot(floor(Fraction(3) ** b * bound ** (2 * big_l)), int(big_l * s))
+    return iroot(floor(Fraction(3, 2) ** b * bound ** (2 * big_l)), int(big_l * s))
 
 
 # The exact counts and the point listing refuse a walk over more than this
 # many triples 0 <= a <= b <= M <= m_max, C(m_max + 3, 3) of them: it would
-# take hours of fiber work.  count_Nst(2, 1, 400) needs 3654.
+# take hours of fiber work.  count_Nst(2, 1, 400) walks 928 of its 2300.
 _MAX_REPRESENTATIVES = 10**6
 # The listing also refuses more points than this, by a lower bound and then
 # by their exact count: at (s, t) = (2, 1) the bound refuses B >= 409, and
 # the exact count admits B = 55 (987757 points), not B = 56.
 _MAX_POINTS = 10**6
 # Every fiber refuses an ellipsoid walk over more rows than this, by the
-# estimate of ``_open_fiber``; at count_Nst(2, 1, 18706) the largest, that of
-# the (0, 0, 1) fiber, is about 1.9 * 10^8.
+# estimate of ``_open_fiber``; at count_Nst(2, 1, 26454) the largest, that of
+# the (0, 0, 1) fiber, is about 3.9 * 10^8.
 _MAX_FIBER_ROWS = 10**9
 
 
-def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
-    """[(LinearForm(a, b, M), h)] for the primitive (a, b, M), 0 <= a <= b
-    <= M, with a^2 + b^2 + M^2 <= n_max, in shell order and lexicographic
+def _orbit_representatives(n_max: int) -> Iterator[tuple[LinearForm, int]]:
+    """Yield (LinearForm(a, b, M), h) for the primitive (a, b, M), 0 <= a <=
+    b <= M, with a^2 + b^2 + M^2 <= n_max, in shell order and lexicographic
     in (b, a).  The shells run to m_max = isqrt(n_max), since M^2 <= n.
-    ValueError, before any walking, when C(m_max + 3, 3) exceeds
-    ``_MAX_REPRESENTATIVES``: the guard counts the whole cube, not the
-    forms the norm bound keeps.
+    ValueError, on the first ``next`` and before any representative, when
+    C(m_max + 3, 3) exceeds ``_MAX_REPRESENTATIVES``: the guard counts the
+    whole cube, not the forms the norm bound keeps.  Each caller reads the
+    stream once.
 
     ``count_Nst`` and ``enumerate_points`` pass ``norm_cutoff``: a point of
-    height <= B has n^s / 3^t <= H^2 <= B^2, so the forms past it hold
+    height <= B has (2/3)^t n^s <= H^2 <= B^2, so the forms past it hold
     none.  ``le_count_detailed`` passes X = iroot(floor(B^2), 3), since
     H^2 >= n on every point it counts.
 
@@ -264,7 +267,6 @@ def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
             f"B is too large: about 10^{log10(estimate):.1f} orbit representatives "
             f"to walk, more than {_MAX_REPRESENTATIVES}"
         )
-    out = []
     for m in range(1, m_max + 1):
         for b in range(m + 1):
             gbm = gcd(b, m)
@@ -272,8 +274,7 @@ def _orbit_representatives(n_max: int) -> list[tuple[LinearForm, int]]:
                 if a * a + b * b + m * m > n_max:
                     break
                 if gcd(a, gbm) == 1:
-                    out.append((LinearForm(a, b, m), _canonical_orbit_size(a, b, m)))
-    return out
+                    yield LinearForm(a, b, m), _canonical_orbit_size(a, b, m)
 
 
 def _canonical_orbit_size(a: int, b: int, m: int) -> int:
@@ -404,15 +405,15 @@ def enumerate_points(
     orbit representatives or list more than ``_MAX_POINTS`` points.
 
     The points are first bounded below on the first representative (0, 0,
-    1), before its fiber, most of the count, is counted.  Its quotient Gram
-    is I and its orbit holds 3 forms.  With k = isqrt((t_max - 1) // 2), so
-    2 k^2 + 1 <= t_max, the fiber holds every (x1, x2, 1) with |x1|, |x2| <=
-    k, each primitive and no two +- each other: at least 3 (2k + 1)^2
-    points.  Where ``_open_fiber`` refuses that fiber by its rows (9 t_max^2
+    1), before its fiber, most of the count, is counted and before the walk
+    goes past it.  Its quotient Gram is I and its orbit holds 3 forms.  With
+    k = isqrt((t_max - 1) // 2), so 2 k^2 + 1 <= t_max, the fiber holds
+    every (x1, x2, 1) with |x1|, |x2| <= k, each primitive and no two +-
+    each other: at least 3 (2k + 1)^2 points.  Where ``_open_fiber`` refuses that fiber by its rows (9 t_max^2
     > 32 ``_MAX_FIBER_ROWS``^2 at r = cp = 1), that refusal comes first.
 
     One fiber is counted per orbit (``_orbit_representatives``) of the forms
-    with n <= ``norm_cutoff``: every point has H^2 >= n^s / 3^t, so the
+    with n <= ``norm_cutoff``: every point has H^2 >= (2/3)^t n^s, so the
     forms past it hold none.  t_max = ``max_covol2_I2`` and the count are
     computed on the representative and are constant on the orbit; the count
     is 0 exactly when ``_open_fiber`` finds the fiber empty (a vector

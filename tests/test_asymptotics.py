@@ -604,6 +604,20 @@ def test_count_regression_pins_at_larger_bounds():
     assert count_Nst(1, 1, 30) == 213853
 
 
+@pytest.mark.parametrize(
+    "s, t, b, n, reps",
+    [(1, 2, 32, 5077, 8685), (1, 2, 48, 10621, 28570), (1, 1, 30, 213853, 3998),
+     (2, 3, 64, 769, 128), (2, 1, 1000, 5940041605, 3459), (3, 2, 10**4, 6532621, 1262),
+     (1, 3, 16, 913, 2090), (2, 1, 30, 160417, 28)],
+)
+def test_count_at_the_norm_cutoff_from_two_thirds_n(s, t, b, n, reps):
+    # the cutoff n^s <= (3/2)^t B^2 keeps every point: the counts are those
+    # the cutoff n^s <= 3^t B^2 gave, over fewer representatives
+    s, t, b = Fraction(s), Fraction(t), Fraction(b)
+    assert count_Nst(s, t, b) == n
+    assert sum(1 for _ in _orbit_representatives(norm_cutoff(s, t, b))) == reps
+
+
 def _walk_by_m(s, t, b):
     """The orbit representatives of every shell M <= isqrt(norm_cutoff):
     the walk bounded by M alone."""
@@ -612,8 +626,8 @@ def _walk_by_m(s, t, b):
 
 
 def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
-    # H^2 >= n^s / 3^t on every point, so at (2, 1, 30) only the 43
-    # representatives with n <= 51 are opened, of the 88 with M <= 7; the
+    # H^2 >= (2/3)^t n^s on every point, so at (2, 1, 30) only the 28
+    # representatives with n <= 36 are opened, of the 55 with M <= 6; the
     # 13 non-empty fibers of the walk by M alone are all among them
     s, t, b = Fraction(2), Fraction(1), Fraction(30)
     opened = []
@@ -625,10 +639,10 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "fiber_point_count", counting)
     assert count_Nst(s, t, b) == 160417
-    assert len(opened) == 43
+    assert len(opened) == 28
     reps = _walk_by_m(s, t, b)
     by_m = [(rep, fiber_point_count(rep, max_covol2_I2(rep.norm2, s, t, b))) for rep, _ in reps]
-    assert len(by_m) == 88
+    assert len(by_m) == 55
     nonempty = {(rep, n) for rep, n in by_m if n}
     assert len(nonempty) == 13
     assert nonempty == {(rep, n) for rep, n in opened if n}
@@ -646,7 +660,7 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
 def test_point_listing_opens_each_orbit_once(monkeypatch):
     # the cap, the prune and the first minimum are constant on an orbit, so
     # the listing computes t_max and reduces a quotient once per
-    # representative: 43 caps and 21 reductions at (2, 1, 30), as many as
+    # representative: 28 caps and 19 reductions at (2, 1, 30), as many as
     # the count
     from hilb2 import hilb
 
@@ -664,11 +678,11 @@ def test_point_listing_opens_each_orbit_once(monkeypatch):
     counted(hilb, "min_form_value")
     counted(hilb, "max_covol2_I2")
     assert sum(1 for _ in enumerate_points(2, 1, 30)) == 160417
-    assert calls == {"max_covol2_I2": 43, "min_form_value": 21}
+    assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
     calls.clear()
     counted(asymptotics, "max_covol2_I2")
     assert count_Nst(2, 1, 30) == 160417
-    assert calls == {"max_covol2_I2": 43, "min_form_value": 21}
+    assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
 
 
 class _SerialPool:
@@ -730,7 +744,7 @@ def test_count_scaling_law():
 
 
 def test_count_threads_invariant():
-    # 12 orbit representatives at B = 10 and 43 at B = 30, split into four
+    # 8 orbit representatives at B = 10 and 28 at B = 30, split into four
     # chunks per worker, so both workers run
     for b in (10, 30):
         assert count_Nst(2, 1, b, threads=2) == count_Nst(2, 1, b, threads=1)
@@ -1086,7 +1100,7 @@ def test_le_count_scans_the_region_of_x(monkeypatch):
     monkeypatch.setattr(asymptotics, "enumerate_form_le", recording_scan)
     assert le_count_detailed(100)["total"] == 1279
     assert all(t == 2 * n * 21 for n, t in scanned), scanned
-    assert len(scanned) == len(_orbit_representatives(21)) == 15
+    assert len(scanned) == len(list(_orbit_representatives(21))) == 15
 
 
 # One break per check of the anticanonical count, each applied by a

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
@@ -145,14 +146,47 @@ def test_enumerate_points_rejects_bad_exponents():
 
 
 def test_enumerate_points_refuses_oversized_bounds():
-    # isqrt(norm_cutoff(2, 1, 18707)) = 180 is the first cutoff with more
+    # isqrt(norm_cutoff(2, 1, 26455)) = 180 is the first cutoff with more
     # than 10^6 orbit representatives, C(183, 3); every bound here is
     # refused before walking
-    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(18706))) == 179
-    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(18707))) == 180
-    for b in (18707, 10**30, 10**400):
+    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(26454))) == 179
+    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(26455))) == 180
+    for b in (26455, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
+
+
+def test_orbit_walk_is_a_stream_guarded_before_its_first_form():
+    walk = _orbit_representatives(36)
+    assert iter(walk) is walk
+    assert next(walk) == (LinearForm(0, 0, 1), 3)
+    assert len(list(walk)) == 27
+    # C(183, 3) > 10^6 triples: the guard raises on the first next(), and
+    # nothing was yielded before it
+    walk = _orbit_representatives(180 * 180)
+    with pytest.raises(ValueError, match="B is too large: about 10\\^6.0 orbit representatives"):
+        next(walk)
+    assert list(walk) == []
+
+
+@pytest.mark.parametrize("b", [10**4, 26454])
+def test_point_listing_refuses_before_the_walk(b):
+    # the lower bound on the first representative, (0, 0, 1), refuses
+    # before the rest of the walk is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="B is too large: at least .* points to list"):
+        next(enumerate_points(2, 1, b))
+    assert time.perf_counter() - start < 0.05
+
+
+def test_covol2_I2_is_at_least_two_thirds_of_n_on_every_representative():
+    # the bound norm_cutoff reads: 3 covol2_I2 >= 2n on every point, checked
+    # on the first minimum of every fiber with n <= 20000
+    walked = 0
+    for f, _ in _orbit_representatives(20000):
+        assert 3 * min_form_value(quotient(f)) >= 2 * f.norm2, f
+        walked += 1
+    assert walked == 211093
 
 
 def test_huge_fibers_are_refused_past_every_bound_the_walk_admits():
@@ -162,10 +196,10 @@ def test_huge_fibers_are_refused_past_every_bound_the_walk_admits():
                 call()
     # (0, 0, 1) has the largest row estimate of every walk at s >= t, with
     # E + |G| = covol2_product = n = 1 and t_max = B^2 at (2, 1); that walk
-    # admits B = 18706, and refusal starts at 9 t_max^2 > 32 * 10^18
+    # admits B = 26454, and refusal starts at 9 t_max^2 > 32 * 10^18
     ell = LinearForm(0, 0, 1)
-    assert max_covol2_I2(1, Fraction(2), Fraction(1), Fraction(18706)) == 18706**2
-    assert hilb._open_fiber(ell, 18706**2) is not None
+    assert max_covol2_I2(1, Fraction(2), Fraction(1), Fraction(26454)) == 26454**2
+    assert hilb._open_fiber(ell, 26454**2) is not None
     t_first = isqrt(32 * 10**18 // 9) + 1
     assert 9 * (t_first - 1) ** 2 <= 32 * 10**18 < 9 * t_first**2
     assert hilb._open_fiber(ell, t_first - 1) is not None
@@ -382,7 +416,7 @@ def _kernel_radius(f):
 
 
 def test_first_minimum_lower_bound_all_forms_m12():
-    # 2 n^2 * lambda_1^2 >= 1, the bound behind norm_cutoff, and the sharper
+    # 2 n^2 * lambda_1^2 >= 1, the lemma of norm_cutoff, and the sharper
     # 2 r^2 * lambda_1^2 >= 1 with r = E + |G| <= n behind the fiber prune
     sharper = 0
     for f in canonical_forms(12):
@@ -430,23 +464,23 @@ def test_norm_cutoff_is_sound(s, t, b):
 
 
 def test_m_cutoff_is_the_root_of_the_norm_cutoff():
-    # with X = floor(3^(tL) B^(2L)) and k = sL, norm_cutoff is iroot(X, k)
+    # with X = floor((3/2)^(tL) B^(2L)) and k = sL, norm_cutoff is iroot(X, k)
     # and its isqrt, the walk's M cutoff, equals iroot(X, 2k), the largest M
-    # with M^(2s) <= 3^t B^2
+    # with M^(2s) <= (3/2)^t B^2
     import random
     from math import floor, lcm
 
     from hilb2.lattice import iroot
 
     rng = random.Random(21)
-    queries = [(Fraction(2), Fraction(1), Fraction(18706)), (Fraction(2), Fraction(1), Fraction(18707))]
+    queries = [(Fraction(2), Fraction(1), Fraction(26454)), (Fraction(2), Fraction(1), Fraction(26455))]
     for _ in range(1000):
         s = Fraction(rng.randint(1, 12), rng.randint(1, 4))
         t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
         queries.append((s, t, Fraction(rng.randint(1, 20000), rng.randint(1, 9))))
     for s, t, b in queries:
         big_l = lcm(s.denominator, t.denominator)
-        x = floor(Fraction(3) ** int(t * big_l) * b ** (2 * big_l))
+        x = floor(Fraction(3, 2) ** int(t * big_l) * b ** (2 * big_l))
         k = int(s * big_l)
         n = norm_cutoff(s, t, b)
         assert n**k <= x < (n + 1) ** k, (s, t, b)

@@ -303,7 +303,7 @@ def test_minima_read_off_the_reduced_gram_are_certified():
     for f in forms:
         q = quotient(f)
         sm = successive_minima(q)
-        vals = [int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)]
+        vals = tuple(int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq))
         assert _certify_minima(q.gram_int, vals, sm.witnesses), f
         assert abs(det3(sm.witnesses)) == 1, f
         assert min_form_value(q) == vals[0], f
@@ -313,17 +313,32 @@ def test_certify_minima_rejects_wrong_claims():
     q = quotient(LinearForm(2, 1, 0))
     sm = successive_minima(q)
     w1, w2, w3 = sm.witnesses
-    vals = [int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq)]
-    assert vals == [5, 21, 105]
+    vals = tuple(int(lam * q.covol2_product) for lam in (sm.lam1_sq, sm.lam2_sq, sm.lam3_sq))
+    assert vals == (5, 21, 105)
     assert _certify_minima(q.gram_int, vals, (w1, w2, w3))
     # a value its witness does not attain; second and third swapped; a
     # non-minimal first witness; dependent witnesses
-    assert not _certify_minima(q.gram_int, [5, 21, 104], (w1, w2, w3))
-    assert not _certify_minima(q.gram_int, [5, 105, 21], (w1, w3, w2))
+    assert not _certify_minima(q.gram_int, (5, 21, 104), (w1, w2, w3))
+    assert not _certify_minima(q.gram_int, (5, 105, 21), (w1, w3, w2))
     w = tuple(x + y for x, y in zip(w1, w2))
-    assert not _certify_minima(q.gram_int, [q.covol2_with(w), 21, 105], (w, w2, w3))
+    assert not _certify_minima(q.gram_int, (q.covol2_with(w), 21, 105), (w, w2, w3))
     w = tuple(2 * x for x in w1)
-    assert not _certify_minima(q.gram_int, [5, 21, 20], (w1, w2, w))
+    assert not _certify_minima(q.gram_int, (5, 21, 20), (w1, w2, w))
+
+
+def test_minkowski_checks_fail_minima_off_the_integer_scale(monkeypatch):
+    # every bound of the suite is read on lambda_i^2 * covol2_product, so a
+    # minimum whose scaled value is not an integer fails the form outright
+    import dataclasses
+
+    from hilb2 import verify
+
+    f = LinearForm(2, 1, 0)
+    assert verify._mink_worker(f) == []
+    q = quotient(f)
+    off = dataclasses.replace(successive_minima(q), lam1_sq=Fraction(1, 2 * q.covol2_product))
+    monkeypatch.setattr(verify, "successive_minima", lambda _: off)
+    assert verify._mink_worker(f) == ["minima-count-certificate", "minima-not-integral"]
 
 
 def test_padded_gram_counts_equal_line_and_plane_box_counts():
