@@ -34,12 +34,11 @@ from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
 from .heights import is_perfect_square, le_height2_gram
 from .hilb import (
     _canonical_orbit_size,
+    _capped_orbits,
     _orbit_representatives,
     fiber_point_count,
     height_query,
-    max_covol2_I2,
     nonnegative_bound,
-    norm_cutoff,
     positive_exponents,
 )
 from .lattice import (
@@ -274,27 +273,19 @@ def count_Nst(
 ) -> int:
     """Exact number of points of height at most ``bound``.
 
-    Sums exact per-fiber counts over the forms with n = a^2 + b^2 + c^2 at
-    most the rigorous cutoff ``norm_cutoff`` (every point has H^2 >=
-    (2/3)^t n^s, so the forms past it hold none), one fiber per orbit of
-    the signed coordinate permutations (``_orbit_representatives``, which
-    proves the fiber count constant on an orbit): the count of the
-    representative (a, b, M) is weighted by h, the number of sign-canonical
-    forms in its orbit.
+    Sums exact per-fiber counts over ``_capped_orbits``, one fiber per orbit
+    of the signed coordinate permutations (``_orbit_representatives`` proves
+    the count constant on an orbit): the count of the representative
+    (a, b, M) is weighted by h, the number of sign-canonical forms in its
+    orbit.
 
-    ``threads`` distributes the (form, ``max_covol2_I2``) calls, one per
+    ``threads`` distributes the (form, t_max) calls, one per
     representative; the weighted integers are reduced in the parent in
     representative order, so the result is independent of the thread count.
     """
-    s, t, b = height_query(s, t, bound)
-    if b < 1:
-        return 0
-    calls, weights = [], []
-    for f, h in _orbit_representatives(norm_cutoff(s, t, b)):
-        calls.append((f, max_covol2_I2(f.norm2, s, t, b)))
-        weights.append(h)
-    counts = parallel_map(fiber_point_count, calls, threads)
-    return sum(h * c for h, c in zip(weights, counts))
+    capped = list(_capped_orbits(height_query(s, t, bound)))
+    counts = parallel_map(fiber_point_count, [(f, t_max) for f, _, t_max in capped], threads)
+    return sum(h * c for (_, h, _), c in zip(capped, counts))
 
 
 def bm_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, int]:
@@ -326,7 +317,7 @@ def convergence_report(
     c_mid = 0.5 * (est.lo + est.hi)
     rows = []
     for b in b_values:
-        n = count_Nst(sf, tf, Fraction(b), threads=threads)
+        n = count_Nst(sf, tf, b, threads=threads)
         pred = c_mid * float(b) ** (3.0 / float(tf))
         rel_dev = n / pred - 1.0 if pred else None
         envelope = float(b) ** (2.0 / float(tf)) + float(b) ** (3.0 / float(sf)) * max(

@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     try:
         with _claimed_out(args.out):
             return handlers[args.command](args)
-    except (ValueError, OSError) as exc:  # PointValidationError is a ValueError
+    except (ValueError, OSError, OverflowError) as exc:  # invalid point, unwritable path, past float range
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except AssertionError as exc:  # InternalCheckError is an AssertionError

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from math import ceil, comb, floor, gcd, isqrt, lcm, log10, pi
+from math import ceil, comb, gcd, isqrt, lcm, log10, pi
 from typing import Iterator, Sequence
 
 from .lattice import (
@@ -110,19 +110,26 @@ def canonicalize(ell_raw: Sequence[int], q: Sequence[int]) -> HilbPoint:
 # ---------------------------------------------------------------------------
 
 
+def _finite_fraction(name: str, x: float | Fraction) -> Fraction:
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):  # +-inf, NaN
+        raise ValueError(f"{name} must be a finite number, got {x!r}") from None
+
+
 def positive_exponents(s: float | Fraction, t: float | Fraction) -> tuple[Fraction, Fraction]:
-    """(s, t) as Fractions; ValueError unless both are positive, since the
-    point count is infinite otherwise."""
-    s, t = Fraction(s), Fraction(t)
+    """(s, t) as Fractions; ValueError unless both are finite and positive,
+    since the point count is infinite otherwise."""
+    s, t = _finite_fraction("s", s), _finite_fraction("t", t)
     if s <= 0 or t <= 0:
         raise ValueError("s and t must be positive")
     return s, t
 
 
 def nonnegative_bound(bound: float | Fraction) -> Fraction:
-    """The height bound as a Fraction; ValueError if it is negative.  Every
-    entry point that takes B checks it here."""
-    b = Fraction(bound)
+    """The height bound as a Fraction; ValueError if it is negative or not
+    finite.  Every entry point that takes B checks it here."""
+    b = _finite_fraction("B", bound)
     if b < 0:
         raise ValueError("B must be nonnegative")
     return b
@@ -136,57 +143,52 @@ _MAX_EXACT_BITS = 1 << 14
 
 def height_query(
     s: float | Fraction, t: float | Fraction, bound: float | Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(s, t, B) as Fractions, checked by ``positive_exponents`` and
-    ``nonnegative_bound``: the one check of every entry point that takes
-    all three.  ValueError, before any power is taken, when the exact
-    comparisons would need integers of more than ``_MAX_EXACT_BITS`` bits.
+) -> tuple[int, int, int, int]:
+    """(s, t, B) cleared of denominators once, as integers (a, b, num, den):
+    a = L (s - t) and b = L t for L the lcm of the denominators of s and t,
+    num / den = B^(2L) in lowest terms.  A point has height <= B exactly
+    when covol2_I1^a * covol2_I2^b * den <= num, so every comparison below
+    the query is in integers.  (s, t, B) are checked by
+    ``positive_exponents`` and ``nonnegative_bound``, the one check of every
+    entry point that takes all three.  ValueError, before any power is
+    taken, when the comparisons would need more than ``_MAX_EXACT_BITS`` bits.
 
-    Estimate.  Let L = lcm of the denominators of s and t and beta the bits
-    of the numerator and the denominator of B.  ``norm_cutoff`` takes a root
-    of (3/2)^(Lt) B^(2L), of fewer than L (2t + 2 beta) bits, and the forms
-    below it have n = a^2 + b^2 + c^2 < 2^(2 + (2t + 2 beta) / s).
-    ``max_covol2_I2`` multiplies B^(2L) by n^(L |s - t|).  The estimate is
-    L (2t + 2 beta + |s - t| (2 + (2t + 2 beta) / s)), above both.
+    Estimate, with beta the bits of B's numerator and denominator.
+    ``norm_cutoff`` roots (3/2)^b B^(2L), of fewer than L (2t + 2 beta)
+    bits, and the forms below it have n < 2^(2 + (2t + 2 beta) / s);
+    ``max_covol2_I2`` multiplies B^(2L) by n^|a|.  Both stay below
+    L (2t + 2 beta + |s - t| (2 + (2t + 2 beta) / s)) bits.
     """
     s, t = positive_exponents(s, t)
-    b = nonnegative_bound(bound)
-    beta = max(b.numerator.bit_length(), b.denominator.bit_length())
+    bound = nonnegative_bound(bound)
+    beta = max(bound.numerator.bit_length(), bound.denominator.bit_length())
     per_l = 2 * t + 2 * beta + abs(s - t) * (2 + (2 * t + 2 * beta) / s)
-    bits = ceil(lcm(s.denominator, t.denominator) * per_l)
+    big_l = lcm(s.denominator, t.denominator)
+    bits = ceil(big_l * per_l)
     if bits > _MAX_EXACT_BITS:
         raise ValueError(
             f"the exact height comparison needs integers of about "
             f"10^{log10(bits):.1f} bits, more than {_MAX_EXACT_BITS}"
         )
-    return s, t, b
+    two_l = 2 * big_l
+    return int(big_l * (s - t)), int(big_l * t), bound.numerator**two_l, bound.denominator**two_l
 
 
-def _height_exponents(s: Fraction, t: Fraction) -> tuple[int, int, int]:
-    """Clear denominators: H^(2L) = covol2_I1^a * covol2_I2^b with b > 0."""
-    big_l = lcm(s.denominator, t.denominator)
-    b = t.numerator * (big_l // t.denominator)
-    return big_l, s.numerator * (big_l // s.denominator) - b, b
-
-
-def max_covol2_I2(cv1_sq: int, s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Largest integer k with covol2_I1^(s-t) * k^t <= bound^2 (exact)."""
-    big_l, a, b = _height_exponents(s, t)
-    # floor(bound^(2L) / cv1_sq^a) in integers
-    num = bound.numerator ** (2 * big_l)
-    den = bound.denominator ** (2 * big_l)
+def max_covol2_I2(cv1_sq: int, query: tuple[int, int, int, int]) -> int:
+    """Largest integer k with cv1_sq^a * k^b * den <= num, the height bound
+    on the fiber of a form with covol2_I1 = cv1_sq (``height_query``)."""
+    a, b, num, den = query
     if a >= 0:
-        den *= cv1_sq**a
-    else:
-        num *= cv1_sq**-a
-    return iroot(num // den, b)
+        return iroot(num // (den * cv1_sq**a), b)
+    return iroot(num * cv1_sq**-a // den, b)
 
 
-def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
-    """Rigorous cutoff on the norm: a form with n = a^2 + b^2 + c^2 beyond
-    this bound has every point of height > bound.  It is the largest n with
-    n^(sL) <= floor((3/2)^(tL) bound^(2L)), one integer root, where L is the
-    lcm of the denominators of s and t (``_height_exponents``).
+def norm_cutoff(query: tuple[int, int, int, int]) -> int:
+    """Rigorous cutoff on the norm n of a form, the sum of its squared
+    coordinates: past it every point has height > bound.  For the query
+    (a, b, num, den) of ``height_query`` it is the largest n with
+    n^(a + b) <= floor(3^b num / (2^b den)), one integer root, as a + b = sL
+    and num / den = bound^(2L).
 
     Lemma: every quadric q outside the span l*V of the degree-1 multiples of
     the form has dist^2(q, l*V) >= 1/(2n) when disc(qbar) != 0 and
@@ -211,8 +213,8 @@ def norm_cutoff(s: Fraction, t: Fraction, bound: Fraction) -> int:
     2n / 3.  So H^2 = n^(s-t) covol2_I2^t >= (2/3)^t n^s, and a point of
     height <= bound has the integer n^(sL) <= (3/2)^(tL) bound^(2L).
     """
-    big_l, _, b = _height_exponents(s, t)
-    return iroot(floor(Fraction(3, 2) ** b * bound ** (2 * big_l)), int(big_l * s))
+    a, b, num, den = query
+    return iroot(3**b * num // (2**b * den), a + b)
 
 
 # The exact counts and the point listing refuse a walk over more than this
@@ -238,10 +240,8 @@ def _orbit_representatives(n_max: int) -> Iterator[tuple[LinearForm, int]]:
     whole cube, not the forms the norm bound keeps.  Each caller reads the
     stream once.
 
-    ``count_Nst`` and ``enumerate_points`` pass ``norm_cutoff``: a point of
-    height <= B has (2/3)^t n^s <= H^2 <= B^2, so the forms past it hold
-    none.  ``le_count_detailed`` passes X = iroot(floor(B^2), 3), since
-    H^2 >= n on every point it counts.
+    ``_capped_orbits`` passes ``norm_cutoff``; ``le_count_detailed`` passes
+    X = iroot(floor(B^2), 3), since H^2 >= n on every point it counts.
 
     The one walk of ``count_Nst``, ``le_count_detailed`` and
     ``enumerate_points``: each orbit of the 48 signed coordinate
@@ -275,6 +275,17 @@ def _orbit_representatives(n_max: int) -> Iterator[tuple[LinearForm, int]]:
                     break
                 if gcd(a, gbm) == 1:
                     yield LinearForm(a, b, m), _canonical_orbit_size(a, b, m)
+
+
+def _capped_orbits(query: tuple[int, int, int, int]) -> Iterator[tuple[LinearForm, int, int]]:
+    """The one walk of ``count_Nst`` and ``enumerate_points``, as lazy as the
+    orbit walk: (form, h, t_max = ``max_covol2_I2``) below ``norm_cutoff``,
+    as a point of height <= B has (2/3)^t n^s <= H^2 <= B^2, and nothing
+    when B < 1 (num < den)."""
+    if query[2] < query[3]:
+        return
+    for rep, h in _orbit_representatives(norm_cutoff(query)):
+        yield rep, h, max_covol2_I2(rep.norm2, query)
 
 
 def _canonical_orbit_size(a: int, b: int, m: int) -> int:
@@ -368,16 +379,15 @@ def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
     return quo
 
 
-def fiber_points(ell: LinearForm, t_max: int) -> list[HilbPoint]:
+def fiber_points(ell: LinearForm, t_max: int) -> Iterator[HilbPoint]:
     """The points over ``ell`` with covol2_I2 <= t_max, qbar-lexicographic,
-    with no prune: ``enumerate_points`` counts each orbit once, on its
-    representative."""
-    qbars = sorted(
-        sign_canonical(x)
-        for x in enumerate_form_le(quotient(ell).gram_int, t_max)
-        if gcd(gcd(x[0], x[1]), x[2]) == 1
-    )
-    return [HilbPoint(ell, x) for x in qbars]
+    with no prune, as they are walked: ``enumerate_form_le`` on the quotient
+    Gram reversed, g'[i][j] = g[2 - i][2 - j], yields y in ascending (y3, y2,
+    y1) order with its last nonzero entry positive, so qbar = (y3, y2, y1)."""
+    g = quotient(ell).gram_int
+    for y1, y2, y3 in enumerate_form_le([row[::-1] for row in g[::-1]], t_max):
+        if gcd(gcd(y1, y2), y3) == 1:
+            yield HilbPoint(ell, (y3, y2, y1))
 
 
 def fiber_point_count(ell: LinearForm, t_max: int) -> int:
@@ -409,25 +419,21 @@ def enumerate_points(
     goes past it.  Its quotient Gram is I and its orbit holds 3 forms.  With
     k = isqrt((t_max - 1) // 2), so 2 k^2 + 1 <= t_max, the fiber holds
     every (x1, x2, 1) with |x1|, |x2| <= k, each primitive and no two +-
-    each other: at least 3 (2k + 1)^2 points.  Where ``_open_fiber`` refuses that fiber by its rows (9 t_max^2
-    > 32 ``_MAX_FIBER_ROWS``^2 at r = cp = 1), that refusal comes first.
+    each other: at least 3 (2k + 1)^2 points.  Where ``_open_fiber`` refuses
+    that fiber by its rows (9 t_max^2 > 32 ``_MAX_FIBER_ROWS``^2 at r = cp =
+    1), that refusal comes first.
 
-    One fiber is counted per orbit (``_orbit_representatives``) of the forms
-    with n <= ``norm_cutoff``: every point has H^2 >= (2/3)^t n^s, so the
-    forms past it hold none.  t_max = ``max_covol2_I2`` and the count are
-    computed on the representative and are constant on the orbit; the count
-    is 0 exactly when ``_open_fiber`` finds the fiber empty (a vector
-    attaining the first minimum is primitive, so it is a point).  Each
-    listed fiber is checked against its orbit's count, raised explicitly so
-    that python -O keeps it.
+    One fiber is counted per orbit (``_capped_orbits``); t_max and the count
+    are constant on the orbit, and the count is 0 exactly when
+    ``_open_fiber`` finds the fiber empty (a vector attaining the first
+    minimum is primitive, so it is a point).  Each fiber is walked in the
+    order it is listed (``fiber_points``), its points counted as they are
+    yielded and checked against its orbit's count when it ends, raised
+    explicitly so that python -O keeps it.
     """
-    s, t, bound = height_query(s, t, bound)
-    if bound < 1:
-        return
     fibers = []
     total = 0
-    for rep, h in _orbit_representatives(norm_cutoff(s, t, bound)):
-        t_max = max_covol2_I2(rep.norm2, s, t, bound)
+    for rep, h, t_max in _capped_orbits(height_query(s, t, bound)):
         if rep.norm2 == 1 and 9 * t_max * t_max <= 32 * _MAX_FIBER_ROWS**2:
             low = h * (2 * isqrt((t_max - 1) // 2) + 1) ** 2
             if low > _MAX_POINTS:
@@ -439,7 +445,9 @@ def enumerate_points(
     if total > _MAX_POINTS:
         raise ValueError(f"B is too large: {total} points to list, more than {_MAX_POINTS}")
     for ell, t_max, count in sorted(fibers, key=lambda f: f[0].triple):
-        points = fiber_points(ell, t_max)
-        if len(points) != count:
-            raise AssertionError(f"{len(points)} points listed at {ell.triple}, {count} counted")
-        yield from points
+        listed = 0
+        for z in fiber_points(ell, t_max):
+            listed += 1
+            yield z
+        if listed != count:
+            raise AssertionError(f"{listed} points listed at {ell.triple}, {count} counted")

@@ -569,10 +569,10 @@ def _moebius_upto(n: int) -> list[int]:
 
 def enumerate_form_le(g: Sequence[Sequence[int]], t: int) -> Iterator[Row]:
     """Yield one vector of each pair +-x of nonzero x in Z^3 with
-    x^T g x <= t: the one whose last nonzero coordinate is positive (the rows
-    of ``_half_slices``, walked with the same differences as
-    ``count_form_le``).  Callers that need another representative, such as
-    the first-nonzero-positive one of ``sign_canonical``, flip the sign."""
+    x^T g x <= t: the one whose last nonzero coordinate is positive, in
+    ascending (x3, x2, x1) order (the rows of ``_half_slices``, walked with
+    the same differences as ``count_form_le``).  ``hilb.fiber_points`` walks
+    the Gram with its coordinates reversed for the sign-canonical order."""
     if t < 0:
         return
     (a, g01, _), (_, g11, _), _ = g

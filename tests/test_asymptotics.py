@@ -41,6 +41,7 @@ from hilb2.hilb import (
     enumerate_points,
     fiber_point_count,
     fiber_points,
+    height_query,
     max_covol2_I2,
     norm_cutoff,
 )
@@ -533,6 +534,26 @@ def test_count_rejects_a_negative_bound():
         count_Nst(2, 1, -1)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: count_Nst(2, 1, x), "B"),
+        (lambda x: count_Nst(x, 1, 3), "s"),
+        (lambda x: count_Nst(2, x, 3), "t"),
+        (lambda x: le_count_detailed(x), "B"),
+        (lambda x: next(enumerate_points(2, 1, x)), "B"),
+        (lambda x: bm_exponents(x, 1), "s"),
+        (lambda x: convergence_report(2, 1, [10, x], const_m_max=5), "B"),
+    ],
+)
+def test_non_finite_arguments_are_refused_by_name(call, name, x):
+    # Fraction(x) raises OverflowError for +-inf and a ValueError naming no
+    # parameter for NaN; every entry point names the parameter instead
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {x!r}$"):
+        call(x)
+
+
 @pytest.mark.parametrize(
     "s, t, b",
     [(2, Fraction(1, 10**9 + 7), 2), (Fraction(1, 10**12), 1, 2), (2, 1, 1 + Fraction(1, 2**20000))],
@@ -567,7 +588,7 @@ def test_fiber_sum_identity():
 
     b = 8
     total = 0
-    for f in canonical_forms(isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(b)))):
+    for f in canonical_forms(isqrt(norm_cutoff(height_query(Fraction(2), Fraction(1), Fraction(b))))):
         q = quotient(f)
         cv1 = f.norm2
         scaled = [[cv1 * x for x in row] for row in q.gram_int]
@@ -615,13 +636,13 @@ def test_count_at_the_norm_cutoff_from_two_thirds_n(s, t, b, n, reps):
     # the cutoff n^s <= 3^t B^2 gave, over fewer representatives
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
     assert count_Nst(s, t, b) == n
-    assert sum(1 for _ in _orbit_representatives(norm_cutoff(s, t, b))) == reps
+    assert sum(1 for _ in _orbit_representatives(norm_cutoff(height_query(s, t, b)))) == reps
 
 
 def _walk_by_m(s, t, b):
     """The orbit representatives of every shell M <= isqrt(norm_cutoff):
     the walk bounded by M alone."""
-    m = isqrt(norm_cutoff(s, t, b))
+    m = isqrt(norm_cutoff(height_query(s, t, b)))
     return [(rep, h) for rep, h in _orbit_representatives(3 * m * m) if rep.M <= m]
 
 
@@ -641,7 +662,7 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
     assert count_Nst(s, t, b) == 160417
     assert len(opened) == 28
     reps = _walk_by_m(s, t, b)
-    by_m = [(rep, fiber_point_count(rep, max_covol2_I2(rep.norm2, s, t, b))) for rep, _ in reps]
+    by_m = [(rep, fiber_point_count(rep, max_covol2_I2(rep.norm2, height_query(s, t, b)))) for rep, _ in reps]
     assert len(by_m) == 55
     nonempty = {(rep, n) for rep, n in by_m if n}
     assert len(nonempty) == 13
@@ -653,7 +674,7 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
         (ell for rep, _ in _walk_by_m(s, t, b) for ell in _orbit_forms(rep)),
         key=lambda f: f.triple,
     )
-    listed = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))]
+    listed = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, height_query(s, t, b)))]
     assert list(enumerate_points(s, t, b)) == listed
 
 
@@ -661,7 +682,7 @@ def test_point_listing_opens_each_orbit_once(monkeypatch):
     # the cap, the prune and the first minimum are constant on an orbit, so
     # the listing computes t_max and reduces a quotient once per
     # representative: 28 caps and 19 reductions at (2, 1, 30), as many as
-    # the count
+    # the count; both read the caps off the one stream in hilb
     from hilb2 import hilb
 
     calls = Counter()
@@ -680,7 +701,6 @@ def test_point_listing_opens_each_orbit_once(monkeypatch):
     assert sum(1 for _ in enumerate_points(2, 1, 30)) == 160417
     assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
     calls.clear()
-    counted(asymptotics, "max_covol2_I2")
     assert count_Nst(2, 1, 30) == 160417
     assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
 
@@ -761,7 +781,7 @@ def test_fiber_count_is_constant_on_signed_permutation_orbits(s, t, b):
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
     counts = {}
     for f in canonical_forms(4):
-        n = fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b))
+        n = fiber_point_count(f, max_covol2_I2(f.norm2, height_query(s, t, b)))
         counts.setdefault(tuple(sorted(map(abs, f.triple))), []).append(n)
     halves = {
         (a, bb, m): w // 2
@@ -782,8 +802,8 @@ def test_count_equals_the_sum_over_every_canonical_form():
     ]
     for s, t, b in grid:
         s, t, b = Fraction(s), Fraction(t), Fraction(b)
-        forms = canonical_forms(isqrt(norm_cutoff(s, t, b)))
-        full = sum(fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) for f in forms)
+        forms = canonical_forms(isqrt(norm_cutoff(height_query(s, t, b))))
+        full = sum(fiber_point_count(f, max_covol2_I2(f.norm2, height_query(s, t, b))) for f in forms)
         assert count_Nst(s, t, b) == full, (s, t, b)
 
 

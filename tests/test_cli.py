@@ -218,6 +218,19 @@ def test_malformed_integer_lists_say_what_is_expected(ell, q, message):
     assert [ln for ln in r.stderr.splitlines() if ln.startswith("error:")] == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "ell, q",
+    [("1,2," + "1" + "0" * 399, "1,0,1,-2,0,3"), ("1,2,3", "1,0,0,-2,0," + "1" + "0" * 399)],
+)
+def test_inspect_past_the_float_range_exits_1(ell, q, capsys):
+    # a 400-digit entry gives covolumes past the float range of H1 or H2:
+    # one error line and nothing on stdout, not an OverflowError traceback
+    assert main(["inspect", "--ell", ell, "--q", q]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: int too large to convert to float\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
 @pytest.mark.parametrize(
     "argv, flag",

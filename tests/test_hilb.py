@@ -22,6 +22,7 @@ from hilb2.hilb import (
     enumerate_points,
     fiber_point_count,
     fiber_points,
+    height_query,
     max_covol2_I2,
     monomials,
     norm_cutoff,
@@ -30,6 +31,7 @@ from hilb2.lattice import (
     LinearForm,
     count_primitive_form,
     dot,
+    enumerate_form_le,
     kernel_basis_of,
     min_form_value,
     product_covol2_formula,
@@ -149,8 +151,8 @@ def test_enumerate_points_refuses_oversized_bounds():
     # isqrt(norm_cutoff(2, 1, 26455)) = 180 is the first cutoff with more
     # than 10^6 orbit representatives, C(183, 3); every bound here is
     # refused before walking
-    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(26454))) == 179
-    assert isqrt(norm_cutoff(Fraction(2), Fraction(1), Fraction(26455))) == 180
+    assert isqrt(norm_cutoff(height_query(Fraction(2), Fraction(1), Fraction(26454)))) == 179
+    assert isqrt(norm_cutoff(height_query(Fraction(2), Fraction(1), Fraction(26455)))) == 180
     for b in (26455, 10**30, 10**400):
         with pytest.raises(ValueError, match="B is too large: about 10\\^"):
             next(enumerate_points(2, 1, Fraction(b)))
@@ -198,7 +200,7 @@ def test_huge_fibers_are_refused_past_every_bound_the_walk_admits():
     # E + |G| = covol2_product = n = 1 and t_max = B^2 at (2, 1); that walk
     # admits B = 26454, and refusal starts at 9 t_max^2 > 32 * 10^18
     ell = LinearForm(0, 0, 1)
-    assert max_covol2_I2(1, Fraction(2), Fraction(1), Fraction(26454)) == 26454**2
+    assert max_covol2_I2(1, height_query(Fraction(2), Fraction(1), Fraction(26454))) == 26454**2
     assert hilb._open_fiber(ell, 26454**2) is not None
     t_first = isqrt(32 * 10**18 // 9) + 1
     assert 9 * (t_first - 1) ** 2 <= 32 * 10**18 < 9 * t_first**2
@@ -231,7 +233,7 @@ def test_listing_lower_bound_is_at_most_the_exact_count(s, t, b, n):
     # the listing's first refusal reads 3 (2k + 1)^2, k = isqrt((t_max - 1) // 2),
     # off the (0, 0, 1) orbit; at every query of the class table it is at
     # most that orbit's exact count and the listing's size N
-    t_max = max_covol2_I2(1, Fraction(s), Fraction(t), Fraction(b))
+    t_max = max_covol2_I2(1, height_query(Fraction(s), Fraction(t), Fraction(b)))
     low = 3 * (2 * isqrt((t_max - 1) // 2) + 1) ** 2
     assert low <= 3 * fiber_point_count(LinearForm(0, 0, 1), t_max) <= n == count_Nst(s, t, b)
 
@@ -239,7 +241,7 @@ def test_listing_lower_bound_is_at_most_the_exact_count(s, t, b, n):
 def test_enumerate_points_checks_each_fiber_against_its_orbit_count(monkeypatch):
     # a fiber listed short of its orbit's count is an internal error, raised
     # explicitly so that python -O keeps it
-    monkeypatch.setattr(hilb, "fiber_points", lambda ell, t_max: fiber_points(ell, t_max)[1:])
+    monkeypatch.setattr(hilb, "fiber_points", lambda ell, t_max: list(fiber_points(ell, t_max))[1:])
     with pytest.raises(AssertionError, match="points listed at"):
         list(enumerate_points(2, 1, 3))
 
@@ -260,8 +262,8 @@ def test_enumerate_points_equals_the_full_form_walk(s, t, b):
     # the orbit walk lists what the walk over every sign-canonical form
     # lists, in the same order
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
-    forms = canonical_forms(isqrt(norm_cutoff(s, t, b)))
-    full = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))]
+    forms = canonical_forms(isqrt(norm_cutoff(height_query(s, t, b))))
+    full = [z for f in forms for z in fiber_points(f, max_covol2_I2(f.norm2, height_query(s, t, b)))]
     assert full
     assert list(enumerate_points(s, t, b)) == full
 
@@ -278,9 +280,30 @@ def test_orbit_expansion_partitions_the_canonical_forms():
     assert sorted(f.triple for f in seen) == [f.triple for f in canonical_forms(20) if f.norm2 <= 432]
 
 
+@pytest.mark.parametrize("t_max", [0, 1, 7, 50, 400, 3000])
+def test_fiber_walk_is_the_sorted_sign_canonical_fiber(t_max):
+    # the walk on the reversed quotient Gram lists what sorting the
+    # sign-canonical primitive vectors of the Gram's own walk lists, with
+    # strictly increasing qbar, on every form of the orbits with n <= 200
+    pairs = 0
+    for rep, _ in _orbit_representatives(200):
+        for ell in _orbit_forms(rep):
+            want = sorted(
+                sign_canonical(x)
+                for x in enumerate_form_le(quotient(ell).gram_int, t_max)
+                if gcd(gcd(x[0], x[1]), x[2]) == 1
+            )
+            # a HilbPoint is equal to another exactly when (ell, qbar) is
+            got = [(z.ell, z.qbar) for z in fiber_points(ell, t_max)]
+            assert got == [(ell, x) for x in want], (ell, t_max)
+            assert all(p < q for (_, p), (_, q) in zip(got, got[1:])), (ell, t_max)
+            pairs += 1
+    assert pairs == 29454 // 6
+
+
 def test_fiber_points_axis_example():
     ell = LinearForm(1, 0, 0)
-    pts = fiber_points(ell, max_covol2_I2(ell.norm2, Fraction(2), Fraction(1), Fraction(2)))
+    pts = list(fiber_points(ell, max_covol2_I2(ell.norm2, height_query(Fraction(2), Fraction(1), Fraction(2)))))
     assert len(pts) == 13
     assert sorted({p.covol2_I2 for p in pts}) == [1, 2, 3]
 
@@ -324,18 +347,18 @@ def test_canonical_forms_against_sorted_brute_force():
 
 def test_m_cutoff_is_sound():
     s, t, b = Fraction(2), Fraction(1), Fraction(5)
-    m = isqrt(norm_cutoff(s, t, b))
+    m = isqrt(norm_cutoff(height_query(s, t, b)))
     # fibers just beyond the cutoff are empty
     for f in canonical_forms(m + 2):
         if f.M > m:
-            assert fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) == 0
+            assert fiber_point_count(f, max_covol2_I2(f.norm2, height_query(s, t, b))) == 0
 
 
 def test_fiber_count_matches_point_list():
     s, t, b = Fraction(2), Fraction(1), Fraction(8)
     for f in canonical_forms(3):
-        t_max = max_covol2_I2(f.norm2, s, t, b)
-        assert fiber_point_count(f, t_max) == len(fiber_points(f, t_max))
+        t_max = max_covol2_I2(f.norm2, height_query(s, t, b))
+        assert fiber_point_count(f, t_max) == len(list(fiber_points(f, t_max)))
 
 
 def test_roundtrip_canonicalize_lift():
@@ -363,7 +386,7 @@ def test_roundtrip_recovers_defining_lattices():
 
 def _unpruned_count(f, s, t, b):
     """Fiber count straight from the quotient lattice, with no prune."""
-    t_max = max_covol2_I2(f.norm2, s, t, b)
+    t_max = max_covol2_I2(f.norm2, height_query(s, t, b))
     n = count_primitive_form(quotient(f).gram_int, t_max)
     assert n % 2 == 0
     return n // 2
@@ -384,7 +407,7 @@ def test_max_covol2_I2_is_the_largest_admissible_value():
         def ok(x):  # H^(2L) = cv1^(L(s-t)) * x^(Lt) <= b^(2L)
             return Fraction(cv1) ** int(big_l * (s - t)) * x ** int(big_l * t) <= b ** (2 * big_l)
 
-        k = max_covol2_I2(cv1, s, t, b)
+        k = max_covol2_I2(cv1, height_query(s, t, b))
         assert (k == 0 or ok(k)) and not ok(k + 1)
 
 
@@ -404,7 +427,7 @@ def test_max_covol2_I2_against_the_fraction_formula():
         big_l = lcm(s.denominator, t.denominator)
         a_exp, b_exp = int(big_l * (s - t)), int(big_l * t)
         want = iroot(floor(b ** (2 * big_l) / Fraction(cv1) ** a_exp), b_exp)
-        assert max_covol2_I2(cv1, s, t, b) == want, (cv1, s, t, b)
+        assert max_covol2_I2(cv1, height_query(s, t, b)) == want, (cv1, s, t, b)
         below += s < t
     assert below > 100
 
@@ -435,17 +458,17 @@ def test_empty_fiber_prune_is_sound():
         for f in canonical_forms(_distance_lemma_cutoff(s, t, b)):
             unpruned = _unpruned_count(f, s, t, b)
             r = _kernel_radius(f)
-            if 2 * r * r * max_covol2_I2(f.norm2, s, t, b) < product_covol2_formula(*f.triple):
+            if 2 * r * r * max_covol2_I2(f.norm2, height_query(s, t, b)) < product_covol2_formula(*f.triple):
                 fired += 1
                 assert unpruned == 0, f
-            assert fiber_point_count(f, max_covol2_I2(f.norm2, s, t, b)) == unpruned, f
+            assert fiber_point_count(f, max_covol2_I2(f.norm2, height_query(s, t, b))) == unpruned, f
         assert fired > 0
 
 
 def test_m_cutoff_is_sound_upper_bound_regime():
     for s, t, b in ((1, 2, 2), (1, 2, 3), (1, 1, 3)):
         s, t, b = Fraction(s), Fraction(t), Fraction(b)
-        m = isqrt(norm_cutoff(s, t, b))
+        m = isqrt(norm_cutoff(height_query(s, t, b)))
         for f in canonical_forms(m + 3):
             if f.M > m:
                 assert _unpruned_count(f, s, t, b) == 0, (s, t, b, f)
@@ -456,7 +479,7 @@ def test_norm_cutoff_is_sound(s, t, b):
     # the forms past the norm cutoff, below M = isqrt(norm_cutoff) + 2, hold no point
     # even without the fiber prune
     s, t, b = Fraction(s), Fraction(t), Fraction(b)
-    n_max = norm_cutoff(s, t, b)
+    n_max = norm_cutoff(height_query(s, t, b))
     past = [f for f in canonical_forms(isqrt(n_max) + 2) if f.norm2 > n_max]
     assert past
     for f in past:
@@ -482,10 +505,10 @@ def test_m_cutoff_is_the_root_of_the_norm_cutoff():
         big_l = lcm(s.denominator, t.denominator)
         x = floor(Fraction(3, 2) ** int(t * big_l) * b ** (2 * big_l))
         k = int(s * big_l)
-        n = norm_cutoff(s, t, b)
+        n = norm_cutoff(height_query(s, t, b))
         assert n**k <= x < (n + 1) ** k, (s, t, b)
         assert isqrt(n) == iroot(x, 2 * k), (s, t, b)
-    assert [isqrt(norm_cutoff(*q)) for q in queries[:2]] == [179, 180]
+    assert [isqrt(norm_cutoff(height_query(*q))) for q in queries[:2]] == [179, 180]
 
 
 def test_upper_bound_regime_counts_match_unpruned_recount():
@@ -494,7 +517,7 @@ def test_upper_bound_regime_counts_match_unpruned_recount():
         n = count_Nst(s, t, b)
         recount = sum(
             _unpruned_count(f, s, t, Fraction(b))
-            for f in canonical_forms(2 * isqrt(norm_cutoff(s, t, Fraction(b))))
+            for f in canonical_forms(2 * isqrt(norm_cutoff(height_query(s, t, Fraction(b)))))
         )
         assert n == recount == expected
 
@@ -507,6 +530,6 @@ def test_monomial_box_oracle_inside_fiber_points():
     found = 0
     for f in forms:
         box = oracle_fiber_points_monomial_box(f, s, t, b, coeff_box=2)
-        assert box <= {p.qbar for p in fiber_points(f, max_covol2_I2(f.norm2, s, t, b))}, f
+        assert box <= {p.qbar for p in fiber_points(f, max_covol2_I2(f.norm2, height_query(s, t, b)))}, f
         found += len(box)
     assert found > 0

@@ -20,6 +20,7 @@ import tracemalloc
 from pathlib import Path
 
 from hilb2.asymptotics import _orbit_sum
+from hilb2.hilb import enumerate_points
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -133,6 +134,25 @@ def test_core_modules_walk_only_the_orbit_representatives():
     assert not hasattr(hilb, "check_form_walk") and not hasattr(hilb, "_MAX_FORMS")
 
 
+def test_no_fraction_below_the_height_query():
+    # ``height_query`` clears (s, t, B) to integers once; the cutoffs, the
+    # capped orbit stream, the fibers and the listing compare integers only
+    below = {"norm_cutoff", "max_covol2_I2", "_capped_orbits", "_open_fiber",
+             "fiber_point_count", "fiber_points", "enumerate_points"}
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    tree = ast.parse((src / "hilb.py").read_text(encoding="utf-8"))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in below:
+            found[node.name] = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            } & {"Fraction", "floor"}
+    assert found == dict.fromkeys(below, set()), found
+
+
 def test_no_bare_asserts_in_the_package():
     src = Path(importlib.util.find_spec("hilb2").origin).parent
     for path in sorted(src.glob("*.py")):
@@ -152,6 +172,20 @@ def test_orbit_sum_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3.09 * 2**20, peak / 2**20
+
+
+def test_point_listing_holds_no_fiber():
+    # the listing walks each fiber in the order it lists it; sorting the
+    # (0, 0, 1) fiber, 13909 of the 47461 points at (2, 1, 20), into a list
+    # first peaked at 2.6 MiB here
+    sum(1 for _ in enumerate_points(2, 1, 20))  # the per-form caches' first fill
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in enumerate_points(2, 1, 20)) == 47461
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak / 2**20
 
 
 # The counters and walkers of the library that the oracles check; an oracle
