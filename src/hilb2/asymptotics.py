@@ -35,6 +35,7 @@ from .heights import is_perfect_square, le_height2_gram
 from .hilb import (
     _canonical_orbit_size,
     _capped_orbits,
+    _check_orbit_walk,
     _orbit_representatives,
     fiber_point_count,
     height_query,
@@ -493,6 +494,7 @@ def le_count_detailed(bound: float | Fraction, *, threads: int = 1) -> dict:
     """
     b = nonnegative_bound(bound)
     x = iroot(floor(b * b), 3)
+    _check_orbit_walk(x)
     calls, weights, norms = [], [], Counter()
     for f, h in _orbit_representatives(x):
         calls.append((f, x))

@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 
 from .lattice import (
     LinearForm,
-    QuotientLattice,
     count_primitive_form,
     enumerate_form_le,
     eval_quadratic,  # re-exported: part of the point API
@@ -225,23 +224,32 @@ _MAX_REPRESENTATIVES = 10**6
 # by their exact count: at (s, t) = (2, 1) the bound refuses B >= 409, and
 # the exact count admits B = 55 (987757 points), not B = 56.
 _MAX_POINTS = 10**6
-# Every fiber refuses an ellipsoid walk over more rows than this, by the
-# estimate of ``_open_fiber``; at count_Nst(2, 1, 26454) the largest, that of
-# the (0, 0, 1) fiber, is about 3.9 * 10^8.
+# The count and the listing refuse a fiber's ellipsoid walk over more rows
+# than this, by the estimate of ``_capped_orbits``; at count_Nst(2, 1,
+# 26454) the largest, that of the (0, 0, 1) fiber, is about 3.9 * 10^8.
 _MAX_FIBER_ROWS = 10**9
+
+
+def _check_orbit_walk(n_max: int) -> None:
+    """ValueError when ``_orbit_representatives(n_max)`` would walk more than
+    ``_MAX_REPRESENTATIVES`` triples, C(isqrt(n_max) + 3, 3): the whole cube,
+    not the forms the norm bound keeps.  Each walk checks it once, first."""
+    estimate = comb(isqrt(n_max) + 3, 3)
+    if estimate > _MAX_REPRESENTATIVES:
+        raise ValueError(
+            f"B is too large: about 10^{log10(estimate):.1f} orbit representatives "
+            f"to walk, more than {_MAX_REPRESENTATIVES}"
+        )
 
 
 def _orbit_representatives(n_max: int) -> Iterator[tuple[LinearForm, int]]:
     """Yield (LinearForm(a, b, M), h) for the primitive (a, b, M), 0 <= a <=
     b <= M, with a^2 + b^2 + M^2 <= n_max, in shell order and lexicographic
     in (b, a).  The shells run to m_max = isqrt(n_max), since M^2 <= n.
-    ValueError, on the first ``next`` and before any representative, when
-    C(m_max + 3, 3) exceeds ``_MAX_REPRESENTATIVES``: the guard counts the
-    whole cube, not the forms the norm bound keeps.  Each caller reads the
-    stream once.
 
-    ``_capped_orbits`` passes ``norm_cutoff``; ``le_count_detailed`` passes
-    X = iroot(floor(B^2), 3), since H^2 >= n on every point it counts.
+    ``_capped_orbits`` passes ``norm_cutoff`` and ``le_count_detailed`` X =
+    iroot(floor(B^2), 3), as H^2 >= n on every point it counts; each checks
+    the walk first (``_check_orbit_walk``) and reads the stream once.
 
     The one walk of ``count_Nst``, ``le_count_detailed`` and
     ``enumerate_points``: each orbit of the 48 signed coordinate
@@ -260,14 +268,7 @@ def _orbit_representatives(n_max: int) -> Iterator[tuple[LinearForm, int]]:
     Rudulier height H^2 = L^2 + n D (or L^2) and the
     split/nonsplit/nonreduced class.
     """
-    m_max = isqrt(n_max)
-    estimate = comb(m_max + 3, 3)
-    if estimate > _MAX_REPRESENTATIVES:
-        raise ValueError(
-            f"B is too large: about 10^{log10(estimate):.1f} orbit representatives "
-            f"to walk, more than {_MAX_REPRESENTATIVES}"
-        )
-    for m in range(1, m_max + 1):
+    for m in range(1, isqrt(n_max) + 1):
         for b in range(m + 1):
             gbm = gcd(b, m)
             for a in range(b + 1):
@@ -281,10 +282,34 @@ def _capped_orbits(query: tuple[int, int, int, int]) -> Iterator[tuple[LinearFor
     """The one walk of ``count_Nst`` and ``enumerate_points``, as lazy as the
     orbit walk: (form, h, t_max = ``max_covol2_I2``) below ``norm_cutoff``,
     as a point of height <= B has (2/3)^t n^s <= H^2 <= B^2, and nothing
-    when B < 1 (num < den)."""
+    when B < 1 (num < den).  ValueError, before any representative, when
+    the walk is too long (``_check_orbit_walk``), then when a fiber's
+    ellipsoid walk would visit more than ``_MAX_FIBER_ROWS`` rows.
+
+    The rows (x1, x2) of x^T gram_int x <= t_max along the first minimum m0
+    fill an ellipse of area pi t_max sqrt(m0) / cp (det gram_int = cp^2, cp
+    = covol2_product); the count walks a quarter of them or more, and m0 >=
+    cp / (2 r^2) for r = E + |G| (``fiber_point_count``).  The estimate pi
+    t_max / (4 sqrt(2) r sqrt(cp)) is largest at (0, 0, 1), r = cp = 1 and
+    t_max = t1 = max_covol2_I2(1, query), as t_max <= r sqrt(cp) t1: one
+    check, 9 t1^2 > 32 ``_MAX_FIBER_ROWS``^2 (9 < pi^2), covers every fiber.
+    Proof, with B >= 1 and T = (num / den)^(1/b) < t1 + 1 <= 2 t1.  For s
+    >= t (a >= 0), k^b den <= n^a k^b den <= num gives t_max <= t1.  For s
+    < t, t_max <= T n^(-a/b) < 2 t1 n (-a < b); n = E F - G^2 <= E^2 (F <=
+    E, Lagrange-reduced) gives r >= sqrt(n), and cp >= (2/3) n^3
+    (``norm_cutoff``), so r sqrt(cp) >= sqrt(2/3) n^2 >= 2n for n >= 3; at
+    n = 2, (0, 1, 1) has r sqrt(cp) = 2 sqrt(6) > 4; at n = 1, t_max = t1.
+    """
     if query[2] < query[3]:
         return
-    for rep, h in _orbit_representatives(norm_cutoff(query)):
+    n_max = norm_cutoff(query)
+    _check_orbit_walk(n_max)
+    t1 = max_covol2_I2(1, query)
+    if 9 * t1 * t1 > 32 * _MAX_FIBER_ROWS**2:
+        rows = log10(pi / 32**0.5) + log10(t1)
+        raise ValueError(f"B is too large: about 10^{rows:.1f} ellipsoid rows to walk in the fiber "
+                         f"over (0, 0, 1), more than {_MAX_FIBER_ROWS}")
+    for rep, h in _orbit_representatives(n_max):
         yield rep, h, max_covol2_I2(rep.norm2, query)
 
 
@@ -326,9 +351,19 @@ def canonical_forms(m_max: int) -> list[LinearForm]:
     return out
 
 
-def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
-    """quotient(ell) if the fiber {primitive x: x^T gram_int x <= t_max} may
-    hold points, None when it provably holds none (t_max: ``max_covol2_I2``).
+def fiber_points(ell: LinearForm, t_max: int) -> Iterator[HilbPoint]:
+    """The points over ``ell`` with covol2_I2 <= t_max, qbar-lexicographic,
+    with no prune, as they are walked: ``enumerate_form_le`` on the quotient
+    Gram reversed, g'[i][j] = g[2 - i][2 - j], yields y in ascending (y3, y2,
+    y1) order with its last nonzero entry positive, so qbar = (y3, y2, y1)."""
+    g = quotient(ell).gram_int
+    for y1, y2, y3 in enumerate_form_le([row[::-1] for row in g[::-1]], t_max):
+        if gcd(gcd(y1, y2), y3) == 1:
+            yield HilbPoint(ell, (y3, y2, y1))
+
+
+def fiber_point_count(ell: LinearForm, t_max: int) -> int:
+    """Exact |fiber_points(ell, t_max)| without materializing the points.
 
     Prune.  With (e, f) = ``kernel_basis_of(ell)``, E = e.e and G = e.f,
     every quadric q outside l*V has covol2_I2 >= covol2_product /
@@ -349,51 +384,16 @@ def _open_fiber(ell: LinearForm, t_max: int) -> QuotientLattice | None:
     same bound on the first minimum, 2 (E + |G|)^2 * min_form_value >=
     covol2_product, is checked on every fiber that is built, raised
     explicitly so that python -O keeps it.
-
-    Refusal.  ValueError, before the quotient is built, when the fiber's
-    ellipsoid walk would visit more than ``_MAX_FIBER_ROWS`` rows.  The
-    rows (x1, x2) of x^T gram_int x <= t_max along the first minimum
-    vector fill an ellipse of area pi t_max sqrt(m0) / cp, as det gram_int
-    = cp^2 (cp = covol2_product, m0 = min_form_value), and the count walks
-    at least a quarter of them; with m0 >= cp / (2 (E + |G|)^2) that is at
-    least pi t_max / (4 sqrt(2) (E + |G|) sqrt(cp)) rows, compared in
-    integers with 9 < pi^2.
     """
     (e0, e1, e2), (f0, f1, f2) = kernel_basis_of(ell)
     r = e0 * e0 + e1 * e1 + e2 * e2 + abs(e0 * f0 + e1 * f1 + e2 * f2)  # E + |G|
-    cp = product_covol2_formula(*ell.triple)
-    if 2 * r * r * t_max < cp:
-        return None
-    if 9 * t_max * t_max > 32 * _MAX_FIBER_ROWS**2 * r * r * cp:
-        rows = log10(pi / 32**0.5) + log10(t_max) - log10(r) - log10(cp) / 2
-        raise ValueError(
-            f"B is too large: about 10^{rows:.1f} ellipsoid rows to walk in the fiber "
-            f"over {ell.triple}, more than {_MAX_FIBER_ROWS}"
-        )
+    if 2 * r * r * t_max < product_covol2_formula(*ell.triple):
+        return 0
     quo = quotient(ell)
     m0 = min_form_value(quo)
     if 2 * r * r * m0 < quo.covol2_product:
         raise AssertionError(f"first-minimum bound violated at {ell.triple}")
     if t_max < m0:
-        return None
-    return quo
-
-
-def fiber_points(ell: LinearForm, t_max: int) -> Iterator[HilbPoint]:
-    """The points over ``ell`` with covol2_I2 <= t_max, qbar-lexicographic,
-    with no prune, as they are walked: ``enumerate_form_le`` on the quotient
-    Gram reversed, g'[i][j] = g[2 - i][2 - j], yields y in ascending (y3, y2,
-    y1) order with its last nonzero entry positive, so qbar = (y3, y2, y1)."""
-    g = quotient(ell).gram_int
-    for y1, y2, y3 in enumerate_form_le([row[::-1] for row in g[::-1]], t_max):
-        if gcd(gcd(y1, y2), y3) == 1:
-            yield HilbPoint(ell, (y3, y2, y1))
-
-
-def fiber_point_count(ell: LinearForm, t_max: int) -> int:
-    """Exact |fiber_points(ell, t_max)| without materializing the points."""
-    quo = _open_fiber(ell, t_max)
-    if quo is None:
         return 0
     n = count_primitive_form(quo.gram_int, t_max)
     if n % 2:
@@ -411,21 +411,19 @@ def enumerate_points(
     Order is deterministic: forms lexicographic, then qbar lexicographic.
     Heights use the non-strict convention (<= bound) with exact comparisons;
     (s, t, B) must pass ``height_query``.  ValueError, before the first
-    point, when the walk would cover more than ``_MAX_REPRESENTATIVES``
-    orbit representatives or list more than ``_MAX_POINTS`` points.
+    point, when ``_capped_orbits`` refuses the walk or the listing would
+    hold more than ``_MAX_POINTS`` points.
 
     The points are first bounded below on the first representative (0, 0,
     1), before its fiber, most of the count, is counted and before the walk
     goes past it.  Its quotient Gram is I and its orbit holds 3 forms.  With
     k = isqrt((t_max - 1) // 2), so 2 k^2 + 1 <= t_max, the fiber holds
     every (x1, x2, 1) with |x1|, |x2| <= k, each primitive and no two +-
-    each other: at least 3 (2k + 1)^2 points.  Where ``_open_fiber`` refuses
-    that fiber by its rows (9 t_max^2 > 32 ``_MAX_FIBER_ROWS``^2 at r = cp =
-    1), that refusal comes first.
+    each other: at least 3 (2k + 1)^2 points.
 
     One fiber is counted per orbit (``_capped_orbits``); t_max and the count
     are constant on the orbit, and the count is 0 exactly when
-    ``_open_fiber`` finds the fiber empty (a vector attaining the first
+    ``fiber_point_count`` finds the fiber empty (a vector attaining the first
     minimum is primitive, so it is a point).  Each fiber is walked in the
     order it is listed (``fiber_points``), its points counted as they are
     yielded and checked against its orbit's count when it ends, raised
@@ -434,7 +432,7 @@ def enumerate_points(
     fibers = []
     total = 0
     for rep, h, t_max in _capped_orbits(height_query(s, t, bound)):
-        if rep.norm2 == 1 and 9 * t_max * t_max <= 32 * _MAX_FIBER_ROWS**2:
+        if rep.norm2 == 1:
             low = h * (2 * isqrt((t_max - 1) // 2) + 1) ** 2
             if low > _MAX_POINTS:
                 raise ValueError(f"B is too large: at least {low} points to list, more than {_MAX_POINTS}")

@@ -681,8 +681,9 @@ def test_count_walks_only_the_forms_below_the_norm_cutoff(monkeypatch):
 def test_point_listing_opens_each_orbit_once(monkeypatch):
     # the cap, the prune and the first minimum are constant on an orbit, so
     # the listing computes t_max and reduces a quotient once per
-    # representative: 28 caps and 19 reductions at (2, 1, 30), as many as
-    # the count; both read the caps off the one stream in hilb
+    # representative: 28 caps, one more for the query's row check, and 19
+    # reductions at (2, 1, 30), as many as the count; both read the caps
+    # off the one stream in hilb
     from hilb2 import hilb
 
     calls = Counter()
@@ -699,10 +700,10 @@ def test_point_listing_opens_each_orbit_once(monkeypatch):
     counted(hilb, "min_form_value")
     counted(hilb, "max_covol2_I2")
     assert sum(1 for _ in enumerate_points(2, 1, 30)) == 160417
-    assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
+    assert calls == {"max_covol2_I2": 29, "min_form_value": 19}
     calls.clear()
     assert count_Nst(2, 1, 30) == 160417
-    assert calls == {"max_covol2_I2": 28, "min_form_value": 19}
+    assert calls == {"max_covol2_I2": 29, "min_form_value": 19}
 
 
 class _SerialPool:
@@ -744,6 +745,22 @@ def test_parallel_map_never_asks_for_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(asymptotics, "usable_cpus", lambda: 64)
     assert asymptotics.parallel_map(pow, [(2, 3), (3, 2)], threads=10**4) == [8, 9]
     assert _SerialPool.sizes == [2]
+
+
+def test_row_refusal_is_made_before_the_walk_at_every_thread_count(monkeypatch):
+    # the parent refuses the (0, 0, 1) fiber's rows before it walks a
+    # representative or starts a worker, so no worker can name another fiber
+    from hilb2 import hilb
+
+    def fail(*args, **kwargs):
+        raise AssertionError("walked or pooled past the refusal")
+
+    monkeypatch.setattr(asymptotics, "Pool", fail)
+    monkeypatch.setattr(hilb, "_orbit_representatives", fail)
+    message = r"about 10\^19\.7 ellipsoid rows to walk in the fiber over \(0, 0, 1\)"
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            count_Nst(20, 1, 10**10, threads=threads)
 
 
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):

@@ -799,15 +799,21 @@ def test_every_report_byte_is_pinned(argv, fmt, digest, tmp_path):
          f"error: B is too large: {total} points to list, more than 1000000\n")
         for b, total in (("56", "1042969"), ("408", "403427221"), ("409", "at least 1005723"),
                          ("1000", "at least 6006675"), ("10000", "at least 600073347"))
+    ] + [
+        (["count", "--s", s, "--t", "1", "--B", b, "--threads", "2"],
+         f"error: B is too large: about {rows} ellipsoid rows to walk in the fiber "
+         "over (0, 0, 1), more than 1000000000\n")
+        for s, b, rows in (("20", "1e10", "10^19.7"), ("1000", "1e200", "10^399.7"))
     ],
 )
 def test_oversized_listing_and_oracle_walk_exit_1_at_once(argv, message):
     # the listing is refused by a lower bound on its (0, 0, 1) orbit or by
-    # its exact size, the oracle walk by check_form_walk's rule, and a fiber
-    # by its row estimate, before the first point or count; the row
-    # refusals walk a handful of forms, but their (0, 0, 1) fiber is a ball
-    # of radius about B (tens of minutes at (10, 1, 1e5), an OverflowError
-    # in the Moebius sieve at (1000, 1, 1e200))
+    # its exact size, the oracle walk by check_form_walk's rule, and the
+    # rows by the (0, 0, 1) fiber's estimate, before the first point or
+    # count; that fiber is a ball of radius about B (tens of minutes at
+    # (10, 1, 1e5), an OverflowError in the Moebius sieve at (1000, 1,
+    # 1e200)).  The rows are refused before the walk, in this process, so
+    # the message is the same at every thread count
     rc, elapsed, out, err = run_main_timed(argv)
     assert rc == 1
     assert elapsed < 1.0

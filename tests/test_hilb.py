@@ -163,9 +163,12 @@ def test_orbit_walk_is_a_stream_guarded_before_its_first_form():
     assert iter(walk) is walk
     assert next(walk) == (LinearForm(0, 0, 1), 3)
     assert len(list(walk)) == 27
-    # C(183, 3) > 10^6 triples: the guard raises on the first next(), and
-    # nothing was yielded before it
-    walk = _orbit_representatives(180 * 180)
+    # C(183, 3) > 10^6 triples: the guard is checked before the walk, once
+    # per query; the walk itself is a plain stream
+    hilb._check_orbit_walk(179 * 179 + 358)
+    with pytest.raises(ValueError, match="B is too large: about 10\\^6.0 orbit representatives"):
+        hilb._check_orbit_walk(180 * 180)
+    walk = hilb._capped_orbits(height_query(2, 1, 26455))
     with pytest.raises(ValueError, match="B is too large: about 10\\^6.0 orbit representatives"):
         next(walk)
     assert list(walk) == []
@@ -196,17 +199,51 @@ def test_huge_fibers_are_refused_past_every_bound_the_walk_admits():
         for call in (lambda: count_Nst(s, 1, b), lambda: next(enumerate_points(s, 1, b))):
             with pytest.raises(ValueError, match=rf"about {re.escape(rows)} ellipsoid rows"):
                 call()
-    # (0, 0, 1) has the largest row estimate of every walk at s >= t, with
-    # E + |G| = covol2_product = n = 1 and t_max = B^2 at (2, 1); that walk
-    # admits B = 26454, and refusal starts at 9 t_max^2 > 32 * 10^18
-    ell = LinearForm(0, 0, 1)
+    # (0, 0, 1) has the largest row estimate of every walk, with E + |G| =
+    # covol2_product = n = 1 and t_max = t1 = floor(B^2) at t = 1; the walk
+    # at (2, 1) admits B = 26454, and refusal starts at 9 t1^2 > 32 * 10^18,
+    # checked once per query before the walk
     assert max_covol2_I2(1, height_query(Fraction(2), Fraction(1), Fraction(26454))) == 26454**2
-    assert hilb._open_fiber(ell, 26454**2) is not None
     t_first = isqrt(32 * 10**18 // 9) + 1
     assert 9 * (t_first - 1) ** 2 <= 32 * 10**18 < 9 * t_first**2
-    assert hilb._open_fiber(ell, t_first - 1) is not None
-    with pytest.raises(ValueError, match=r"about 10\^9\.0 ellipsoid rows .* \(0, 0, 1\)"):
-        hilb._open_fiber(ell, t_first)
+    for tq in (t_first - 1, t_first):
+        # floor(B^2) = tq at (10, 1), a walk of a few forms
+        b = Fraction(isqrt(tq * 10**12) + 1, 10**6)
+        query = height_query(Fraction(10), Fraction(1), b)
+        assert max_covol2_I2(1, query) == tq
+        walk = hilb._capped_orbits(query)
+        if tq < t_first:
+            assert next(walk) == (LinearForm(0, 0, 1), 3, tq)
+        else:
+            with pytest.raises(ValueError, match=r"about 10\^9\.0 ellipsoid rows .* \(0, 0, 1\)"):
+                next(walk)
+
+
+def test_no_fiber_has_more_rows_than_the_first():
+    # the row check of _capped_orbits reads only t1, the cap of (0, 0, 1):
+    # the per-fiber estimate pi t_max / (4 sqrt(2) r sqrt(cp)), r = E + |G|,
+    # kept here as the reference, is largest there, t_max^2 <= r^2 cp t1^2,
+    # on every fiber that the prune leaves open
+    worst = 0
+    for s, t, b in ((2, 1, 1000), (1, 2, 48), (1, 3, 16), (1, 1, 30), (2, 3, 64),
+                    (3, 2, 10**4), (5, 4, 300), (1, 10, 3), (20, 1, 10**10)):
+        query = height_query(Fraction(s), Fraction(t), Fraction(b))
+        t1 = max_covol2_I2(1, query)
+        opened = 0
+        for rep, _ in _orbit_representatives(norm_cutoff(query)):
+            t_max = max_covol2_I2(rep.norm2, query)
+            e, f = kernel_basis_of(rep)
+            r = dot(e, e) + abs(dot(e, f))
+            cp = product_covol2_formula(*rep.triple)
+            if 2 * r * r * t_max < cp:
+                continue
+            assert t_max * t_max <= r * r * cp * t1 * t1, (s, t, b, rep)
+            if rep.norm2 > 1:
+                worst = max(worst, Fraction(t_max * t_max, r * r * cp * t1 * t1))
+            opened += 1
+        assert opened >= 1, (s, t, b)
+    # at (1, 10, 3): t1 = 1, and (0, 1, 1) has t_max = 2, r = 2, cp = 6
+    assert worst == Fraction(1, 6), float(worst)
 
 
 def test_enumerate_points_refuses_a_listing_by_its_exact_size():

@@ -137,7 +137,7 @@ def test_core_modules_walk_only_the_orbit_representatives():
 def test_no_fraction_below_the_height_query():
     # ``height_query`` clears (s, t, B) to integers once; the cutoffs, the
     # capped orbit stream, the fibers and the listing compare integers only
-    below = {"norm_cutoff", "max_covol2_I2", "_capped_orbits", "_open_fiber",
+    below = {"norm_cutoff", "max_covol2_I2", "_capped_orbits", "_check_orbit_walk",
              "fiber_point_count", "fiber_points", "enumerate_points"}
     src = Path(importlib.util.find_spec("hilb2").origin).parent
     tree = ast.parse((src / "hilb.py").read_text(encoding="utf-8"))
@@ -151,6 +151,21 @@ def test_no_fraction_below_the_height_query():
                 if isinstance(sub, (ast.Name, ast.Attribute))
             } & {"Fraction", "floor"}
     assert found == dict.fromkeys(below, set()), found
+
+
+def test_no_size_guard_below_the_walk():
+    # every size check of a walk is made once per query, before the walk, in
+    # the parent process; the orbit walk and the fiber count, which runs in
+    # the workers, read no guard, so a refusal cannot depend on the thread
+    # count
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    tree = ast.parse((src / "hilb.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_open_fiber" not in defined
+    guards = {"_MAX_REPRESENTATIVES", "_MAX_FIBER_ROWS", "_MAX_POINTS"}
+    for name in ("_orbit_representatives", "fiber_point_count"):
+        read = {sub.id for stmt in defined[name].body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+        assert not read & guards, (name, sorted(read & guards))
 
 
 def test_no_bare_asserts_in_the_package():
