@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .constants import PI, PI_BRACKET, ZETA3, ZETA3_BRACKET
-from .heights import is_perfect_square, le_height2_gram
 from .hilb import (
     _canonical_orbit_size,
     _capped_orbits,
@@ -44,13 +43,13 @@ from .hilb import (
 )
 from .lattice import (
     LinearForm,
+    _half_slices,
     dot,
-    enumerate_form_le,
     iroot,
     kernel_basis_of,
     quotient,
 )
-from math import floor, gcd
+from math import floor, gcd, isqrt
 
 
 @dataclass(frozen=True)
@@ -417,52 +416,65 @@ def _le_region_worker(ell: LinearForm, x: int) -> tuple[int, int, Fraction | Non
     x = iroot(floor(B^2), 3) (the notes above).
 
     Returns (split_count, nonsplit_count, min ratio^2 over counted points)
-    where ratio = H_Le^3 / H_{0,3}.  Each enumerated coset vector qbar
-    costs integer operations only: with n = covol2_I1 and covol2_I2 =
-    qbar^T gram_int qbar, a point counts when H_Le^2 <= x.  Its ratio^2 is
-    (H_Le^2 n / covol2_I2)^3; the smallest base is kept as an integer pair
-    and cubed once, when the fiber is done.  The two proved bounds of the
-    notes are checked on every point, raised explicitly so that python -O
-    keeps them.
-
-    ``enumerate_form_le`` yields one vector of each pair +-qbar, and the
-    scan needs no sign test: primitivity, D, covol2_I2 and H_Le^2 are all
-    even in qbar, so each vector stands for the point whose qbar is its
-    sign-canonical representative.
+    where ratio = H_Le^3 / H_{0,3}.  The scan walks the rows of
+    ``_half_slices`` (B, C fixed; A >= 1 on the row B = C = 0), one vector
+    of each pair +-qbar, with no sign test: primitivity, D, covol2_I2 and
+    H_Le^2 are all even in qbar.  Along a row D = B^2 - 4 C A and L = C ee -
+    B ef + A ff (``heights.le_height2_gram``) are linear in A and covol2_I2
+    = qbar^T gram_int qbar is quadratic, so a vector costs integer
+    multiply-adds on per-row invariants, a gcd only where gcd(B, C) != 1
+    and an isqrt only for a counted point with D > 0.  A point counts when
+    H_Le^2 <= x.  Its ratio^2 is (H_Le^2 n / covol2_I2)^3; the smallest
+    base is kept as an integer pair and cubed once, when the fiber is done.
+    The two proved bounds of the notes are raised explicitly, so that
+    python -O keeps them: the discriminant bound on every primitive vector
+    with D != 0, the ratio bound on every counted one.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram = quotient(ell).gram_int
     e, f = kernel_basis_of(ell)
     ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
     n = ell.norm2
     n2 = n * n
+    step2 = 2 * (g00 * g11 - g01 * g01)
     n_split = 0
     n_nonsplit = 0
     min_num, min_den = 0, 0  # min ratio = min_num / min_den once min_den > 0
-    for qbar in enumerate_form_le(gram, 2 * n * x):
-        a, b, c = qbar
-        if gcd(a, b, c) != 1:
-            continue
-        d = b * b - 4 * a * c
-        if d == 0:
-            continue
-        # qbar^T gram_int qbar (``QuotientLattice.covol2_with``), inlined
-        # because it runs on every scanned vector
-        cv2 = g00 * a * a + g11 * b * b + g22 * c * c + 2 * (g01 * a * b + g02 * a * c + g12 * b * c)
-        # criterion 8's discriminant bound (proved in the notes above)
-        if abs(d) * n2 > 4 * cv2:
-            raise AssertionError(f"disc bound violated at {ell.triple}, {qbar}")
-        h2 = le_height2_gram(ee, ef, ff, n, qbar)
-        if h2 > x:
-            continue
-        if is_perfect_square(d):
-            n_split += 1
-        else:
-            n_nonsplit += 1
-        r_num = h2 * n
-        if cv2 > 2 * r_num:
-            raise AssertionError(f"height-comparison theorem violated at {ell.triple}, {qbar}")
-        if min_den == 0 or r_num * min_den < min_num * cv2:
-            min_num, min_den = r_num, cv2
+    for c, lo2, hi2, beta, dr, ddr in _half_slices(gram, 2 * n * x):
+        c4, l_c, k_c, lin_c = 4 * c, c * ee, g22 * c * c, 2 * g02 * c
+        for b in range(lo2, hi2 + 1):
+            s1 = isqrt(dr)
+            lo1 = -((beta + s1) // g00) if b or c else 1
+            hi1 = (s1 - beta) // g00
+            beta += g01
+            dr += ddr
+            ddr -= step2
+            g_bc, d0, l0 = gcd(b, c), b * b, l_c - b * ef
+            lin, k0 = 2 * g01 * b + lin_c, (g11 * b + 2 * g12 * c) * b + k_c
+            for a in range(lo1, hi1 + 1):
+                if g_bc != 1 and gcd(g_bc, a) != 1:
+                    continue
+                d = d0 - c4 * a
+                if d == 0:
+                    continue
+                cv2 = (g00 * a + lin) * a + k0
+                # criterion 8's discriminant bound (proved in the notes above)
+                if abs(d) * n2 > 4 * cv2:
+                    raise AssertionError(f"disc bound violated at {ell.triple}, {(a, b, c)}")
+                el = l0 + a * ff
+                h2 = el * el + n * d if d > 0 else el * el
+                if h2 > x:
+                    continue
+                if d > 0 and isqrt(d) ** 2 == d:
+                    n_split += 1
+                else:
+                    n_nonsplit += 1
+                r_num = h2 * n
+                if cv2 > 2 * r_num:
+                    raise AssertionError(
+                        f"height-comparison theorem violated at {ell.triple}, {(a, b, c)}"
+                    )
+                if min_den == 0 or r_num * min_den < min_num * cv2:
+                    min_num, min_den = r_num, cv2
     return n_split, n_nonsplit, Fraction(min_num, min_den) ** 3 if min_den else None
 
 

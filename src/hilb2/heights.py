@@ -319,8 +319,8 @@ def le_height2_gram(ee: int, ef: int, ff: int, n: int, qbar: Sequence[int]) -> i
     """The closed form of ``le_height2`` on integers: H_Le^2 = L^2 + n D if
     D > 0 and L^2 otherwise, with L = A ff - B ef + C ee and D = B^2 - 4AC
     for qbar = (A, B, C), the Gram entries ee, ef, ff of the kernel basis
-    and n = covol2_I1.  The anticanonical count calls it once per scanned
-    vector with the Gram entries of its fiber."""
+    and n = covol2_I1.  The anticanonical count evaluates the same closed
+    form inline, with L and D linear in A along each row of its scan."""
     a, b, c = qbar
     el = a * ff - b * ef + c * ee
     d = b * b - 4 * a * c

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -31,7 +32,7 @@ from hilb2.asymptotics import (
     le_count_detailed,
     le_rudulier_prediction,
 )
-from hilb2.heights import discriminant, is_perfect_square, le_height2
+from hilb2.heights import discriminant, is_perfect_square, le_height2, le_height2_gram
 from hilb2.hilb import (
     HilbPoint,
     _canonical_orbit_size,
@@ -45,7 +46,16 @@ from hilb2.hilb import (
     max_covol2_I2,
     norm_cutoff,
 )
-from hilb2.lattice import enumerate_form_le, iroot, product_covol2_formula, quotient, sign_canonical
+from hilb2.lattice import (
+    _half_slices,
+    dot,
+    enumerate_form_le,
+    iroot,
+    kernel_basis_of,
+    product_covol2_formula,
+    quotient,
+    sign_canonical,
+)
 from hilb2.oracles import oracle_count_points
 
 
@@ -945,6 +955,29 @@ def test_le_count_north_star_fixed_point():
     }
 
 
+def test_le_count_pinned_at_ten_thousand():
+    assert le_count_detailed(10**4) == {
+        "schema_version": 1,
+        "B": 10000.0,
+        "split": 168438,
+        "nonsplit": 110929,
+        "total": 279367,
+        "min_ratio": 0.5455648981330444,
+    }
+
+
+@pytest.mark.slow
+def test_le_count_pinned_at_a_hundred_thousand():
+    assert le_count_detailed(10**5) == {
+        "schema_version": 1,
+        "B": 100000.0,
+        "split": 2023422,
+        "nonsplit": 1544149,
+        "total": 3567571,
+        "min_ratio": 0.5445998372854404,
+    }
+
+
 def test_le_count_threads_invariant():
     # 36 orbit representatives at B = 300 and 102 at B = 1000, split into
     # four chunks per worker, so both workers run
@@ -1105,6 +1138,57 @@ def _reference_le_region_worker(ell, bound):
     return n_split, n_nonsplit, min_ratio_sq
 
 
+def _per_vector_le_region_worker(ell, x):
+    """``_le_region_worker`` as it was before it walked the rows itself: a
+    tuple per vector from ``enumerate_form_le``, and per vector the gcd,
+    D, covol2_I2, the closed form ``le_height2_gram`` and
+    ``is_perfect_square`` from scratch."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram = quotient(ell).gram_int
+    e, f = kernel_basis_of(ell)
+    ee, ef, ff = dot(e, e), dot(e, f), dot(f, f)
+    n = ell.norm2
+    n_split = n_nonsplit = 0
+    min_num, min_den = 0, 0
+    for qbar in enumerate_form_le(gram, 2 * n * x):
+        a, b, c = qbar
+        if gcd(a, b, c) != 1:
+            continue
+        d = b * b - 4 * a * c
+        if d == 0:
+            continue
+        cv2 = g00 * a * a + g11 * b * b + g22 * c * c + 2 * (g01 * a * b + g02 * a * c + g12 * b * c)
+        assert abs(d) * n * n <= 4 * cv2, (ell, qbar)
+        h2 = le_height2_gram(ee, ef, ff, n, qbar)
+        if h2 > x:
+            continue
+        if is_perfect_square(d):
+            n_split += 1
+        else:
+            n_nonsplit += 1
+        assert cv2 <= 2 * h2 * n, (ell, qbar)
+        if min_den == 0 or h2 * n * min_den < min_num * cv2:
+            min_num, min_den = h2 * n, cv2
+    return n_split, n_nonsplit, Fraction(min_num, min_den) ** 3 if min_den else None
+
+
+def test_le_region_worker_matches_the_per_vector_scan_at_one_thousand():
+    x = iroot(10**6, 3)
+    reps = [f for f, _ in _orbit_representatives(x)]
+    assert len(reps) == 102
+    for f in reps:
+        assert _le_region_worker(f, x) == _per_vector_le_region_worker(f, x), f
+
+
+def test_le_region_worker_matches_the_per_vector_scan_at_ten_thousand():
+    # a seeded sample of the 862 representatives, and the (0, 0, 1) fiber,
+    # which holds the most vectors
+    x = iroot(10**8, 3)
+    reps = [f for f, _ in _orbit_representatives(x)]
+    assert len(reps) == 862
+    for f in [reps[0], *random.Random(20220).sample(reps, 120)]:
+        assert _le_region_worker(f, x) == _per_vector_le_region_worker(f, x), f
+
+
 @pytest.mark.parametrize("b", [100, 300, 27, Fraction(26999, 1000)])
 def test_le_region_worker_matches_reference_scan(b):
     # the reference scans H_{0,3}^2 <= 8 B^2 and tests H^6 <= B^2 in
@@ -1129,25 +1213,26 @@ def test_le_count_scans_the_region_of_x(monkeypatch):
         scanned.append([ell.norm2])
         return worker(ell, *args)
 
-    def recording_scan(gram, t):
+    def recording_rows(gram, t):
         scanned[-1].append(t)
-        return enumerate_form_le(gram, t)
+        return _half_slices(gram, t)
 
     monkeypatch.setattr(asymptotics, "_le_region_worker", recording_worker)
-    monkeypatch.setattr(asymptotics, "enumerate_form_le", recording_scan)
+    monkeypatch.setattr(asymptotics, "_half_slices", recording_rows)
     assert le_count_detailed(100)["total"] == 1279
     assert all(t == 2 * n * 21 for n, t in scanned), scanned
     assert len(scanned) == len(list(_orbit_representatives(21))) == 15
 
 
 # One break per check of the anticanonical count, each applied by a
-# monkeypatch in a ``python -O`` child, which drops bare asserts: a closed
-# form that is too small breaks the height-comparison theorem, one that is too
-# large loses split points, and a fiber scanned with the quotient Gram of
+# monkeypatch in a ``python -O`` child, which drops bare asserts: a zero
+# kernel basis makes L = 0, so heights that are too small break the
+# height-comparison theorem; doubled kernel Gram entries make heights too
+# large and lose split points; and a fiber scanned with the quotient Gram of
 # another form breaks the discriminant bound.
 _BROKEN = {
-    "height-comparison theorem": "asymptotics.le_height2_gram = lambda *a: closed(*a) // 4",
-    "split counts disagree": "asymptotics.le_height2_gram = lambda *a: 2 * closed(*a)",
+    "height-comparison theorem": "asymptotics.kernel_basis_of = lambda ell: ((0, 0, 0), (0, 0, 0))",
+    "split counts disagree": "asymptotics.dot = lambda u, v: 2 * dot(u, v)",
     "disc bound": "asymptotics.quotient = lambda ell: quotient(LinearForm(1, 0, 0))",
 }
 
@@ -1158,8 +1243,7 @@ def test_le_count_checks_survive_python_O(check):
         [
             "import sys",
             "from hilb2 import asymptotics",
-            "from hilb2.heights import le_height2_gram as closed",
-            "from hilb2.lattice import LinearForm, quotient",
+            "from hilb2.lattice import LinearForm, dot, quotient",
             "assert sys.flags.optimize == 0",  # fails unless -O drops bare asserts
             "print('optimize', sys.flags.optimize)",
             _BROKEN[check],

@@ -153,6 +153,29 @@ def test_no_fraction_below_the_height_query():
     assert found == dict.fromkeys(below, set()), found
 
 
+def test_no_helper_call_per_vector_in_the_anticanonical_scan():
+    # ``_le_region_worker`` reads its per-row invariants once; per vector
+    # it calls only gcd (on rows where gcd(B, C) != 1), isqrt (the split
+    # test), abs and the AssertionError of its two checks, so no closed-form
+    # helper or generator runs per vector
+    src = Path(importlib.util.find_spec("hilb2").origin).parent
+    tree = ast.parse((src / "asymptotics.py").read_text(encoding="utf-8"))
+    worker = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_le_region_worker"
+    )
+    loops = [node for node in ast.walk(worker) if isinstance(node, ast.For)]
+    inner = [loop for loop in loops if not any(isinstance(sub, ast.For) for sub in ast.walk(loop) if sub is not loop)]
+    assert len(loops) == 3 and len(inner) == 1, [ast.unparse(loop.target) for loop in loops]
+    called = [
+        sub.func.id if isinstance(sub.func, ast.Name) else ast.unparse(sub.func)
+        for stmt in inner[0].body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Call)
+    ]
+    assert set(called) == {"gcd", "isqrt", "abs", "AssertionError"}, called
+    assert called.count("AssertionError") == 2, called
+
+
 def test_no_size_guard_below_the_walk():
     # every size check of a walk is made once per query, before the walk, in
     # the parent process; the orbit walk and the fiber count, which runs in
